@@ -40,7 +40,7 @@ from .partitions import (
     partitions_of,
     validate_branch_spec,
 )
-from .polysolve import classify_real, rotate_coefficients, solve_all
+from .polysolve import classify_real, match_index, rotate_coefficients, solve_all
 from .realsigns import disorders_by_branch, ordered_pairs_by_branch
 
 PASS = "PASS"
@@ -202,20 +202,18 @@ def _value_configs(config: RunConfig, profiles: tuple[Partition, ...]) -> list[t
 def _closure_checks(record: SpecRecord, solset, config: RunConfig):
     spec = record.spec
     d = spec.d
-    coeff_list = [np.array(s.coefficients, dtype=complex) for s in solset.solutions]
+    coeffs = np.array(
+        [s.coefficients for s in solset.solutions], dtype=complex
+    ).reshape(len(solset.solutions), d - 1)
 
     def find(vec: np.ndarray) -> int | None:
-        for idx, known in enumerate(coeff_list):
-            scale = 1.0 + float(np.max(np.abs(known))) if known.size else 1.0
-            if known.size == 0 or float(np.max(np.abs(vec - known))) <= config.tol_dedup * scale:
-                return idx
-        return None
+        return match_index(coeffs, vec, config.tol_dedup)
 
     record.record("residuals_ok", all(s.residual < config.tol_residual for s in solset.solutions))
 
     conj_ok = True
     n_real = 0
-    for idx, vec in enumerate(coeff_list):
+    for idx, vec in enumerate(coeffs):
         mate = find(np.conj(vec))
         if mate is None:
             conj_ok = False
@@ -227,7 +225,7 @@ def _closure_checks(record: SpecRecord, solset, config: RunConfig):
 
     rot_ok = True
     orbit_sizes_ok = True
-    for vec in coeff_list:
+    for vec in coeffs:
         orbit = set()
         for t in range(d):
             mate = find(rotate_coefficients(vec, d, t))

@@ -14,7 +14,7 @@ import numpy as np
 
 from realhurwitz import RealPolynomial, enumerate_class
 from realhurwitz.factorizations import compose, full_cycle
-from realhurwitz.polysolve import residual
+from realhurwitz.polysolve import residual, residual_and_jacobian_batch, residual_batch
 
 
 def brute_count(profiles, d, base_cycle=None):
@@ -34,6 +34,58 @@ def brute_count(profiles, d, base_cycle=None):
         if prod == alpha:
             count += 1
     return count
+
+
+def plain_newton(system, starts, config, max_halvings=12):
+    """Damped Newton run to the iteration cap with no early retirement.
+
+    The reference for _newton_batch: the same step, line search and stopping
+    test, but a row only leaves the loop by converging, by a singular
+    Jacobian or non-finite step, by a failed line search, or at the cap.
+    Returns (points, converged_mask).
+    """
+    points = np.array(starts, dtype=complex)
+    status = np.zeros(points.shape[0], dtype=np.int8)  # 0 active, 1 converged, -1 failed
+    fnorm = np.max(np.abs(residual_batch(system, points)), axis=1)
+    status[~np.isfinite(fnorm)] = -1
+    status[fnorm < 1e-14] = 1
+    for _ in range(config.newton_max_iter):
+        active = np.where(status == 0)[0]
+        if active.size == 0:
+            break
+        f, jac = residual_and_jacobian_batch(system, points[active])
+        delta = np.zeros_like(f)
+        solvable = np.ones(active.size, dtype=bool)
+        for i in range(active.size):
+            try:
+                delta[i] = np.linalg.solve(jac[i : i + 1], -f[i : i + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                solvable[i] = False
+        step = np.max(np.abs(delta), axis=1)
+        usable = solvable & np.isfinite(step)
+        status[active[~usable]] = -1
+        active, delta, step = active[usable], delta[usable], step[usable]
+        t = np.ones(active.size)
+        pending = np.ones(active.size, dtype=bool)
+        for _ in range(max_halvings):
+            rows = np.where(pending)[0]
+            if rows.size == 0:
+                break
+            trial = points[active[rows]] + t[rows, None] * delta[rows]
+            fn = np.max(np.abs(residual_batch(system, trial)), axis=1)
+            good = np.isfinite(fn) & (
+                (fn <= (1.0 - 0.5 * t[rows]) * fnorm[active[rows]]) | (fn < 1e-14)
+            )
+            points[active[rows[good]]] = trial[good]
+            fnorm[active[rows[good]]] = fn[good]
+            pending[rows[good]] = False
+            t[rows[~good]] *= 0.5
+        status[active[pending]] = -1
+        keep = ~pending
+        active, t, step = active[keep], t[keep], step[keep]
+        done = active[(t * step < config.newton_step_tol) | (fnorm[active] < 1e-14)]
+        status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)
+    return points, status == 1
 
 
 def fd_jacobian(system, x, h=1e-6):

@@ -17,9 +17,13 @@ from realhurwitz import (
     solve_all,
     validate_branch_spec,
 )
+from realhurwitz import polysolve
 from realhurwitz.polysolve import (
+    _newton_batch,
     canonical_coefficients,
     load_cache,
+    match_index,
+    root_bound,
     rotate_coefficients,
     spec_hash,
 )
@@ -29,6 +33,7 @@ from helpers import (
     fd_jacobian,
     match_coefficient_sets,
     quartic_cusp_solutions,
+    plain_newton,
     quartic_double_solutions,
 )
 
@@ -158,6 +163,25 @@ def test_conjugation_and_rotation_closure(cfg):
         assert n_real % 2 == len(vectors) % 2
 
 
+def test_match_index_matches_loop_scan():
+    def loop_scan(table, vec, tol):
+        for idx, known in enumerate(table):
+            scale = 1.0 + float(np.max(np.abs(known))) if known.size else 1.0
+            if known.size == 0 or float(np.max(np.abs(vec - known))) <= tol * scale:
+                return idx
+        return None
+
+    rng = np.random.default_rng(2)
+    table = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    table[7] *= 100.0  # the scale comes from the known row, not the query
+    for row in (0, 7, 39):
+        for bump in (0.0, 0.9e-6, 0.9e-4, 1.1e-4, 1.0):
+            vec = table[row] + bump
+            assert match_index(table, vec, 1e-6) == loop_scan(table, vec, 1e-6)
+    assert match_index(table[:0], table[0], 1e-6) is None
+    assert match_index(np.empty((2, 0), dtype=complex), np.empty(0), 1e-6) == 0
+
+
 def test_determinism_same_seed_and_workers(cfg):
     first = solve_all(QUARTIC_CUSP, cfg)
     second = solve_all(QUARTIC_CUSP, cfg)
@@ -167,6 +191,54 @@ def test_determinism_same_seed_and_workers(cfg):
         s.coefficients for s in first.solutions
     ]
     assert parallel.solutions == first.solutions
+
+
+def test_solutions_lie_in_the_root_ball(cfg):
+    # the theorem behind the escape rule: |root| <= 4 max|w_i|^(1/d)
+    quintic = validate_branch_spec(parse_profiles("4,1|2,1,1,1"), (-1.3, 2.1))
+    sextic = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"), (-0.7, 0.4))
+    for spec in (CUBIC, QUARTIC_DOUBLE, QUARTIC_CUSP, quintic, sextic):
+        bound = 4.0 * max(abs(w) for w in spec.values) ** (1.0 / spec.d)
+        for sol in solve_all(spec, cfg).solutions:
+            assert max(abs(v) for v in sol.point) <= bound
+
+
+def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
+    system = build_system(CUBIC)
+    calls = []
+    original = polysolve.residual_and_jacobian_batch
+
+    def counting(system, points):
+        calls.append(points.shape[0])
+        return original(system, points)
+
+    monkeypatch.setattr(polysolve, "residual_and_jacobian_batch", counting)
+    far = 100.0 * root_bound(CUBIC) * np.exp(2j * np.pi * np.arange(system.n) / system.n)
+    _, ok = _newton_batch(system, far[None, :], cfg)
+    assert not ok[0] and len(calls) <= 1
+
+    exact = np.array([1.0, -2.0, -1.0, 2.0], dtype=complex)
+    points, ok = _newton_batch(system, (exact + 1e-3 * (1 + 1j))[None, :], cfg)
+    assert ok[0] and np.max(np.abs(points[0] - exact)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "text, values, seed",
+    [("3,1|2,1,1", (28, 1), 3), ("4,1|2,1,1,1", (-1.3, 2.1), 5), ("2,1,1|2,1,1|2,1,1", None, 11)],
+)
+def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
+    # early retirement drops only rows that plain Newton also fails on, and
+    # leaves every converged row bit for bit where plain Newton puts it
+    spec = validate_branch_spec(parse_profiles(text), values)
+    system = build_system(spec)
+    rng = np.random.default_rng(seed)
+    starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
+    starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
+    points, ok = _newton_batch(system, starts, cfg)
+    ref_points, ref_ok = plain_newton(system, starts, cfg)
+    assert ref_ok.any()
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(points[ok], ref_points[ref_ok])
 
 
 def test_incomplete_enumeration_raises(cfg):
