@@ -1,10 +1,11 @@
 """Signed enumeration of real polynomial branched coverings.
 
-The library computes exact complex counts by symmetric-group factorization
-enumeration, finds every normalized complex polynomial with prescribed real
-branch data through a certified multistart solver, extracts the real
-solutions with their sign data, assembles real isomorphism classes of
-coverings, and verifies that the two signed counts agree.
+The library computes exact complex counts of symmetric-group factorizations
+from the Goulden-Jackson closed form, finds every normalized complex
+polynomial with prescribed real branch data through a certified multistart
+solver, extracts the real solutions with their sign data, assembles real
+isomorphism classes of coverings, and verifies that the two signed counts
+agree.
 """
 
 from .config import RunConfig, load_config
@@ -22,7 +23,6 @@ from .errors import (
     ClusterAmbiguity,
     CoveringAssemblyError,
     DegenerateConfiguration,
-    EnumerationBudgetExceeded,
     HurwitzError,
     IncompleteEnumeration,
     OvercountDetected,
@@ -80,7 +80,6 @@ __all__ = [
     "CoveringAssemblyError",
     "CoveringClass",
     "DegenerateConfiguration",
-    "EnumerationBudgetExceeded",
     "HurwitzCount",
     "HurwitzError",
     "IncompleteEnumeration",

@@ -21,7 +21,6 @@ from .errors import (
     ClusterAmbiguity,
     CoveringAssemblyError,
     DegenerateConfiguration,
-    EnumerationBudgetExceeded,
     IncompleteEnumeration,
     OvercountDetected,
     ScaleExceeded,
@@ -40,7 +39,6 @@ EXIT_PROPERTY = 4
 
 _INFRA = (
     IncompleteEnumeration,
-    EnumerationBudgetExceeded,
     ScaleExceeded,
     AmbiguousRealness,
     OvercountDetected,
@@ -53,7 +51,7 @@ _PROPERTY = (SignMismatch, CoveringAssemblyError)
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--budget", type=int, default=None,
-                        help="multistart budget; enumeration cap for `hurwitz`")
+                        help="multistart start budget")
     parser.add_argument("--workers", type=int, default=None, help="parallel workers")
     parser.add_argument("--tol-residual", type=float, default=None)
     parser.add_argument("--tol-dedup", type=float, default=None)
@@ -75,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hurwitz", help="exact complex count by factorization enumeration")
+    p = sub.add_parser("hurwitz", help="exact complex count (Goulden-Jackson closed form)")
     p.add_argument("--profiles", required=True, help='pipe-separated partitions, e.g. "2,1|2,1"')
     _add_common(p)
 
@@ -117,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     overrides = {
         "seed": args.seed,
+        "start_budget": args.budget,
         "workers": args.workers,
         "tol_residual": args.tol_residual,
         "tol_dedup": args.tol_dedup,
@@ -126,11 +125,6 @@ def _config_from_args(args) -> RunConfig:
         "output_format": args.output_format,
         "verbosity": args.verbose or None,
     }
-    if args.budget is not None:
-        if args.command == "hurwitz":
-            overrides["enum_budget"] = args.budget
-        else:
-            overrides["start_budget"] = args.budget
     if getattr(args, "max_degree", None) is not None:
         overrides["max_degree"] = args.max_degree
     if getattr(args, "debug_corrupt_signs", False):
@@ -197,9 +191,7 @@ def _cmd_hurwitz(args, config: RunConfig) -> int:
     from .factorizations import count_factorizations
 
     profiles = parse_profiles(args.profiles)
-    count = count_factorizations(
-        profiles, enum_budget=config.enum_budget, workers=config.workers
-    )
+    count = count_factorizations(profiles)
     _emit(_payload("hurwitz", config, count.as_json_dict()), config)
     return EXIT_OK
 

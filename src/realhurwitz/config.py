@@ -27,7 +27,6 @@ class RunConfig:
     newton_max_iter: int = 200
     newton_step_tol: float = 1e-13
     start_budget: int = 4000
-    enum_budget: int = 10_000_000
     seed: int = 0
     workers: int = 1
     cache: str | None = None
@@ -44,7 +43,14 @@ class RunConfig:
         for name in ("tol_residual", "tol_dedup", "tol_real", "tol_cluster", "newton_step_tol"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        for name in ("newton_max_iter", "start_budget", "enum_budget", "workers", "chunk_size"):
+        for name in (
+            "newton_max_iter",
+            "start_budget",
+            "workers",
+            "chunk_size",
+            "max_degree",
+            "max_solver_degree",
+        ):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
         if self.output_format not in ("json", "text", "csv"):
@@ -62,7 +68,6 @@ class RunConfig:
         return {
             "seed": self.seed,
             "start_budget": self.start_budget,
-            "enum_budget": self.enum_budget,
             "newton_max_iter": self.newton_max_iter,
             "newton_step_tol": self.newton_step_tol,
             "tol_residual": self.tol_residual,

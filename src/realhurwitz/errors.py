@@ -16,15 +16,6 @@ class ValidationError(HurwitzError, ValueError):
     """Malformed or inconsistent input data."""
 
 
-class EnumerationBudgetExceeded(HurwitzError):
-    """The factorization search visited more tuples than the configured cap."""
-
-    def __init__(self, visited: int, budget: int):
-        super().__init__(f"enumeration budget exceeded: visited {visited} > cap {budget}")
-        self.visited = visited
-        self.budget = budget
-
-
 class IncompleteEnumeration(HurwitzError):
     """The multistart solver exhausted its budget before reaching the target count."""
 

@@ -1,4 +1,4 @@
-"""Exact complex counts by enumerating symmetric-group factorizations.
+"""Exact complex counts of symmetric-group factorizations.
 
 The number of normalized complex polynomials of degree d with prescribed
 ramification profiles over k fixed branch values equals the number N of
@@ -7,26 +7,31 @@ product is a fixed d-cycle; the isomorphism-class weighted count is
 H = N / d.  Full ramification over infinity makes every such tuple
 transitive automatically, so no connectivity filter is needed.
 
-Counting is exact integer arithmetic; H is kept as a Fraction whose
-denominator divides d.
+N is given in closed form by the Goulden-Jackson cactus formula
+(Goulden & Jackson, *The combinatorial relationship between trees, cacti
+and certain connection coefficients for the symmetric group*, European J.
+Combin. 1992): when the profile lengths sum to (k-1)d + 1,
+
+    N = d^(k-1) * prod_i (len(lam_i) - 1)! / |Aut lam_i|,
+
+where |Aut lam| is the product of the factorials of the part
+multiplicities.  Counting is exact integer arithmetic; H is kept as a
+Fraction whose denominator divides d.  The permutation helpers below serve
+the brute-force oracle in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import EnumerationBudgetExceeded, ValidationError
+from .errors import ValidationError
 from .partitions import Partition
 
 Perm = tuple[int, ...]
-
-DEFAULT_ENUM_BUDGET = 10_000_000
 
 
 def identity(d: int) -> Perm:
@@ -57,21 +62,6 @@ def conjugate(g: Perm, p: Perm) -> Perm:
 
 def is_permutation(p: Sequence[int]) -> bool:
     return sorted(p) == list(range(len(p)))
-
-
-def cycle_count(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    count = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        count += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-    return count
 
 
 def cycle_type(p: Perm) -> Partition:
@@ -139,14 +129,12 @@ def enumerate_class(d: int, lam: Partition) -> Iterator[Perm]:
         yield tuple(mapping[i] for i in range(d))
 
 
-@lru_cache(maxsize=None)
-def _class_inverses(d: int, parts: tuple[int, ...]) -> tuple[Perm, ...]:
-    return tuple(inverse(p) for p in enumerate_class(d, Partition(parts)))
-
-
 @dataclass(frozen=True)
 class HurwitzCount:
-    """Exact factorization count N of the fixed full cycle, and H = N / d."""
+    """Exact factorization count N of the fixed full cycle, and H = N / d.
+
+    ``visited`` is always 0: nothing is enumerated.
+    """
 
     d: int
     profiles: tuple[Partition, ...]
@@ -163,72 +151,25 @@ class HurwitzCount:
         }
 
 
-class _Budget:
-    __slots__ = ("cap", "used")
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.used = 0
-
-    def spend(self, n: int = 1):
-        self.used += n
-        if self.used > self.cap:
-            raise EnumerationBudgetExceeded(self.used, self.cap)
-
-
-def _dfs(
-    seq: Sequence[Partition],
-    j: int,
-    rem: Perm,
-    suffix_slack: Sequence[int],
-    d: int,
-    budget: _Budget,
-) -> int:
-    """Count completions given rem = (s_1 ... s_j)^-1 * alpha.
-
-    suffix_slack[i] is the total Cayley length available in factors i..k-1;
-    a prefix survives only if the remaining product is still reachable.
-    """
-    if j == len(seq) - 1:
-        budget.spend()
-        return 1 if cycle_type(rem) == seq[-1] else 0
-    total = 0
-    for sig_inv in _class_inverses(d, seq[j].parts):
-        budget.spend()
-        nxt = compose(sig_inv, rem)
-        if d - cycle_count(nxt) <= suffix_slack[j + 1]:
-            total += _dfs(seq, j + 1, nxt, suffix_slack, d, budget)
-    return total
-
-
-def count_factorizations(
-    profiles: Sequence[Partition],
-    *,
-    d: int | None = None,
-    base_cycle: Perm | None = None,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
-    reorder: bool = True,
-    workers: int = 1,
-) -> HurwitzCount:
+def count_factorizations(profiles: Sequence[Partition], *, d: int | None = None) -> HurwitzCount:
     """Count tuples of prescribed cycle types whose product is a fixed full cycle.
 
-    All but one factor are enumerated by depth-first search with a Cayley
-    distance bound for pruning; the last factor is determined by the product
-    and checked against its required type.  With ``reorder`` the profiles
-    are enumerated in ascending class-size order (the count is independent
-    of the order; disable to exercise that invariance directly).
-
-    Raises EnumerationBudgetExceeded when more than ``enum_budget`` partial
-    tuples are visited.
+    Uses the Goulden-Jackson closed form (see the module docstring).  The
+    count does not depend on the order of the profiles or on which full
+    cycle is fixed.  ``d`` is required when no profiles are given; it must
+    be positive and every profile must partition it, and the profile
+    lengths must sum to (k-1)d + 1.
     """
     profiles = tuple(profiles)
-    if not profiles:
-        if d is None:
+    if d is None:
+        if not profiles:
             raise ValidationError("degree is required when no profiles are given")
+        d = profiles[0].d
+    if d < 1:
+        raise ValidationError(f"degree must be positive, got d={d}")
+    if not profiles:
         n = 1 if d == 1 else 0
         return HurwitzCount(d, (), n, Fraction(n, d), 0)
-    if d is None:
-        d = profiles[0].d
     for lam in profiles:
         if lam.d != d:
             raise ValidationError(f"profile {lam} does not partition d={d}")
@@ -238,43 +179,9 @@ def count_factorizations(
         raise ValidationError(
             f"profile lengths sum to {total_len}, expected (k-1)d+1 = {(k - 1) * d + 1}"
         )
-    alpha = full_cycle(d) if base_cycle is None else tuple(base_cycle)
-    if cycle_type(alpha) != Partition([d]):
-        raise ValidationError("base cycle must be a single d-cycle")
-
-    if reorder:
-        seq = sorted(profiles, key=lambda lam: (class_size(d, lam), lam.parts))
-    else:
-        seq = list(profiles)
-
-    # slack[i] = sum over factors i..k-1 of their Cayley length d - len(type)
-    suffix_slack = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix_slack[i] = suffix_slack[i + 1] + (d - seq[i].length)
-
-    budget = _Budget(enum_budget)
-    if k == 1:
-        budget.spend()
-        n = 1 if cycle_type(alpha) == seq[0] else 0
-        return HurwitzCount(d, profiles, n, Fraction(n, d), budget.used)
-
-    first_inverses = _class_inverses(d, seq[0].parts)
-
-    def branch_count(sig_inv: Perm) -> tuple[int, int]:
-        local = _Budget(enum_budget)
-        local.spend()
-        rem = compose(sig_inv, alpha)
-        if d - cycle_count(rem) > suffix_slack[1]:
-            return 0, local.used
-        return _dfs(seq, 1, rem, suffix_slack, d, local), local.used
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(branch_count, first_inverses))
-    else:
-        results = [branch_count(s) for s in first_inverses]
-    n = sum(r[0] for r in results)
-    visited = sum(r[1] for r in results)
-    if visited > enum_budget:
-        raise EnumerationBudgetExceeded(visited, enum_budget)
-    return HurwitzCount(d, profiles, n, Fraction(n, d), visited)
+    numerator = d ** (k - 1) * math.prod(math.factorial(lam.length - 1) for lam in profiles)
+    aut = math.prod(
+        math.factorial(m) for lam in profiles for m in lam.multiplicities().values()
+    )
+    n = numerator // aut  # exact: N is an integer by the theorem
+    return HurwitzCount(d, profiles, n, Fraction(n, d), 0)

@@ -586,9 +586,7 @@ def solve_all(
             f"degree {spec.d} exceeds the configured solver bound {config.max_solver_degree}"
         )
     if target is None:
-        target = count_factorizations(
-            spec.profiles, enum_budget=config.enum_budget
-        ).N
+        target = count_factorizations(spec.profiles).N
     cache_path = cache_path or config.cache
     if cache_path:
         cached = load_cache(cache_path, spec, target, config)

@@ -25,7 +25,6 @@ from .errors import (
     AmbiguousRealness,
     CoveringAssemblyError,
     DegenerateConfiguration,
-    EnumerationBudgetExceeded,
     IncompleteEnumeration,
     OvercountDetected,
     ScaleExceeded,
@@ -49,7 +48,6 @@ SKIP = "SKIP"
 
 _INFRA_ERRORS = (
     IncompleteEnumeration,
-    EnumerationBudgetExceeded,
     AmbiguousRealness,
     OvercountDetected,
     DegenerateConfiguration,
@@ -308,7 +306,7 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
     d = spec.d
     parity = floor_sum_parity(spec.profiles)
     parity_odd = d % 2 == 0 and parity == 1
-    count = count_factorizations(spec.profiles, enum_budget=config.enum_budget)
+    count = count_factorizations(spec.profiles)
     record = SpecRecord(spec=spec, N=count.N, H=count.H)
     try:
         solset = ws.solset(spec)

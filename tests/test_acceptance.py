@@ -52,7 +52,7 @@ def test_criterion_1_factorization_counts():
         (parse_profiles("2,1,1|2,2"), 2),
         (parse_profiles("3,1|2,1,1"), 4),
     ]
-    for d in (3, 4, 5):
+    for d in (3, 4, 5, 8):
         simple = Partition([2] + [1] * (d - 2))
         cases.append(((simple,) * (d - 1), d ** (d - 2)))
     for profiles, expected in cases:

@@ -38,6 +38,10 @@ def test_hurwitz_command(capsys):
     assert payload["result"]["N"] == 1
     assert payload["result"]["H"] == "1/4"
 
+    # --budget is the multistart start budget for every subcommand
+    payload = run_json(capsys, "hurwitz", "--profiles", "2,1|2,1", "--budget", "7")
+    assert payload["config"]["start_budget"] == 7
+
 
 def test_solve_command(capsys):
     payload = run_json(capsys, "solve", "--profiles", "2,1|2,1", "--values=-2,2")
@@ -119,6 +123,19 @@ def test_validation_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "hurwitz", "--profiles", "2,2|2,2")
     assert code == EXIT_VALIDATION
     assert "error" in err
+
+
+def test_nonpositive_degree_bounds_rejected(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "series", "--lambda", "1", "--mmax", "2", "--max-degree", "0")
+    assert code == EXIT_VALIDATION
+    assert "max_degree" in err
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"max_solver_degree": 0}))
+    code, _, err = run_cli(
+        capsys, "solve", "--profiles", "2,1|2,1", "--config", str(config_path)
+    )
+    assert code == EXIT_VALIDATION
+    assert "max_solver_degree" in err
 
 
 def test_infra_error_exit_code(capsys):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realhurwitz import (
-    EnumerationBudgetExceeded,
     Partition,
     ValidationError,
     class_size,
@@ -107,16 +106,24 @@ def test_single_full_cycle_profile():
 def test_identity_covering_count():
     result = count_factorizations((), d=1)
     assert result.N == 1 and result.H == 1
+    assert count_factorizations((), d=3).N == 0
+
+
+def test_nonpositive_degree_rejected():
+    for d in (0, -1):
+        with pytest.raises(ValidationError):
+            count_factorizations((), d=d)
+    with pytest.raises(ValidationError):
+        count_factorizations((Partition(()),))
 
 
 def test_base_cycle_invariance():
+    # the closed form fixes no cycle; the oracle shows any full cycle gives the same N
     profiles = parse_profiles("2,1,1|2,2")
-    baseline = count_factorizations(profiles).N
     g = (1, 0, 3, 2)
     alt = conjugate(g, full_cycle(4))
-    assert count_factorizations(profiles, base_cycle=alt).N == baseline
-    with pytest.raises(ValidationError):
-        count_factorizations(profiles, base_cycle=identity(4))
+    assert alt != full_cycle(4)
+    assert brute_count(profiles, 4, base_cycle=alt) == count_factorizations(profiles).N == 2
 
 
 def test_profile_order_invariance_d_le_5():
@@ -124,34 +131,39 @@ def test_profile_order_invariance_d_le_5():
 
     for profiles in enumerate_sweep_specs(5, 4):
         counts = {
-            count_factorizations(list(perm), reorder=False).N
+            count_factorizations(list(perm)).N
             for perm in set(itertools.permutations(profiles))
         }
         assert len(counts) == 1
 
 
-def test_reordered_matches_plain():
-    for text in ("2,1|2,1", "3,1|2,1,1", "2,1,1|2,1,1|2,1,1"):
-        profiles = parse_profiles(text)
-        assert (
-            count_factorizations(profiles, reorder=True).N
-            == count_factorizations(profiles, reorder=False).N
-        )
+def test_closed_form_matches_brute_force_d_le_5():
+    from realhurwitz.verify import enumerate_sweep_specs
+
+    specs = enumerate_sweep_specs(5, 4)
+    assert len(specs) == 16
+    for profiles in specs:
+        d = profiles[0].d
+        expected = brute_count(profiles, d)
+        assert count_factorizations(profiles).N == expected, profiles
+        # an identity factor changes neither the product nor the count
+        with_identity = profiles + (Partition([1] * d),)
+        assert brute_count(with_identity, d) == expected, profiles
+        assert count_factorizations(with_identity).N == expected, profiles
 
 
-def test_budget_exceeded():
-    profiles = parse_profiles("2,1,1|2,1,1|2,1,1")
-    with pytest.raises(EnumerationBudgetExceeded):
-        count_factorizations(profiles, enum_budget=3)
-
-
-def test_workers_agree():
-    profiles = parse_profiles("2,1,1|2,1,1|2,1,1")
-    assert (
-        count_factorizations(profiles, workers=1).N
-        == count_factorizations(profiles, workers=3).N
-        == 16
-    )
+def test_pinned_counts_beyond_the_oracle():
+    # d=7 values from bench/reference.json, recorded by a search independent of the formula
+    for text, expected in (
+        ("3,2,1,1|3,2,1,1", 63),
+        ("4,2,1|2,2,1,1,1", 28),
+        ("3,1,1,1,1|2,2,1,1,1|2,2,1,1,1", 196),
+        ("2,2,2,1|2,2,1,1,1|2,1,1,1,1,1", 98),
+    ):
+        assert count_factorizations(parse_profiles(text)).N == expected, text
+    result = count_factorizations((Partition([2, 1, 1, 1, 1, 1, 1]),) * 7)
+    assert result.N == 8**6 == 262144
+    assert result.H == 8**5
 
 
 def test_constraint_enforced():
