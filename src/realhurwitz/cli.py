@@ -29,6 +29,7 @@ from .errors import (
 )
 from .partitions import parse_partition, parse_profiles, parse_values, validate_branch_spec
 from .polysolve import classify_real, solve_all
+from .realsigns import signed_sum
 from .series import basis_fit, series_table
 from .verify import run_sweep
 
@@ -62,7 +63,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="JSON config file (default: $REALHURWITZ_CONFIG)")
     parser.add_argument("--format", dest="output_format", choices=("json", "text", "csv"),
                         default=None, help="output format (default json)")
-    parser.add_argument("-v", "--verbose", action="count", default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +123,6 @@ def _config_from_args(args) -> RunConfig:
         "tol_cluster": args.tol_cluster,
         "cache": args.cache,
         "output_format": args.output_format,
-        "verbosity": args.verbose or None,
     }
     if getattr(args, "max_degree", None) is not None:
         overrides["max_degree"] = args.max_degree
@@ -209,7 +208,7 @@ def _cmd_s_number(args, config: RunConfig) -> int:
     reals = classify_real(solset, config)
     result = {
         "spec": spec.as_json_dict(),
-        "s": sum(p.sign for p in reals),
+        "s": signed_sum(reals, config),
         "real_polynomials": [p.as_json_dict() for p in reals],
     }
     _emit(_payload("s-number", config, result), config)

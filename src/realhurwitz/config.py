@@ -11,13 +11,24 @@ from .errors import ValidationError
 
 CONFIG_ENV_VAR = "REALHURWITZ_CONFIG"
 
+# accepted value types by field annotation (a string under postponed
+# evaluation); bool passes only where listed, although Python counts it as an int
+_FIELD_KINDS = {
+    "int": (int,),
+    "float": (int, float),
+    "bool": (bool,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
+
 
 @dataclass
 class RunConfig:
     """Knobs shared by the solver, the counters and the CLI.
 
     Every output artifact embeds a copy of the active configuration so a run
-    can be reproduced exactly.
+    can be reproduced exactly.  Each field must hold a value of its annotated
+    type; every number but ``seed`` must be positive, and ``seed`` nonnegative.
     """
 
     tol_residual: float = 1e-10
@@ -31,7 +42,6 @@ class RunConfig:
     workers: int = 1
     cache: str | None = None
     output_format: str = "json"
-    verbosity: int = 0
     max_degree: int = 5
     max_solver_degree: int = 6
     harvest_symmetries: bool = True
@@ -40,19 +50,16 @@ class RunConfig:
     debug_corrupt_signs: bool = False
 
     def __post_init__(self):
-        for name in ("tol_residual", "tol_dedup", "tol_real", "tol_cluster", "newton_step_tol"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        for name in (
-            "newton_max_iter",
-            "start_budget",
-            "workers",
-            "chunk_size",
-            "max_degree",
-            "max_solver_degree",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = _FIELD_KINDS[f.type]
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.name == "seed":
+                if value < 0:
+                    raise ValidationError("seed must be nonnegative")
+            elif f.type in ("int", "float") and not value > 0:
+                raise ValidationError(f"{f.name} must be positive")
         if self.output_format not in ("json", "text", "csv"):
             raise ValidationError(f"unknown output format {self.output_format!r}")
 
@@ -89,8 +96,11 @@ def load_config(path: str | None = None, **overrides) -> RunConfig:
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError(f"config file {path} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(RunConfig)}

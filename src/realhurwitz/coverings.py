@@ -15,25 +15,35 @@ a real affine map) reduces each class to normalized representatives:
 The signed class count weights each class by sign / |automorphisms| and, by
 the main identity this package verifies, equals the plain signed count of
 normalized real polynomials.
+
+Both counts come from the same real solutions.  ``hurwitz_from_reals`` turns
+a spec and a provider of real solutions into the class count and alone
+decides the parity-odd shortcut; ``_assemble_classes`` alone pairs an
+even-degree spec with its reversed spec.  ``theorem_check`` shares one
+provider between both counts, so each side is solved once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import CoveringAssemblyError, SignMismatch, ValidationError
 from .partitions import BranchSpec, floor_sum_parity
-from .realsigns import RealPolynomial, s_number
+from .realsigns import RealPolynomial, s_number, signed_sum
 from .polysolve import classify_real, solve_all
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
+
+# the real normalized polynomials of a spec, from a complete solution set
+RealsProvider = Callable[[BranchSpec], Sequence[RealPolynomial]]
 
 
 @dataclass(frozen=True)
@@ -177,20 +187,23 @@ def class_sign(
     return int(avg)
 
 
+def _solved_reals(config: RunConfig) -> RealsProvider:
+    """Real solutions of each spec from the solver; one provider solves a spec once."""
+    return functools.cache(lambda spec: classify_real(solve_all(spec, config), config))
+
+
 def _assemble_classes(
-    spec: BranchSpec,
-    reals_pos: Sequence[RealPolynomial],
-    reals_neg: Sequence[RealPolynomial] | None,
-    config: RunConfig,
+    spec: BranchSpec, reals: RealsProvider, config: RunConfig
 ) -> list[CoveringClass]:
+    """Classes of the spec; for even degree the reversed spec gives the negative side."""
     d = spec.d
     parity = floor_sum_parity(spec.profiles)
-    raw: list[tuple[str, tuple[RealPolynomial, ...], int]] = []
+    reals_pos = reals(spec)
     if d % 2 == 1:
-        raw.extend((POSITIVE, (p,), 1) for p in reals_pos)
+        raw = [(POSITIVE, (p,), 1) for p in reals_pos]
     else:
-        raw.extend(_orbit_classes(reals_pos, POSITIVE, d, config))
-        assert reals_neg is not None
+        reals_neg = reals(spec.reversed_spec())
+        raw = _orbit_classes(reals_pos, POSITIVE, d, config)
         raw.extend(_orbit_classes(reals_neg, NEGATIVE, d, config))
     classes = []
     for side, reps, aut in raw:
@@ -215,12 +228,7 @@ def covering_classes(spec: BranchSpec, config: RunConfig | None = None) -> list[
     its reversed spec (the negative-leading side).
     """
     config = config or RunConfig()
-    reals_pos = classify_real(solve_all(spec, config), config)
-    reals_neg = None
-    if spec.d % 2 == 0:
-        rev = spec.reversed_spec()
-        reals_neg = classify_real(solve_all(rev, config), config)
-    return _assemble_classes(spec, reals_pos, reals_neg, config)
+    return _assemble_classes(spec, _solved_reals(config), config)
 
 
 @dataclass(frozen=True)
@@ -257,12 +265,19 @@ def real_hurwitz(spec: BranchSpec, config: RunConfig | None = None) -> RealHurwi
     build the classes anyway and verify that the averaged signs cancel.
     """
     config = config or RunConfig()
+    return hurwitz_from_reals(spec, _solved_reals(config), config)
+
+
+def hurwitz_from_reals(
+    spec: BranchSpec, reals: RealsProvider, config: RunConfig
+) -> RealHurwitzResult:
+    """``real_hurwitz`` with the real solutions of each side read from ``reals``."""
     if spec.is_identity:
         return RealHurwitzResult(spec, Fraction(1), False, None)
     parity_odd = spec.d % 2 == 0 and floor_sum_parity(spec.profiles) == 1
     if parity_odd and not config.force_class_diagnostics:
         return RealHurwitzResult(spec, Fraction(0), True, None)
-    classes = covering_classes(spec, config)
+    classes = _assemble_classes(spec, reals, config)
     total = sum((c.weight for c in classes), Fraction(0))
     if parity_odd:
         # diagnostic pass: averaged signs must cancel exactly
@@ -316,15 +331,17 @@ def theorem_check(spec: BranchSpec, config: RunConfig | None = None) -> TheoremR
     """Verify that the signed class count equals the signed polynomial count.
 
     For even degree the identity HR = (s + s_reversed) / 2 is checked as
-    well; failures land in the report rather than raising.
+    well; failures land in the report rather than raising.  The spec and its
+    reversed spec are each solved at most once for all three numbers.
     """
     config = config or RunConfig()
-    hr_result = real_hurwitz(spec, config)
-    s = s_number(spec, config)
+    reals = _solved_reals(config)
+    hr_result = hurwitz_from_reals(spec, reals, config)
+    s = s_number(spec, config) if spec.is_identity else signed_sum(reals(spec), config)
     s_reversed = None
     half_sum_ok = None
     if not spec.is_identity and spec.d % 2 == 0:
-        s_reversed = s_number(spec.reversed_spec(), config)
+        s_reversed = signed_sum(reals(spec.reversed_spec()), config)
         half_sum_ok = hr_result.value == Fraction(s + s_reversed, 2)
     return TheoremReport(
         spec=spec,

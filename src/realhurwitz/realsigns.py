@@ -16,7 +16,10 @@ that keeps the multiplicities exact by construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Sequence
+
 from .config import RunConfig
 from .errors import ClusterAmbiguity, ValidationError
 from .partitions import BranchSpec, Partition
@@ -146,36 +149,18 @@ def real_preimage_sequence(
     return seq
 
 
+def _disorders(orders: list[int]) -> int:
+    return sum(1 for a, b in itertools.combinations(orders, 2) if a > b)
+
+
 def disorders_by_branch(poly: RealPolynomial) -> tuple[int, ...]:
     """Per-branch counts of pairs x1 < x2 with strictly larger order at x1."""
-    out = []
-    for seq in poly.real_preimages:
-        orders = [r for _, r in seq]
-        out.append(
-            sum(
-                1
-                for a in range(len(orders))
-                for b in range(a + 1, len(orders))
-                if orders[a] > orders[b]
-            )
-        )
-    return tuple(out)
+    return tuple(_disorders([r for _, r in seq]) for seq in poly.real_preimages)
 
 
 def ordered_pairs_by_branch(poly: RealPolynomial) -> tuple[int, ...]:
     """Per-branch counts of pairs x1 < x2 with strictly larger order at x2."""
-    out = []
-    for seq in poly.real_preimages:
-        orders = [r for _, r in seq]
-        out.append(
-            sum(
-                1
-                for a in range(len(orders))
-                for b in range(a + 1, len(orders))
-                if orders[b] > orders[a]
-            )
-        )
-    return tuple(out)
+    return tuple(_disorders([r for _, r in reversed(seq)]) for seq in poly.real_preimages)
 
 
 def disorder_count(poly: RealPolynomial) -> int:
@@ -191,6 +176,18 @@ def polynomial_sign(poly: RealPolynomial) -> int:
     return -1 if disorder_count(poly) % 2 else 1
 
 
+def signed_sum(reals: Sequence[RealPolynomial], config: RunConfig) -> int:
+    """Sum of signs over the real normalized polynomials of a spec.
+
+    The only reader of ``debug_corrupt_signs``, the negative control that
+    flips one sign so the verification sweep must fail.
+    """
+    total = sum(p.sign for p in reals)
+    if config.debug_corrupt_signs and reals:
+        total -= 2 * reals[0].sign
+    return total
+
+
 def s_number(spec: BranchSpec, config: RunConfig | None = None) -> int:
     """Sum of signs over all real normalized polynomials with the given branch data.
 
@@ -204,10 +201,4 @@ def s_number(spec: BranchSpec, config: RunConfig | None = None) -> int:
     from .polysolve import classify_real, solve_all
 
     config = config or RunConfig()
-    solset = solve_all(spec, config)
-    reals = classify_real(solset, config)
-    total = sum(p.sign for p in reals)
-    if config.debug_corrupt_signs and reals:
-        # negative-control hook for the verification sweep
-        total -= 2 * reals[0].sign
-    return total
+    return signed_sum(classify_real(solve_all(spec, config), config), config)

@@ -105,6 +105,8 @@ def series_table(lam: Partition, m_max: int, config: RunConfig | None = None) ->
     Stops at the first entry whose degree exceeds the configured bound and
     records the truncation point explicitly instead of guessing.
     """
+    if m_max < 0:
+        raise ValidationError("m_max must be nonnegative")
     config = config or RunConfig()
     entries: dict[int, int] = {}
     parities: dict[int, str] = {}

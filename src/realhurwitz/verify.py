@@ -8,10 +8,15 @@ invariance of both under profile reordering and branch value motion.
 
 Solver failures (budget exhaustion, ambiguous tolerances) mark a record
 FAILED-INFRA, which is kept distinct from a genuine property violation.
+
+A ``Workspace`` memoizes each spec's solve, real solutions and class count;
+s and HR come from ``realsigns.signed_sum`` and ``coverings.hurwitz_from_reals``
+as in ``s_number`` and ``real_hurwitz``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -20,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .coverings import _assemble_classes
+from .coverings import hurwitz_from_reals
 from .errors import (
     AmbiguousRealness,
     CoveringAssemblyError,
@@ -29,6 +34,7 @@ from .errors import (
     OvercountDetected,
     ScaleExceeded,
     SignMismatch,
+    ValidationError,
 )
 from .factorizations import count_factorizations
 from .partitions import (
@@ -40,7 +46,7 @@ from .partitions import (
     validate_branch_spec,
 )
 from .polysolve import classify_real, match_index, rotate_coefficients, solve_all
-from .realsigns import disorders_by_branch, ordered_pairs_by_branch
+from .realsigns import disorders_by_branch, ordered_pairs_by_branch, signed_sum
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -68,37 +74,20 @@ def enumerate_sweep_specs(dmax: int, kmax: int) -> list[tuple[Partition, ...]]:
 
 
 class Workspace:
-    """Memoizes solve and classification results across a sweep."""
+    """Memoizes solve, classification and class-count results across a sweep.
+
+    ``solset``, ``reals`` and ``hurwitz`` map a spec to its certified solution
+    set, its real normalized polynomials and its ``RealHurwitzResult``.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self._solsets: dict[BranchSpec, object] = {}
-        self._reals: dict[BranchSpec, list] = {}
-
-    def solset(self, spec: BranchSpec):
-        if spec not in self._solsets:
-            self._solsets[spec] = solve_all(spec, self.config)
-        return self._solsets[spec]
-
-    def reals(self, spec: BranchSpec):
-        if spec not in self._reals:
-            self._reals[spec] = classify_real(self.solset(spec), self.config)
-        return self._reals[spec]
+        self.solset = functools.cache(lambda spec: solve_all(spec, config))
+        self.reals = functools.cache(lambda spec: classify_real(self.solset(spec), config))
+        self.hurwitz = functools.cache(lambda spec: hurwitz_from_reals(spec, self.reals, config))
 
     def signed_count(self, spec: BranchSpec) -> int:
-        reals = self.reals(spec)
-        total = sum(p.sign for p in reals)
-        if self.config.debug_corrupt_signs and reals:
-            total -= 2 * reals[0].sign
-        return total
-
-    def hurwitz_value(self, spec: BranchSpec) -> Fraction:
-        """Signed class count through explicit class assembly."""
-        if spec.d % 2 == 0 and floor_sum_parity(spec.profiles) == 1:
-            return Fraction(0)
-        reals_neg = self.reals(spec.reversed_spec()) if spec.d % 2 == 0 else None
-        classes = _assemble_classes(spec, self.reals(spec), reals_neg, self.config)
-        return sum((c.weight for c in classes), Fraction(0))
+        return signed_sum(self.reals(spec), self.config)
 
 
 @dataclass
@@ -239,27 +228,28 @@ def _closure_checks(record: SpecRecord, solset, config: RunConfig):
     record.record("rotation_orbits_divide_d", rot_ok and orbit_sizes_ok)
 
 
+def _branch_parities(poly) -> list[bool]:
+    """Per branch: whether t_i + ord_i has the parity of floor(o(lambda_i) / 2)."""
+    return [
+        (t + o) % 2 == (o_count(lam) // 2) % 2
+        for t, o, lam in zip(
+            disorders_by_branch(poly), ordered_pairs_by_branch(poly), poly.profiles
+        )
+    ]
+
+
 def _parity_law_checks(record: SpecRecord, ws: Workspace):
     """Even-degree sign laws for the real solutions on both leading-coefficient sides."""
     spec = record.spec
-    d = spec.d
     parity = floor_sum_parity(spec.profiles)
-    sides = [spec]
-    if d % 2 == 0:
-        sides.append(spec.reversed_spec())
-
     per_branch_ok = True
     reflection_ok = True
     orbit_sign_ok = True
-    for side_spec in sides:
+    for side_spec in (spec, spec.reversed_spec()):
         reals = ws.reals(side_spec)
-        floors = [o_count(lam) // 2 for lam in side_spec.profiles]
         for poly in reals:
-            t_b = disorders_by_branch(poly)
-            o_b = ordered_pairs_by_branch(poly)
-            for ti, oi, fl in zip(t_b, o_b, floors):
-                if (ti + oi) % 2 != fl % 2:
-                    per_branch_ok = False
+            if not all(_branch_parities(poly)):
+                per_branch_ok = False
             mirrored = poly.reflected()
             if mirrored.t != poly.ord_count:
                 reflection_ok = False
@@ -285,18 +275,8 @@ def _parity_law_checks(record: SpecRecord, ws: Workspace):
 
 def _odd_degree_parity_diagnostic(record: SpecRecord, ws: Workspace):
     """The even-degree per-branch parity law, measured (not gated) for odd degree."""
-    spec = record.spec
-    floors = [o_count(lam) // 2 for lam in spec.profiles]
-    holds = 0
-    total = 0
-    for poly in ws.reals(spec):
-        t_b = disorders_by_branch(poly)
-        o_b = ordered_pairs_by_branch(poly)
-        for ti, oi, fl in zip(t_b, o_b, floors):
-            total += 1
-            if (ti + oi) % 2 == fl % 2:
-                holds += 1
-    record.diagnostics["odd_d_per_branch_parity"] = {"holds": holds, "of": total}
+    holds = [ok for poly in ws.reals(record.spec) for ok in _branch_parities(poly)]
+    record.diagnostics["odd_d_per_branch_parity"] = {"holds": sum(holds), "of": len(holds)}
 
 
 def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace | None = None) -> SpecRecord:
@@ -315,62 +295,47 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
 
         record.s = ws.signed_count(spec)
         try:
-            record.hr = ws.hurwitz_value(spec)
+            record.hr = ws.hurwitz(spec).value
             hr_assembled = True
         except (SignMismatch, CoveringAssemblyError) as exc:
             record.hr = None
             record.error = str(exc)
             hr_assembled = False
         record.record("class_assembly", hr_assembled)
-        if hr_assembled:
-            record.record("theorem_hr_eq_s", record.hr == record.s)
-            record.record("hr_integral", record.hr.denominator == 1)
-        else:
-            record.record("theorem_hr_eq_s", False)
-            record.record("hr_integral", False)
+        record.record("theorem_hr_eq_s", hr_assembled and record.hr == record.s)
+        record.record("hr_integral", hr_assembled and record.hr.denominator == 1)
 
         if d % 2 == 0:
             record.s_reversed = ws.signed_count(spec.reversed_spec())
             if hr_assembled:
                 record.record("half_sum", record.hr == Fraction(record.s + record.s_reversed, 2))
             _parity_law_checks(record, ws)
-            if parity_odd:
-                record.record("parity_vanishing", record.s == 0 and record.hr == 0)
-            else:
-                record.record("parity_vanishing", None)
+            record.record("parity_vanishing", (record.s == 0 and record.hr == 0) if parity_odd else None)
         else:
             record.record("half_sum", None)
             record.record("parity_vanishing", None)
             _odd_degree_parity_diagnostic(record, ws)
 
+        # profile reorderings and branch-value motions must leave s and HR alone
         perms = sorted(set(itertools.permutations(range(spec.k))))
-        order_s_ok = True
-        order_hr_ok = True
-        for perm in perms:
-            pspec = spec.permuted(list(perm))
-            if ws.signed_count(pspec) != record.s:
-                order_s_ok = False
-            if hr_assembled and ws.hurwitz_value(pspec) != record.hr:
-                order_hr_ok = False
-        record.record("order_invariance_s", order_s_ok)
-        record.record("order_invariance_hr", order_hr_ok if hr_assembled else False)
-
-        position_s_ok = True
-        position_hr_ok = True
-        for values in _value_configs(config, spec.profiles):
-            vspec = validate_branch_spec(spec.profiles, values)
-            if ws.signed_count(vspec) != record.s:
-                position_s_ok = False
-            if hr_assembled and ws.hurwitz_value(vspec) != record.hr:
-                position_hr_ok = False
-        record.record("position_invariance_s", position_s_ok)
-        record.record("position_invariance_hr", position_hr_ok if hr_assembled else False)
+        moved = {
+            "order": [spec.permuted(list(perm)) for perm in perms],
+            "position": [
+                validate_branch_spec(spec.profiles, values)
+                for values in _value_configs(config, spec.profiles)
+            ],
+        }
+        for kind, specs in moved.items():
+            # lists, not generators: every moved spec is solved, so a solver
+            # failure on any of them marks the record FAILED-INFRA
+            s_ok = all([ws.signed_count(m) == record.s for m in specs])
+            hr_ok = hr_assembled and all([ws.hurwitz(m).value == record.hr for m in specs])
+            record.record(f"{kind}_invariance_s", s_ok)
+            record.record(f"{kind}_invariance_hr", hr_ok)
 
         if hr_assembled and not parity_odd:
-            reals_neg = ws.reals(spec.reversed_spec()) if d % 2 == 0 else None
-            classes = _assemble_classes(spec, ws.reals(spec), reals_neg, config)
             aut_ok = True
-            for cls in classes:
+            for cls in ws.hurwitz(spec).classes:
                 if d % 2 == 1:
                     if cls.aut_order != 1 or len(cls.representatives) != 1:
                         aut_ok = False
@@ -398,10 +363,13 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
 
 def run_sweep(dmax: int, kmax: int, config: RunConfig | None = None) -> VerifyReport:
     """Check every admissible spec with d <= dmax and k <= kmax."""
+    specs = enumerate_sweep_specs(dmax, kmax)
+    if not specs:
+        raise ValidationError(
+            f"no spec to check: need dmax >= 2 and kmax >= 1, got dmax={dmax}, kmax={kmax}"
+        )
     config = config or RunConfig()
     ws = Workspace(config)
-    records = [
-        check_spec(profiles, config, ws) for profiles in enumerate_sweep_specs(dmax, kmax)
-    ]
+    records = [check_spec(profiles, config, ws) for profiles in specs]
     records.sort(key=lambda r: r.spec.canonical_key())
     return VerifyReport(records, dmax, kmax)

@@ -196,3 +196,49 @@ def test_bad_config_file_rejected(tmp_path, capsys):
         capsys, "hurwitz", "--profiles", "2,1|2,1", "--config", str(config_path)
     )
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"start_budget": "10"}, "start_budget"),
+        ({"tol_dedup": None}, "tol_dedup"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"newton_max_iter": True}, "newton_max_iter"),
+        ({"harvest_symmetries": 1}, "harvest_symmetries"),
+        ({"verbosity": 1}, "verbosity"),
+    ],
+)
+def test_bad_config_values_rejected(tmp_path, capsys, values, field):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(values))
+    code, _, err = run_cli(
+        capsys, "solve", "--profiles", "2,1|2,1", "--config", str(config_path)
+    )
+    assert code == EXIT_VALIDATION
+    assert field in err
+
+
+def test_unreadable_config_file_rejected(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{seed: 1")
+    for path in (broken, tmp_path / "missing.json"):
+        code, _, err = run_cli(capsys, "hurwitz", "--profiles", "2,1|2,1", "--config", str(path))
+        assert code == EXIT_VALIDATION
+        assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--profiles", "2,1|2,1", "--seed", "-1"),
+        ("verify", "--dmax", "1", "--kmax", "2"),
+        ("verify", "--dmax", "3", "--kmax", "0"),
+        ("series", "--lambda", "1", "--mmax", "-1"),
+    ],
+)
+def test_bad_arguments_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert out == "" and err.startswith("error: ")

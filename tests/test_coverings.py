@@ -174,3 +174,21 @@ def test_hurwitz_value_integral_over_sweep_specs(cfg):
     for text in ("2,1|2,1", "2,1,1|2,2", "2,1,1|2,1,1|2,1,1"):
         result = real_hurwitz(validate_branch_spec(parse_profiles(text)), cfg)
         assert result.is_integral
+
+
+def test_theorem_check_solves_each_side_once(cfg, solves):
+    spec = validate_branch_spec(parse_profiles("2,1,1|2,2"))
+    assert theorem_check(spec, cfg).passed
+    assert len(solves) == 2 and set(solves) == {spec, spec.reversed_spec()}
+
+    solves.clear()
+    assert theorem_check(validate_branch_spec(parse_profiles("2,1|2,1")), cfg).passed
+    assert len(solves) == 1
+
+
+def test_parity_odd_branch_solves_nothing(cfg, solves):
+    spec = validate_branch_spec(parse_profiles("3,1|2,1,1"))
+    assert real_hurwitz(spec, cfg).parity_odd_branch
+    assert solves == []
+    real_hurwitz(spec, cfg.replace(force_class_diagnostics=True))
+    assert len(solves) == 2

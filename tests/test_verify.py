@@ -1,4 +1,13 @@
-from realhurwitz import Partition, run_sweep
+import pytest
+
+from realhurwitz import (
+    Partition,
+    ValidationError,
+    parse_profiles,
+    run_sweep,
+    theorem_check,
+    validate_branch_spec,
+)
 from realhurwitz.verify import Workspace, check_spec, enumerate_sweep_specs
 
 
@@ -58,6 +67,19 @@ def test_odd_degree_parity_diagnostic_reported(cfg):
 
 def test_corrupt_signs_negative_control(cfg):
     bad = cfg.replace(debug_corrupt_signs=True)
-    record = check_spec((Partition([2, 1]), Partition([2, 1])), bad, Workspace(bad))
-    assert record.status == "FAIL"
-    assert record.properties["theorem_hr_eq_s"] == "FAIL"
+    for text in ("2,1|2,1", "2,2|2,1,1"):
+        record = check_spec(parse_profiles(text), bad, Workspace(bad))
+        assert record.status == "FAIL"
+        assert record.properties["theorem_hr_eq_s"] == "FAIL"
+        assert not theorem_check(validate_branch_spec(parse_profiles(text)), bad).passed
+
+
+def test_sweep_solves_each_spec_once(cfg, solves):
+    assert run_sweep(4, 2, cfg).passed
+    assert len(solves) == len(set(solves))
+
+
+@pytest.mark.parametrize("dmax,kmax", [(1, 2), (0, 3), (4, 0)])
+def test_empty_sweep_rejected(cfg, dmax, kmax):
+    with pytest.raises(ValidationError):
+        run_sweep(dmax, kmax, cfg)
