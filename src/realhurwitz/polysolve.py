@@ -24,6 +24,11 @@ Stall: a row whose residual has not halved over the last 30 iterations is
 dropped.  Neither rule touches the other rows; on every start measured, no
 row that Newton run to the iteration cap converges was dropped (converged
 paths stay within 2.2 times the bound).
+
+Real solutions are re-polished through the same residual and Jacobian:
+pairing each non-real root with its conjugate gives real coordinates u
+with x = B u for a fixed complex basis B, and Newton runs on Re F(B u)
+with Jacobian Re(J(B u) B).
 """
 
 from __future__ import annotations
@@ -118,27 +123,18 @@ def _batch_branch_derivs(roots: np.ndarray, mults: list[int]):
     d/d(root_j) of the product is -m_j * (z - root_j)^{m_j - 1} times the
     other factors, a polynomial of degree d - 1.
     """
-    q = _batch_branch_poly(roots, mults)
-    derivs = []
-    for j in range(roots.shape[1]):
-        c = np.ones((roots.shape[0], 1), dtype=complex)
-        for j2, m in enumerate(mults):
-            power = m - 1 if j2 == j else m
-            for _ in range(power):
-                c = _mul_linear(c, roots[:, j2])
-        derivs.append(-mults[j] * c)
-    return q, derivs
+    derivs = [
+        -m * _batch_branch_poly(roots, [m2 - (j2 == j) for j2, m2 in enumerate(mults)])
+        for j, m in enumerate(mults)
+    ]
+    return _batch_branch_poly(roots, mults), derivs
 
 
-def residual_batch(system: SystemSpec, points: np.ndarray) -> np.ndarray:
-    """Equation values for a batch of points, shape (batch, n)."""
+def _assemble_residual(system: SystemSpec, qs: list[np.ndarray]) -> np.ndarray:
+    """Equation values from the branch polynomials: a_1 of Q_0, then Q_i - Q_0 + w_i - w_0."""
     d = system.d
     values = system.spec.values
-    qs = [
-        _batch_branch_poly(points[:, start:end], list(lam.parts))
-        for (start, end), lam in zip(system.branch_ranges, system.spec.profiles)
-    ]
-    out = np.empty(points.shape, dtype=complex)
+    out = np.empty((qs[0].shape[0], system.n), dtype=complex)
     out[:, 0] = qs[0][:, 1]
     for i in range(1, system.k):
         block = qs[i][:, 1:] - qs[0][:, 1:]
@@ -147,25 +143,27 @@ def residual_batch(system: SystemSpec, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def residual_batch(system: SystemSpec, points: np.ndarray) -> np.ndarray:
+    """Equation values for a batch of points, shape (batch, n)."""
+    return _assemble_residual(
+        system,
+        [
+            _batch_branch_poly(points[:, start:end], list(lam.parts))
+            for (start, end), lam in zip(system.branch_ranges, system.spec.profiles)
+        ],
+    )
+
+
 def residual_and_jacobian_batch(system: SystemSpec, points: np.ndarray):
     """Equation values and exact analytic Jacobians, shapes (batch, n) and (batch, n, n)."""
     d = system.d
-    n = system.n
-    batch = points.shape[0]
-    values = system.spec.values
-    out = np.empty((batch, n), dtype=complex)
-    jac = np.zeros((batch, n, n), dtype=complex)
+    jac = np.zeros((points.shape[0], system.n, system.n), dtype=complex)
     qs = []
     dqs = []
     for (start, end), lam in zip(system.branch_ranges, system.spec.profiles):
         q, dq = _batch_branch_derivs(points[:, start:end], list(lam.parts))
         qs.append(q)
         dqs.append(dq)
-    out[:, 0] = qs[0][:, 1]
-    for i in range(1, system.k):
-        block = qs[i][:, 1:] - qs[0][:, 1:]
-        block[:, -1] += values[i] - values[0]
-        out[:, 1 + (i - 1) * d : 1 + i * d] = block
     for col, (branch, _) in enumerate(system.slots):
         start, _ = system.branch_ranges[branch]
         dq = dqs[branch][col - start]
@@ -176,7 +174,7 @@ def residual_and_jacobian_batch(system: SystemSpec, points: np.ndarray):
         else:
             i = branch
             jac[:, 1 + (i - 1) * d : 1 + i * d, col] = dq
-    return out, jac
+    return _assemble_residual(system, qs), jac
 
 
 def residual(system: SystemSpec, x) -> np.ndarray:
@@ -366,6 +364,17 @@ class SolutionSet:
         }
 
 
+def _well_separated(system: SystemSpec, x: np.ndarray, tol_cluster: float) -> bool:
+    """True when no two preimage roots of one branch lie within tol_cluster of each other."""
+    for start, end in system.branch_ranges:
+        roots = x[start:end]
+        for a in range(len(roots)):
+            for b in range(a + 1, len(roots)):
+                if abs(roots[a] - roots[b]) <= tol_cluster:
+                    return False
+    return True
+
+
 def match_index(table: np.ndarray, vec: np.ndarray, tol: float) -> int | None:
     """First row i of table with max|vec - table[i]| <= tol (1 + max|table[i]|), or None.
 
@@ -376,6 +385,20 @@ def match_index(table: np.ndarray, vec: np.ndarray, tol: float) -> int | None:
     scale = 1.0 + np.max(np.abs(table), axis=1, initial=0.0)
     hits = np.flatnonzero(gap <= tol * scale)
     return int(hits[0]) if hits.size else None
+
+
+def _solution(system: SystemSpec, x: np.ndarray, coeffs: np.ndarray, res: float) -> Solution:
+    """The Solution record of a validated point x, its roots grouped by branch."""
+    roots = tuple(
+        tuple((complex(r), m) for r, m in zip(x[start:end], lam.parts))
+        for (start, end), lam in zip(system.branch_ranges, system.spec.profiles)
+    )
+    return Solution(
+        coefficients=tuple(complex(c) for c in coeffs),
+        roots=roots,
+        residual=res,
+        point=tuple(complex(v) for v in x),
+    )
 
 
 class _Collector:
@@ -397,15 +420,6 @@ class _Collector:
     def complete(self) -> bool:
         return len(self.points) >= self.target
 
-    def _well_separated(self, x: np.ndarray) -> bool:
-        for (start, end) in self.system.branch_ranges:
-            roots = x[start:end]
-            for a in range(len(roots)):
-                for b in range(a + 1, len(roots)):
-                    if abs(roots[a] - roots[b]) <= self.config.tol_cluster:
-                        return False
-        return True
-
     def offer(self, x: np.ndarray):
         """Validate one converged point; on acceptance, chase its symmetry orbit.
 
@@ -419,7 +433,7 @@ class _Collector:
             res = float(np.max(np.abs(residual(self.system, cand))))
             if not (res <= self.config.tol_residual):
                 continue
-            if not self._well_separated(cand):
+            if not _well_separated(self.system, cand, self.config.tol_cluster):
                 key = tuple(np.round(canonical_coefficients(self.system, cand), 6).tolist())
                 self.collapse_counts[key] = self.collapse_counts.get(key, 0) + 1
                 if self.collapse_counts[key] >= _DEGENERACY_LIMIT:
@@ -451,25 +465,10 @@ class _Collector:
             range(len(self.points)),
             key=lambda i: tuple((c.real, c.imag) for c in self.coeffs[i]),
         )
-        sols = []
-        for i in order:
-            x = self.points[i]
-            roots = []
-            for (start, end), lam in zip(
-                self.system.branch_ranges, self.system.spec.profiles
-            ):
-                branch = tuple(
-                    (complex(r), m) for r, m in zip(x[start:end], lam.parts)
-                )
-                roots.append(branch)
-            sols.append(
-                Solution(
-                    coefficients=tuple(complex(c) for c in self.coeffs[i]),
-                    roots=tuple(roots),
-                    residual=self.residuals[i],
-                    point=tuple(complex(v) for v in x),
-                )
-            )
+        sols = [
+            _solution(self.system, self.points[i], self.coeffs[i], self.residuals[i])
+            for i in order
+        ]
         return SolutionSet(
             spec=self.system.spec,
             solutions=tuple(sols),
@@ -506,7 +505,10 @@ def spec_hash(spec: BranchSpec) -> str:
 
 
 def save_cache(path: str, solset: SolutionSet, config: RunConfig):
-    """Write one header line plus one line per solution (line-delimited JSON)."""
+    """Write one header line plus one line per solution (line-delimited JSON).
+
+    Raises ValidationError when the path cannot be written.
+    """
     digest = spec_hash(solset.spec)
     header = {
         "kind": "header",
@@ -517,44 +519,73 @@ def save_cache(path: str, solset: SolutionSet, config: RunConfig):
         "tol_dedup": config.tol_dedup,
         "tol_cluster": config.tol_cluster,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for sol in solset.solutions:
-            record = {
-                "kind": "solution",
-                "spec_hash": digest,
-                "point": [[v.real, v.imag] for v in sol.point],
-            }
-            record.update(sol.as_json_dict())
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for sol in solset.solutions:
+                record = {
+                    "kind": "solution",
+                    "spec_hash": digest,
+                    "point": [[v.real, v.imag] for v in sol.point],
+                }
+                record.update(sol.as_json_dict())
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write cache file {path}: {exc}") from exc
 
 
 def load_cache(path: str, spec: BranchSpec, target: int, config: RunConfig) -> SolutionSet | None:
-    """Reload a complete cached solution set if it matches spec, target and tolerances."""
+    """Reload a complete cached solution set if it matches spec, target and tolerances.
+
+    Nothing stored is trusted: each point is re-validated as a converged
+    Newton point is (residual within tol_residual, roots of each branch
+    separated by more than tol_cluster), its stored coefficients must be its
+    canonical coefficients within tol_dedup, and no two points may be the
+    same solution.  A file that fails any check, or cannot be parsed, is a
+    miss.  A path that names a directory or lies in a missing directory
+    raises ValidationError, before any solve is spent.
+    """
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"cache path {path} is a directory or lies in a missing directory")
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("kind") != "header":
-        return None
-    header = lines[0]
-    if header.get("spec_hash") != spec_hash(spec) or header.get("target") != target:
-        return None
-    for key in ("tol_residual", "tol_dedup", "tol_cluster"):
-        if header.get(key) != getattr(config, key):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read cache file {path}: {exc}") from exc
+    tolerances = ("tol_residual", "tol_dedup", "tol_cluster")
+    try:
+        header, *rest = [json.loads(line) for line in text.splitlines() if line.strip()]
+        records = [r for r in rest if r["kind"] == "solution"]
+        if not (
+            header["kind"] == "header"
+            and header["spec_hash"] == spec_hash(spec)
+            and header["target"] == target == len(records)
+            and all(header[key] == getattr(config, key) for key in tolerances)
+        ):
             return None
-    records = [r for r in lines[1:] if r.get("kind") == "solution"]
-    if len(records) != target:
+        points = [np.array([complex(re, im) for re, im in r["point"]]) for r in records]
+        stored = [np.array([complex(re, im) for re, im in r["coefficients"]]) for r in records]
+    except (KeyError, TypeError, ValueError):
         return None
+    system = build_system(spec)
+    known = np.empty((0, system.d - 1), dtype=complex)
     sols = []
-    for rec in records:
-        coeffs = tuple(complex(re, im) for re, im in rec["coefficients"])
-        roots = tuple(
-            tuple((complex(re, im), int(m)) for (re, im), m in branch)
-            for branch in rec["roots"]
-        )
-        point = tuple(complex(re, im) for re, im in rec["point"])
-        sols.append(Solution(coeffs, roots, float(rec["residual"]), point))
+    for x, kept in zip(points, stored):
+        if x.shape != (system.n,) or kept.shape != (system.d - 1,):
+            return None
+        res = float(np.max(np.abs(residual(system, x))))
+        coeffs = canonical_coefficients(system, x)
+        if not (
+            res <= config.tol_residual
+            and _well_separated(system, x, config.tol_cluster)
+            and match_index(coeffs[None, :], kept, config.tol_dedup) == 0
+            and match_index(known, coeffs, config.tol_dedup) is None
+        ):
+            return None
+        known = np.vstack((known, coeffs))
+        sols.append(_solution(system, x, coeffs, res))
     return SolutionSet(spec, tuple(sols), target, "COMPLETE", 0, config.seed)
 
 
@@ -623,129 +654,61 @@ def solve_all(
 # --- real classification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RealFactor:
-    """One irreducible real factor of a branch polynomial.
-
-    kind "lin" models (z - x)^mult with one parameter; kind "quad" models
-    ((z - u)^2 + v^2)^mult with parameters (u, v), covering a conjugate pair.
-    """
-
-    kind: str
-    mult: int
-    params: tuple[int, ...]  # indices into the real parameter vector
-
-
 def _real_structure(system: SystemSpec, point: np.ndarray, config: RunConfig):
-    """Assign each slot of a nearly-real point to a real root or a conjugate pair."""
-    factors_per_branch = []
-    u0 = []
-    threshold = config.tol_cluster / 2.0
-    for (start, end), roots in (
-        ((s, e), point[s:e]) for (s, e) in system.branch_ranges
-    ):
-        mults = [m for _, m in system.slots[start:end]]
-        taken = [False] * len(roots)
-        factors = []
-        for j, root in enumerate(roots):
-            if taken[j]:
+    """Real coordinates u of a nearly-real point, x = B u: the basis B, a real-root mask and u0.
+
+    A root within tol_cluster/2 of the real axis is real and takes one
+    coordinate (column entry 1).  Any other root is paired with the nearest
+    later root of the same branch and multiplicity near its conjugate; the
+    pair a +- ib takes the two coordinates (a, b), columns (1, 1) and (i, -i).
+    u0 holds the real part of each real root and of the first root of each
+    pair, and that root's imaginary part.
+    """
+    n = system.n
+    basis = np.zeros((n, n), dtype=complex)
+    real_mask = np.zeros(n, dtype=bool)
+    u0 = np.zeros(n)
+    col = 0
+    for start, end in system.branch_ranges:
+        for j in range(start, end):
+            if basis[j].any():
                 continue
-            if abs(root.imag) < threshold:
-                taken[j] = True
-                factors.append(_RealFactor("lin", mults[j], (len(u0),)))
-                u0.append(root.real)
+            basis[j, col] = 1.0
+            u0[col] = point[j].real
+            if abs(point[j].imag) < config.tol_cluster / 2.0:
+                real_mask[j] = True
+                col += 1
                 continue
-            best = None
-            best_dist = None
-            for j2 in range(j + 1, len(roots)):
-                if taken[j2] or mults[j2] != mults[j]:
-                    continue
-                dist = abs(roots[j2] - np.conj(root))
-                if best_dist is None or dist < best_dist:
-                    best, best_dist = j2, dist
-            if best is None or best_dist > config.tol_cluster:
+            mates = [
+                m
+                for m in range(j + 1, end)
+                if not basis[m].any() and system.slots[m][1] == system.slots[j][1]
+            ]
+            dists = [abs(point[m] - np.conj(point[j])) for m in mates]
+            if not mates or min(dists) > config.tol_cluster:
                 raise AmbiguousRealness(
                     "a non-real preimage root has no conjugate partner within "
                     "tolerance; rerun with tighter tolerances"
                 )
-            taken[j] = taken[best] = True
-            factors.append(_RealFactor("quad", mults[j], (len(u0), len(u0) + 1)))
-            u0.append(root.real)
-            u0.append(abs(root.imag))
-        factors_per_branch.append(factors)
-    return factors_per_branch, np.array(u0, dtype=float)
+            mate = mates[int(np.argmin(dists))]
+            basis[mate, col] = 1.0
+            basis[j, col + 1], basis[mate, col + 1] = 1j, -1j
+            u0[col + 1] = point[j].imag
+            col += 2
+    return basis, real_mask, u0
 
 
-def _real_branch_poly(factors, u: np.ndarray) -> np.ndarray:
-    c = np.ones(1, dtype=float)
-    for f in factors:
-        if f.kind == "lin":
-            base = np.array([1.0, -u[f.params[0]]])
-        else:
-            a, b = u[f.params[0]], u[f.params[1]]
-            base = np.array([1.0, -2.0 * a, a * a + b * b])
-        for _ in range(f.mult):
-            c = np.convolve(c, base)
-    return c
+def _real_residual(system: SystemSpec, basis: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Re F(B u); F(B u) is real for real u, so .real drops only rounding."""
+    return residual_batch(system, (basis @ u)[None, :])[0].real
 
 
-def _real_branch_derivs(factors, u: np.ndarray, d: int):
-    """Derivative of the branch polynomial with respect to each of its parameters."""
-    derivs = {}
-    for idx, f in enumerate(factors):
-        rest = np.ones(1, dtype=float)
-        for idx2, f2 in enumerate(factors):
-            power = f2.mult - 1 if idx2 == idx else f2.mult
-            if f2.kind == "lin":
-                base = np.array([1.0, -u[f2.params[0]]])
-            else:
-                a, b = u[f2.params[0]], u[f2.params[1]]
-                base = np.array([1.0, -2.0 * a, a * a + b * b])
-            for _ in range(power):
-                rest = np.convolve(rest, base)
-        if f.kind == "lin":
-            derivs[f.params[0]] = -f.mult * rest
-        else:
-            a, b = u[f.params[0]], u[f.params[1]]
-            derivs[f.params[0]] = f.mult * np.convolve(np.array([-2.0, 2.0 * a]), rest)
-            derivs[f.params[1]] = f.mult * (2.0 * b) * rest
-    padded = {}
-    for key, poly in derivs.items():
-        out = np.zeros(d, dtype=float)
-        out[d - len(poly) :] = poly
-        padded[key] = out
-    return padded
-
-
-def _real_residual_and_jacobian(system: SystemSpec, factors_per_branch, u: np.ndarray):
-    d = system.d
-    n = system.n
-    values = system.spec.values
-    qs = [_real_branch_poly(factors, u) for factors in factors_per_branch]
-    out = np.empty(n, dtype=float)
-    jac = np.zeros((n, n), dtype=float)
-    out[0] = qs[0][1]
-    for i in range(1, system.k):
-        block = qs[i][1:] - qs[0][1:]
-        block[-1] += values[i] - values[0]
-        out[1 + (i - 1) * d : 1 + i * d] = block
-    for branch, factors in enumerate(factors_per_branch):
-        derivs = _real_branch_derivs(factors, u, d)
-        for col, dq in derivs.items():
-            if branch == 0:
-                jac[0, col] = dq[0]
-                for i in range(1, system.k):
-                    jac[1 + (i - 1) * d : 1 + i * d, col] -= dq
-            else:
-                i = branch
-                jac[1 + (i - 1) * d : 1 + i * d, col] += dq
-    return out, jac
-
-
-def _real_newton(system: SystemSpec, factors_per_branch, u0: np.ndarray, config: RunConfig):
+def _real_newton(system: SystemSpec, basis: np.ndarray, u0: np.ndarray, config: RunConfig):
+    """Damped Newton in the real coordinates u of x = B u, with Jacobian Re(J(B u) B)."""
     u = u0.copy()
     for _ in range(config.newton_max_iter):
-        f, jac = _real_residual_and_jacobian(system, factors_per_branch, u)
+        f, jac = residual_and_jacobian_batch(system, (basis @ u)[None, :])
+        f, jac = f[0].real, (jac[0] @ basis).real
         fnorm = float(np.max(np.abs(f)))
         if fnorm < 1e-14:
             return u, True
@@ -755,72 +718,46 @@ def _real_newton(system: SystemSpec, factors_per_branch, u0: np.ndarray, config:
             return u, False
         step = float(np.max(np.abs(delta)))
         t = 1.0
-        accepted = False
         for _ in range(30):
             un = u + t * delta
-            fn = float(
-                np.max(np.abs(_real_residual_and_jacobian(system, factors_per_branch, un)[0]))
-            )
+            fn = float(np.max(np.abs(_real_residual(system, basis, un))))
             if math.isfinite(fn) and (fn <= (1.0 - 0.5 * t) * fnorm or fn < 1e-14):
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             return u, False
         u = un
         if t * step < config.newton_step_tol:
-            f = _real_residual_and_jacobian(system, factors_per_branch, u)[0]
-            return u, float(np.max(np.abs(f))) <= config.tol_residual
+            return u, float(np.max(np.abs(_real_residual(system, basis, u)))) <= config.tol_residual
     return u, False
 
 
 def _build_real_polynomial(
-    system: SystemSpec, factors_per_branch, u: np.ndarray, config: RunConfig
+    system: SystemSpec, x: np.ndarray, real_mask: np.ndarray, config: RunConfig
 ) -> RealPolynomial:
+    """The real polynomial at the polished point x = B u, with its preimage data."""
     spec = system.spec
-    d = spec.d
-    all_roots: list[list[complex]] = []
+    if not _well_separated(system, x, config.tol_cluster):
+        raise DegenerateConfiguration(
+            "real polish collapsed two preimage roots of one branch value"
+        )
     preimages = []
     nonreal = []
-    for factors in factors_per_branch:
-        branch_roots: list[complex] = []
-        reals = []
-        extra = []
-        for f in factors:
-            if f.kind == "lin":
-                x = float(u[f.params[0]])
-                reals.append((x, f.mult))
-                branch_roots.append(complex(x, 0.0))
-            else:
-                a, b = float(u[f.params[0]]), float(u[f.params[1]])
-                extra.extend([f.mult, f.mult])
-                branch_roots.append(complex(a, b))
-                branch_roots.append(complex(a, -b))
-        for i in range(len(branch_roots)):
-            for j in range(i + 1, len(branch_roots)):
-                if abs(branch_roots[i] - branch_roots[j]) <= config.tol_cluster:
-                    raise DegenerateConfiguration(
-                        "real polish collapsed two preimage roots of one branch value"
-                    )
-        reals.sort(key=lambda xr: xr[0])
-        preimages.append(tuple(reals))
-        nonreal.append(tuple(sorted(extra, reverse=True)))
-        all_roots.append(branch_roots)
-    full = _real_branch_poly(factors_per_branch[0], u).astype(float)
-    full[-1] += spec.values[0]
-    if abs(full[1]) > config.tol_residual:
+    for start, end in system.branch_ranges:
+        roots = [(x[j].real, system.slots[j][1], real_mask[j]) for j in range(start, end)]
+        preimages.append(tuple(sorted((float(r), m) for r, m, real in roots if real)))
+        nonreal.append(tuple(sorted((m for _, m, real in roots if not real), reverse=True)))
+    f = residual_batch(system, x[None, :])[0].real
+    if abs(f[0]) > config.tol_residual:
         raise AmbiguousRealness("normalization coefficient did not vanish after real polish")
-    res = float(
-        np.max(np.abs(_real_residual_and_jacobian(system, factors_per_branch, u)[0]))
-    )
     return RealPolynomial(
-        d=d,
-        coefficients=tuple(float(c) for c in full[2:]),
+        d=spec.d,
+        coefficients=tuple(float(c) for c in canonical_coefficients(system, x).real),
         profiles=spec.profiles,
         values=spec.values,
         real_preimages=tuple(preimages),
         nonreal_orders=tuple(nonreal),
-        residual=res,
+        residual=float(np.max(np.abs(f))),
     )
 
 
@@ -828,10 +765,13 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     """Extract the real polynomials from a complete complex solution set.
 
     A solution counts as real when every coefficient has imaginary part
-    below the realness tolerance; it is then re-polished by Newton
-    restricted to real parameters (real roots plus conjugate-pair
-    coordinates).  Solutions within a factor 10 of the threshold raise
-    AmbiguousRealness instead of being classified either way.
+    below the realness tolerance; it is then re-polished by Newton in real
+    parameters u (one per real root, the real and imaginary part per
+    conjugate pair) through the complex residual and Jacobian at x = B u.
+    Solutions within a factor 10 of the threshold raise AmbiguousRealness
+    instead of being classified either way, as do a non-real root without
+    a conjugate partner, a failed polish and an a_1 that does not vanish;
+    roots that collapse under the polish raise DegenerateConfiguration.
     """
     config = config or RunConfig()
     if solset.certificate != "COMPLETE":
@@ -860,10 +800,10 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
                 )
             continue
         point = np.array(sol.point, dtype=complex)
-        factors_per_branch, u0 = _real_structure(system, point, config)
-        u, ok = _real_newton(system, factors_per_branch, u0, config)
+        basis, real_mask, u0 = _real_structure(system, point, config)
+        u, ok = _real_newton(system, basis, u0, config)
         if not ok:
             raise AmbiguousRealness("real-restricted polish failed to converge")
-        reals.append(_build_real_polynomial(system, factors_per_branch, u, config))
+        reals.append(_build_real_polynomial(system, basis @ u, real_mask, config))
     reals.sort(key=lambda p: p.coefficients)
     return reals

@@ -173,6 +173,22 @@ def test_cache_flag_roundtrip(tmp_path, capsys):
     assert again["result"]["starts_used"] == 0
 
 
+@pytest.mark.parametrize(
+    "command, where",
+    [("solve", "missing directory"), ("s-number", "directory")],
+)
+def test_bad_cache_path_rejected(tmp_path, capsys, monkeypatch, command, where):
+    from realhurwitz import polysolve
+
+    cache = tmp_path / "missing" / "x.jsonl" if where == "missing directory" else tmp_path
+    polished = []
+    monkeypatch.setattr(polysolve, "_polish_batch", lambda *args: polished.append(args) or [])
+    code, out, err = run_cli(capsys, command, "--profiles", "2,1|2,1", "--cache", str(cache))
+    assert code == EXIT_VALIDATION
+    assert out == "" and str(cache) in err
+    assert polished == []  # rejected before any start is spent
+
+
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"seed": 99}))

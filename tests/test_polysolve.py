@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -20,6 +21,8 @@ from realhurwitz import (
 from realhurwitz import polysolve
 from realhurwitz.polysolve import (
     _newton_batch,
+    _real_newton,
+    _real_structure,
     canonical_coefficients,
     load_cache,
     match_index,
@@ -27,6 +30,7 @@ from realhurwitz.polysolve import (
     rotate_coefficients,
     spec_hash,
 )
+from realhurwitz.verify import enumerate_sweep_specs
 
 from helpers import (
     cubic_solution_coefficients,
@@ -123,6 +127,70 @@ def test_classify_real_counts(cfg):
     swapped = validate_branch_spec(parse_profiles("2,1,1|2,2"), (1, 2))
     reals = classify_real(solve_all(swapped, cfg), cfg)
     assert reals == []
+
+    # the real polish keeps every real solution where the complex solve put it
+    for profiles in enumerate_sweep_specs(4, 3):
+        spec = validate_branch_spec(profiles)
+        for side in (spec, spec.reversed_spec()):
+            solset = solve_all(side, cfg)
+            table = np.array([s.coefficients for s in solset.solutions])
+            nearly_real = np.max(np.abs(table.imag), axis=1) < cfg.tol_real
+            reals = classify_real(solset, cfg)
+            assert len(reals) == int(nearly_real.sum())
+            for poly in reals:
+                assert poly.residual <= cfg.tol_residual
+                vec = np.array(poly.coefficients)
+                assert match_index(table.real, vec, cfg.tol_dedup) is not None
+
+
+def _real_solution(solset, coefficients):
+    return next(
+        s for s in solset.solutions if np.allclose(s.coefficients, coefficients, atol=1e-8)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, coefficients",
+    [
+        (QUARTIC_DOUBLE, (2.0, 0.0, 2.0)),  # (z^2+1)^2 + 1: conjugate pairs in both branches
+        (CUBIC, (-3.0, 0.0)),  # z^3 - 3z: every preimage root real
+    ],
+)
+def test_real_jacobian_matches_finite_differences(cfg, spec, coefficients):
+    # the real polish runs Newton on Re F(B u) with Jacobian Re(J(B u) B)
+    system = build_system(spec)
+    sol = _real_solution(solve_all(spec, cfg), coefficients)
+    basis, real_mask, u0 = _real_structure(system, np.array(sol.point), cfg)
+    assert real_mask.all() == (spec is CUBIC)
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    for u in (u0, u0 + 0.1 * rng.standard_normal(system.n)):
+        f, jac = residual_and_jacobian(system, basis @ u)
+        jac_b = jac @ basis
+        # F(B u) and its u-derivative are real for real u
+        assert np.max(np.abs(f.imag)) < 1e-12 and np.max(np.abs(jac_b.imag)) < 1e-12
+        approx = np.empty((system.n, system.n))
+        for k in range(system.n):
+            bump = np.zeros(system.n)
+            bump[k] = h
+            plus = residual(system, basis @ (u + bump)).real
+            minus = residual(system, basis @ (u - bump)).real
+            approx[:, k] = (plus - minus) / (2 * h)
+        assert np.max(np.abs(jac_b.real - approx) / (1.0 + np.abs(approx))) < 1e-6
+    # solutions arrive polished, so only a perturbed start makes the real Newton step
+    u, ok = _real_newton(system, basis, u0 + 1e-3 * rng.standard_normal(system.n), cfg)
+    assert ok and np.max(np.abs(u - u0)) < 1e-9
+
+
+def test_classify_real_rejects_unpaired_root(cfg):
+    # real coefficients, but one root of a conjugate pair moved away from its mate
+    solset = solve_all(QUARTIC_DOUBLE, cfg)
+    sol = _real_solution(solset, (2.0, 0.0, 2.0))
+    point = np.array(sol.point)
+    point[-1] += 0.1
+    broken = dataclasses.replace(sol, point=tuple(point))
+    with pytest.raises(AmbiguousRealness, match="no conjugate partner"):
+        classify_real(dataclasses.replace(solset, solutions=(broken,)), cfg)
 
 
 def test_classify_real_preimage_data(cfg):
@@ -302,6 +370,51 @@ def test_cache_roundtrip(tmp_path, cfg):
     again = solve_all(CUBIC, cfg, cache_path=path)
     assert again.starts_used == 0
     assert again.solutions == first.solutions
+
+
+def _rewrite_cache(path, edit):
+    with open(path) as fh:
+        lines = [json.loads(line) for line in fh]
+    edit(lines)
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(line) + "\n" for line in lines)
+
+
+def test_tampered_cache_is_resolved(tmp_path, cfg):
+    path = str(tmp_path / "cubic.jsonl")
+    fresh = solve_all(CUBIC, cfg, cache_path=path)
+
+    def shift_point(lines):
+        # a root of the last branch: the coefficients, read off branch 0, still match
+        lines[1]["point"][-1][0] += 0.5
+
+    _rewrite_cache(path, shift_point)
+    assert load_cache(path, CUBIC, fresh.target, cfg) is None
+    again = solve_all(CUBIC, cfg, cache_path=path)
+    assert again.starts_used > 0
+    assert again.solutions == fresh.solutions
+    assert load_cache(path, CUBIC, fresh.target, cfg).solutions == fresh.solutions
+
+
+def _shift_coefficient(lines):
+    lines[2]["coefficients"][0][0] += 0.5
+
+
+def _duplicate_point(lines):
+    lines[2] = dict(lines[1])
+
+
+def _widen_cluster_tolerance(lines):
+    lines[0]["tol_cluster"] = 10.0  # every stored point now collapses its roots
+
+
+@pytest.mark.parametrize("edit", [_shift_coefficient, _duplicate_point, _widen_cluster_tolerance])
+def test_cache_revalidates_points(tmp_path, cfg, edit):
+    path = str(tmp_path / "cubic.jsonl")
+    solset = solve_all(CUBIC, cfg, cache_path=path)
+    _rewrite_cache(path, edit)
+    loaded_cfg = cfg.replace(tol_cluster=10.0) if edit is _widen_cluster_tolerance else cfg
+    assert load_cache(path, CUBIC, solset.target, loaded_cfg) is None
 
 
 def test_cache_rejects_mismatched_tolerances(tmp_path, cfg):
