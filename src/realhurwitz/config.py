@@ -45,7 +45,6 @@ class RunConfig:
     max_degree: int = 5
     max_solver_degree: int = 6
     harvest_symmetries: bool = True
-    chunk_size: int = 64
     force_class_diagnostics: bool = False
     debug_corrupt_signs: bool = False
 

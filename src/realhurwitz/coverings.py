@@ -37,7 +37,7 @@ from .config import RunConfig
 from .errors import CoveringAssemblyError, SignMismatch, ValidationError
 from .partitions import BranchSpec, floor_sum_parity
 from .realsigns import RealPolynomial, s_number, signed_sum
-from .polysolve import classify_real, solve_all
+from .polysolve import classify_real, match_index, solve_all
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -105,8 +105,7 @@ def normalize(coeffs: Sequence[float]) -> tuple[str, list[tuple[float, ...]]]:
     beta = -coeffs[1] / (d * lead)
     plus = _clean_form(_compose_affine(coeffs, alpha, beta))
     minus = _clean_form(_compose_affine(coeffs, -alpha, beta))
-    scale = 1.0 + max(abs(c) for c in plus)
-    if max(abs(a - b) for a, b in zip(plus, minus)) <= 1e-12 * scale:
+    if match_index(np.array([plus]), np.array(minus), 1e-12) == 0:
         return side, [plus]
     return side, sorted([plus, minus])
 
@@ -118,14 +117,8 @@ def _clean_form(form: np.ndarray) -> tuple[float, ...]:
     return tuple(float(c) for c in out)
 
 
-def _reflected_coefficients(coeffs: tuple[float, ...], d: int) -> np.ndarray:
-    """Coefficient vector (a_2..a_d) of P(-z) for even d."""
-    j = np.arange(2, d + 1)
-    return np.array(coeffs, dtype=float) * np.where(j % 2 == 0, 1.0, -1.0)
-
-
 def _orbit_classes(
-    reals: Sequence[RealPolynomial], side: str, d: int, config: RunConfig
+    reals: Sequence[RealPolynomial], side: str, config: RunConfig
 ) -> list[tuple[str, tuple[RealPolynomial, ...], int]]:
     """Group real solutions into orbits of the z -> -z involution.
 
@@ -135,27 +128,22 @@ def _orbit_classes(
     partner inside the set; anything else means the set is not actually
     complete and is reported as an assembly error.
     """
-    tol = config.tol_dedup
+    coeffs = np.array([p.coefficients for p in reals], dtype=float)
     unmatched = list(range(len(reals)))
     classes = []
-    coeff_arrays = [np.array(p.coefficients, dtype=float) for p in reals]
     while unmatched:
         i = unmatched.pop(0)
-        target = _reflected_coefficients(reals[i].coefficients, d)
-        scale = 1.0 + float(np.max(np.abs(coeff_arrays[i]))) if coeff_arrays[i].size else 1.0
-        if coeff_arrays[i].size == 0 or float(np.max(np.abs(coeff_arrays[i] - target))) <= tol * scale:
-            classes.append((side, (reals[i],), 2))
-            continue
-        partner = None
-        for j in unmatched:
-            if float(np.max(np.abs(coeff_arrays[j] - target))) <= tol * scale:
-                partner = j
-                break
-        if partner is None:
+        # row 0 is the polynomial itself, so a hit there is a fixed point
+        mirrored = np.array(reals[i].reflected().coefficients)
+        hit = match_index(coeffs[[i] + unmatched], mirrored, config.tol_dedup)
+        if hit is None:
             raise CoveringAssemblyError(
                 "a real solution has no z -> -z partner in the complete set"
             )
-        unmatched.remove(partner)
+        if hit == 0:
+            classes.append((side, (reals[i],), 2))
+            continue
+        partner = unmatched.pop(hit - 1)
         reps = tuple(sorted((reals[i], reals[partner]), key=lambda p: p.coefficients))
         classes.append((side, reps, 1))
     return classes
@@ -203,8 +191,8 @@ def _assemble_classes(
         raw = [(POSITIVE, (p,), 1) for p in reals_pos]
     else:
         reals_neg = reals(spec.reversed_spec())
-        raw = _orbit_classes(reals_pos, POSITIVE, d, config)
-        raw.extend(_orbit_classes(reals_neg, NEGATIVE, d, config))
+        raw = _orbit_classes(reals_pos, POSITIVE, config)
+        raw.extend(_orbit_classes(reals_neg, NEGATIVE, config))
     classes = []
     for side, reps, aut in raw:
         sgn = class_sign(reps, aut, d, parity)

@@ -25,10 +25,10 @@ dropped.  Neither rule touches the other rows; on every start measured, no
 row that Newton run to the iteration cap converges was dropped (converged
 paths stay within 2.2 times the bound).
 
-Real solutions are re-polished through the same residual and Jacobian:
-pairing each non-real root with its conjugate gives real coordinates u
-with x = B u for a fixed complex basis B, and Newton runs on Re F(B u)
-with Jacobian Re(J(B u) B).
+Real solutions are re-polished by the same Newton loop, ``_newton_batch``,
+in real coordinates u: pairing each non-real root with its conjugate gives
+x = B u for a fixed complex basis B, and the loop runs on Re F(B u) with
+Jacobian Re(J(B u) B).
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ from .partitions import BranchSpec
 from .realsigns import RealPolynomial
 
 _DEGENERACY_LIMIT = 25
+# random starts drawn per Newton batch; part of what a seed reproduces
+_CHUNK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,14 @@ def _solve_linear_batch(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
         return out, ok
 
 
-def _newton_batch(system: SystemSpec, starts: np.ndarray, config: RunConfig):
+def _newton_batch(
+    system: SystemSpec, starts: np.ndarray, config: RunConfig, basis: np.ndarray | None = None
+):
     """Damped Newton on a batch of starts; results depend on each row alone.
+
+    Rows are complex points x or, given a basis B from ``_real_structure``,
+    real coordinates u of x = B u with residual Re F(B u) and Jacobian
+    Re(J(B u) B); the escape rule then bounds max|u|, which is at most max|x|.
 
     Returns (points, converged_mask).  A row fails when its Jacobian is
     singular, when step halving cannot decrease the residual, when it
@@ -262,11 +270,23 @@ def _newton_batch(system: SystemSpec, starts: np.ndarray, config: RunConfig):
     when the iteration cap is hit.  Retiring a row early changes no other
     row.
     """
-    points = np.array(starts, dtype=complex)
+    if basis is None:
+        points = np.array(starts, dtype=complex)
+        values, evaluate = residual_batch, residual_and_jacobian_batch
+    else:
+        points = np.array(starts, dtype=float)
+
+        def values(system, u):
+            return residual_batch(system, u @ basis.T).real
+
+        def evaluate(system, u):
+            f, jac = residual_and_jacobian_batch(system, u @ basis.T)
+            return f.real, (jac @ basis).real
+
     batch = points.shape[0]
     escape = _ESCAPE_FACTOR * root_bound(system.spec)
     status = np.zeros(batch, dtype=np.int8)  # 0 active, 1 converged, -1 failed
-    fnorm = np.max(np.abs(residual_batch(system, points)), axis=1)
+    fnorm = np.max(np.abs(values(system, points)), axis=1)
     bad = ~np.isfinite(fnorm)
     status[bad] = -1
     status[fnorm < 1e-14] = 1
@@ -275,7 +295,7 @@ def _newton_batch(system: SystemSpec, starts: np.ndarray, config: RunConfig):
         active = np.where(status == 0)[0]
         if active.size == 0:
             break
-        f, jac = residual_and_jacobian_batch(system, points[active])
+        f, jac = evaluate(system, points[active])
         delta, solvable = _solve_linear_batch(jac, -f)
         status[active[~solvable]] = -1
         active = active[solvable]
@@ -294,7 +314,7 @@ def _newton_batch(system: SystemSpec, starts: np.ndarray, config: RunConfig):
             if remaining.size == 0:
                 break
             trial = points[active[remaining]] + t[remaining, None] * delta[remaining]
-            fn = np.max(np.abs(residual_batch(system, trial)), axis=1)
+            fn = np.max(np.abs(values(system, trial)), axis=1)
             good = np.isfinite(fn) & (
                 (fn <= (1.0 - 0.5 * t[remaining]) * fnorm[active[remaining]]) | (fn < 1e-14)
             )
@@ -527,8 +547,8 @@ def save_cache(path: str, solset: SolutionSet, config: RunConfig):
                     "kind": "solution",
                     "spec_hash": digest,
                     "point": [[v.real, v.imag] for v in sol.point],
+                    "coefficients": [[c.real, c.imag] for c in sol.coefficients],
                 }
-                record.update(sol.as_json_dict())
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     except OSError as exc:
         raise ValidationError(f"cannot write cache file {path}: {exc}") from exc
@@ -631,7 +651,7 @@ def solve_all(
     scale = root_bound(spec) / 4.0
     starts_used = 0
     while starts_used < config.start_budget and not collector.complete:
-        m = min(config.chunk_size, config.start_budget - starts_used)
+        m = min(_CHUNK_SIZE, config.start_budget - starts_used)
         starts = rng.standard_normal((m, system.n)) + 1j * rng.standard_normal(
             (m, system.n)
         )
@@ -698,40 +718,6 @@ def _real_structure(system: SystemSpec, point: np.ndarray, config: RunConfig):
     return basis, real_mask, u0
 
 
-def _real_residual(system: SystemSpec, basis: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Re F(B u); F(B u) is real for real u, so .real drops only rounding."""
-    return residual_batch(system, (basis @ u)[None, :])[0].real
-
-
-def _real_newton(system: SystemSpec, basis: np.ndarray, u0: np.ndarray, config: RunConfig):
-    """Damped Newton in the real coordinates u of x = B u, with Jacobian Re(J(B u) B)."""
-    u = u0.copy()
-    for _ in range(config.newton_max_iter):
-        f, jac = residual_and_jacobian_batch(system, (basis @ u)[None, :])
-        f, jac = f[0].real, (jac[0] @ basis).real
-        fnorm = float(np.max(np.abs(f)))
-        if fnorm < 1e-14:
-            return u, True
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return u, False
-        step = float(np.max(np.abs(delta)))
-        t = 1.0
-        for _ in range(30):
-            un = u + t * delta
-            fn = float(np.max(np.abs(_real_residual(system, basis, un))))
-            if math.isfinite(fn) and (fn <= (1.0 - 0.5 * t) * fnorm or fn < 1e-14):
-                break
-            t *= 0.5
-        else:
-            return u, False
-        u = un
-        if t * step < config.newton_step_tol:
-            return u, float(np.max(np.abs(_real_residual(system, basis, u)))) <= config.tol_residual
-    return u, False
-
-
 def _build_real_polynomial(
     system: SystemSpec, x: np.ndarray, real_mask: np.ndarray, config: RunConfig
 ) -> RealPolynomial:
@@ -765,9 +751,9 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     """Extract the real polynomials from a complete complex solution set.
 
     A solution counts as real when every coefficient has imaginary part
-    below the realness tolerance; it is then re-polished by Newton in real
-    parameters u (one per real root, the real and imaginary part per
-    conjugate pair) through the complex residual and Jacobian at x = B u.
+    below the realness tolerance; it is then re-polished by ``_newton_batch``
+    in real coordinates u (one per real root, the real and imaginary part
+    per conjugate pair) of x = B u.
     Solutions within a factor 10 of the threshold raise AmbiguousRealness
     instead of being classified either way, as do a non-real root without
     a conjugate partner, a failed polish and an a_1 that does not vanish;
@@ -801,9 +787,9 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
             continue
         point = np.array(sol.point, dtype=complex)
         basis, real_mask, u0 = _real_structure(system, point, config)
-        u, ok = _real_newton(system, basis, u0, config)
-        if not ok:
+        u, ok = _newton_batch(system, u0[None, :], config, basis)
+        if not ok[0]:
             raise AmbiguousRealness("real-restricted polish failed to converge")
-        reals.append(_build_real_polynomial(system, basis @ u, real_mask, config))
+        reals.append(_build_real_polynomial(system, basis @ u[0], real_mask, config))
     reals.sort(key=lambda p: p.coefficients)
     return reals

@@ -247,22 +247,18 @@ def _parity_law_checks(record: SpecRecord, ws: Workspace):
     orbit_sign_ok = True
     for side_spec in (spec, spec.reversed_spec()):
         reals = ws.reals(side_spec)
+        table = np.array([p.coefficients for p in reals]).reshape(len(reals), spec.d - 1)
         for poly in reals:
             if not all(_branch_parities(poly)):
                 per_branch_ok = False
             mirrored = poly.reflected()
             if mirrored.t != poly.ord_count:
                 reflection_ok = False
-            partner = None
-            for cand in reals:
-                diff = [abs(a - b) for a, b in zip(cand.coefficients, mirrored.coefficients)]
-                scale = 1.0 + max((abs(c) for c in cand.coefficients), default=0.0)
-                if not diff or max(diff) <= ws.config.tol_dedup * scale:
-                    partner = cand
-                    break
-            if partner is None:
+            hit = match_index(table, np.array(mirrored.coefficients), ws.config.tol_dedup)
+            if hit is None:
                 reflection_ok = False
                 continue
+            partner = reals[hit]
             if partner.t != poly.ord_count:
                 reflection_ok = False
             expected = poly.sign if parity == 0 else -poly.sign

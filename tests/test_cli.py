@@ -224,6 +224,7 @@ def test_bad_config_file_rejected(tmp_path, capsys):
         ({"newton_max_iter": True}, "newton_max_iter"),
         ({"harvest_symmetries": 1}, "harvest_symmetries"),
         ({"verbosity": 1}, "verbosity"),
+        ({"chunk_size": 64}, "chunk_size"),
     ],
 )
 def test_bad_config_values_rejected(tmp_path, capsys, values, field):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from realhurwitz import (
+    CoveringAssemblyError,
     Partition,
     SignMismatch,
     ValidationError,
@@ -14,7 +15,7 @@ from realhurwitz import (
     theorem_check,
     validate_branch_spec,
 )
-from realhurwitz.coverings import class_sign
+from realhurwitz.coverings import _solved_reals, class_sign, hurwitz_from_reals
 
 from helpers import real_polynomial_from_factored
 
@@ -104,6 +105,22 @@ def test_covering_classes_cusp_quartic_positive_side(cfg):
     signs = sorted(p.sign for p in cls.representatives)
     assert signs == [-1, 1]
     assert cls.class_sign == 0  # averaged in the parity-odd branch
+
+
+def test_missing_partner_is_an_assembly_error(cfg):
+    # the two real solutions of the positive side are each other's z -> -z
+    # partner; a provider that drops one leaves the other unpaired
+    spec = validate_branch_spec(parse_profiles("3,1|2,1,1"), (28, 1))
+    diag = cfg.replace(force_class_diagnostics=True)
+    full = _solved_reals(diag)
+    (cls,) = hurwitz_from_reals(spec, full, diag).classes
+    assert len(cls.representatives) == 2
+
+    def partial(side):
+        return full(side)[:1] if side == spec else full(side)
+
+    with pytest.raises(CoveringAssemblyError, match="no z -> -z partner"):
+        hurwitz_from_reals(spec, partial, diag)
 
 
 def test_class_sign_dispatch():

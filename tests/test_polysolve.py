@@ -21,7 +21,6 @@ from realhurwitz import (
 from realhurwitz import polysolve
 from realhurwitz.polysolve import (
     _newton_batch,
-    _real_newton,
     _real_structure,
     canonical_coefficients,
     load_cache,
@@ -116,7 +115,7 @@ def test_root_assignments_have_declared_profiles(cfg):
             assert sorted((m for _, m in branch), reverse=True) == list(lam.parts)
 
 
-def test_classify_real_counts(cfg):
+def test_classify_real_counts(cfg, monkeypatch):
     reals = classify_real(solve_all(CUBIC, cfg), cfg)
     assert len(reals) == 1
     assert np.allclose(reals[0].coefficients, (-3.0, 0.0), atol=1e-8)
@@ -128,19 +127,30 @@ def test_classify_real_counts(cfg):
     reals = classify_real(solve_all(swapped, cfg), cfg)
     assert reals == []
 
-    # the real polish keeps every real solution where the complex solve put it
+    # the real polish keeps every real solution where the complex solve put
+    # it; those arrive converged, so the polish builds no Jacobian
+    jacobians = []
+    original = polysolve.residual_and_jacobian_batch
+
+    def counting(system, points):
+        jacobians.append(points.shape[0])
+        return original(system, points)
+
     for profiles in enumerate_sweep_specs(4, 3):
         spec = validate_branch_spec(profiles)
         for side in (spec, spec.reversed_spec()):
             solset = solve_all(side, cfg)
             table = np.array([s.coefficients for s in solset.solutions])
             nearly_real = np.max(np.abs(table.imag), axis=1) < cfg.tol_real
-            reals = classify_real(solset, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(polysolve, "residual_and_jacobian_batch", counting)
+                reals = classify_real(solset, cfg)
             assert len(reals) == int(nearly_real.sum())
             for poly in reals:
                 assert poly.residual <= cfg.tol_residual
                 vec = np.array(poly.coefficients)
                 assert match_index(table.real, vec, cfg.tol_dedup) is not None
+    assert jacobians == []
 
 
 def _real_solution(solset, coefficients):
@@ -178,8 +188,9 @@ def test_real_jacobian_matches_finite_differences(cfg, spec, coefficients):
             approx[:, k] = (plus - minus) / (2 * h)
         assert np.max(np.abs(jac_b.real - approx) / (1.0 + np.abs(approx))) < 1e-6
     # solutions arrive polished, so only a perturbed start makes the real Newton step
-    u, ok = _real_newton(system, basis, u0 + 1e-3 * rng.standard_normal(system.n), cfg)
-    assert ok and np.max(np.abs(u - u0)) < 1e-9
+    start = u0 + 1e-3 * rng.standard_normal(system.n)
+    u, ok = _newton_batch(system, start[None, :], cfg, basis)
+    assert ok[0] and np.max(np.abs(u[0] - u0)) < 1e-9
 
 
 def test_classify_real_rejects_unpaired_root(cfg):
@@ -310,7 +321,7 @@ def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
 
 
 def test_incomplete_enumeration_raises(cfg):
-    tiny = cfg.replace(start_budget=1, chunk_size=1, harvest_symmetries=False)
+    tiny = cfg.replace(start_budget=1, harvest_symmetries=False)
     with pytest.raises(IncompleteEnumeration) as err:
         solve_all(validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1")), tiny)
     assert err.value.target == 16
@@ -370,6 +381,14 @@ def test_cache_roundtrip(tmp_path, cfg):
     again = solve_all(CUBIC, cfg, cache_path=path)
     assert again.starts_used == 0
     assert again.solutions == first.solutions
+
+    def add_retired_fields(lines):
+        # records once also carried the roots and residual of each solution
+        for line, sol in zip(lines[1:], first.solutions):
+            line.update(sol.as_json_dict())
+
+    _rewrite_cache(path, add_retired_fields)
+    assert load_cache(path, CUBIC, first.target, cfg).solutions == first.solutions
 
 
 def _rewrite_cache(path, edit):
@@ -433,7 +452,7 @@ def test_cache_file_is_line_delimited_json(tmp_path, cfg):
     assert lines[0]["spec_hash"] == spec_hash(CUBIC)
     assert len([l for l in lines if l["kind"] == "solution"]) == 3
     for record in lines[1:]:
-        assert "coefficients" in record and "roots" in record and "residual" in record
+        assert set(record) == {"kind", "spec_hash", "point", "coefficients"}
 
 
 def test_solution_count_matches_factorizations(cfg):
