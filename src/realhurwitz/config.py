@@ -44,7 +44,6 @@ class RunConfig:
     output_format: str = "json"
     max_degree: int = 5
     max_solver_degree: int = 6
-    harvest_symmetries: bool = True
     force_class_diagnostics: bool = False
     debug_corrupt_signs: bool = False
 
@@ -81,7 +80,6 @@ class RunConfig:
             "tol_real": self.tol_real,
             "tol_cluster": self.tol_cluster,
             "max_degree": self.max_degree,
-            "harvest_symmetries": self.harvest_symmetries,
         }
 
 

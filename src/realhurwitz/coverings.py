@@ -149,9 +149,7 @@ def _orbit_classes(
     return classes
 
 
-def class_sign(
-    representatives: Sequence[RealPolynomial], aut_order: int, d: int, parity: int
-) -> int:
+def class_sign(representatives: Sequence[RealPolynomial], d: int, parity: int) -> int:
     """Sign of a covering class from its representative signs.
 
     Odd degree and the even-degree parity-even branch take the common
@@ -195,7 +193,7 @@ def _assemble_classes(
         raw.extend(_orbit_classes(reals_neg, NEGATIVE, config))
     classes = []
     for side, reps, aut in raw:
-        sgn = class_sign(reps, aut, d, parity)
+        sgn = class_sign(reps, d, parity)
         classes.append(
             CoveringClass(
                 side=side,

@@ -292,15 +292,7 @@ def validate_branch_spec(
         raise ValidationError(
             f"all profiles are trivial; degree {d} > 1 needs at least one condition"
         )
-    new_profiles = tuple(lam for _, lam in kept)
-    new_values = tuple(w for w, _ in kept)
-    k = len(new_profiles)
-    total = sum(lam.length for lam in new_profiles)
-    if total != (k - 1) * d + 1:
-        raise ValidationError(
-            f"profile lengths sum to {total}, expected (k-1)d+1 = {(k - 1) * d + 1}"
-        )
-    return BranchSpec(new_profiles, new_values, d)
+    return BranchSpec(tuple(lam for _, lam in kept), tuple(w for w, _ in kept), d)
 
 
 def partitions_of(d: int, *, include_trivial: bool = True) -> list[Partition]:

@@ -422,7 +422,7 @@ def _solution(system: SystemSpec, x: np.ndarray, coeffs: np.ndarray, res: float)
 
 
 class _Collector:
-    """Orders, validates, deduplicates and symmetry-expands candidate points."""
+    """The one acceptance path: validates, deduplicates and symmetry-expands points."""
 
     def __init__(self, system: SystemSpec, target: int, config: RunConfig):
         self.system = system
@@ -440,45 +440,56 @@ class _Collector:
     def complete(self) -> bool:
         return len(self.points) >= self.target
 
-    def offer(self, x: np.ndarray):
-        """Validate one converged point; on acceptance, chase its symmetry orbit.
+    def accept(self, cand: np.ndarray) -> np.ndarray | None:
+        """Keep cand as a new solution and return its coefficients, else None.
 
-        The queue is drained even once the target is reached: a genuinely
-        new solution beyond the target must surface as OvercountDetected,
-        never be dropped.
+        Every solution, solved or reloaded, passes here: residual within
+        tol_residual, each branch's roots more than tol_cluster apart (repeated
+        collapses raise DegenerateConfiguration), coefficients new up to
+        tol_dedup.  A new solution beyond the target raises OvercountDetected.
         """
-        queue = [np.asarray(x, dtype=complex)]
-        while queue:
-            cand = queue.pop(0)
-            res = float(np.max(np.abs(residual(self.system, cand))))
-            if not (res <= self.config.tol_residual):
-                continue
-            if not _well_separated(self.system, cand, self.config.tol_cluster):
-                key = tuple(np.round(canonical_coefficients(self.system, cand), 6).tolist())
-                self.collapse_counts[key] = self.collapse_counts.get(key, 0) + 1
-                if self.collapse_counts[key] >= _DEGENERACY_LIMIT:
-                    raise DegenerateConfiguration(
-                        "converged points persistently collapse preimage roots; "
-                        "the branch values look non-generic for these profiles"
-                    )
-                continue
-            coeffs = canonical_coefficients(self.system, cand)
-            if match_index(self.coeffs, coeffs, self.config.tol_dedup) is not None:
-                continue
-            self.points.append(cand)
-            self.coeffs = np.vstack((self.coeffs, coeffs))
-            self.residuals.append(res)
-            if len(self.points) > self.target:
-                raise OvercountDetected(len(self.points), self.target)
-            if self.config.harvest_symmetries:
-                d = self.system.d
-                mates = [
-                    np.conj(mate) if conj else mate
-                    for mate in (rotate_point(cand, d, t) for t in range(d))
-                    for conj in (False, True)
-                ][1:]
-                polished, ok = _newton_batch(self.system, np.array(mates), self.config)
-                queue.extend(polished[ok])
+        res = float(np.max(np.abs(residual(self.system, cand))))
+        if not (res <= self.config.tol_residual):
+            return None
+        if not _well_separated(self.system, cand, self.config.tol_cluster):
+            key = tuple(np.round(canonical_coefficients(self.system, cand), 6).tolist())
+            self.collapse_counts[key] = self.collapse_counts.get(key, 0) + 1
+            if self.collapse_counts[key] >= _DEGENERACY_LIMIT:
+                raise DegenerateConfiguration(
+                    "converged points persistently collapse preimage roots; "
+                    "the branch values look non-generic for these profiles"
+                )
+            return None
+        coeffs = canonical_coefficients(self.system, cand)
+        if match_index(self.coeffs, coeffs, self.config.tol_dedup) is not None:
+            return None
+        self.points.append(cand)
+        self.coeffs = np.vstack((self.coeffs, coeffs))
+        self.residuals.append(res)
+        if len(self.points) > self.target:
+            raise OvercountDetected(len(self.points), self.target)
+        return coeffs
+
+    def offer(self, x: np.ndarray):
+        """Accept a converged point; if it is new, harvest its symmetry orbit once.
+
+        The orbit of x under z -> zeta z and conjugation (dihedral, order 2d)
+        is {rot_t(x), conj(rot_t(x))}: its 2d - 1 mates are polished in one
+        batch and accepted in order, and a mate whose polish fails is left to
+        the multistart.  Mates are accepted after the target too, so a new
+        solution beyond it surfaces as OvercountDetected, never dropped.
+        """
+        if self.accept(x) is None:
+            return
+        d = self.system.d
+        mates = [
+            np.conj(mate) if conj else mate
+            for mate in (rotate_point(x, d, t) for t in range(d))
+            for conj in (False, True)
+        ][1:]
+        polished, ok = _newton_batch(self.system, np.array(mates), self.config)
+        for mate in polished[ok]:
+            self.accept(mate)
 
     def build_set(self, starts_used: int, certificate: str) -> SolutionSet:
         order = sorted(
@@ -557,13 +568,13 @@ def save_cache(path: str, solset: SolutionSet, config: RunConfig):
 def load_cache(path: str, spec: BranchSpec, target: int, config: RunConfig) -> SolutionSet | None:
     """Reload a complete cached solution set if it matches spec, target and tolerances.
 
-    Nothing stored is trusted: each point is re-validated as a converged
-    Newton point is (residual within tol_residual, roots of each branch
-    separated by more than tol_cluster), its stored coefficients must be its
-    canonical coefficients within tol_dedup, and no two points may be the
-    same solution.  A file that fails any check, or cannot be parsed, is a
-    miss.  A path that names a directory or lies in a missing directory
-    raises ValidationError, before any solve is spent.
+    Nothing stored is trusted: each point must have the system's shape and
+    pass ``_Collector.accept``, the acceptance check every solved point
+    passes (residual, root separation, dedup), and its stored coefficients
+    must be its canonical coefficients within tol_dedup.  A file that fails
+    any check, or cannot be parsed, is a miss.  A path that names a
+    directory or lies in a missing directory raises ValidationError, before
+    any solve is spent.
     """
     if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         raise ValidationError(f"cache path {path} is a directory or lies in a missing directory")
@@ -590,23 +601,14 @@ def load_cache(path: str, spec: BranchSpec, target: int, config: RunConfig) -> S
     except (KeyError, TypeError, ValueError):
         return None
     system = build_system(spec)
-    known = np.empty((0, system.d - 1), dtype=complex)
-    sols = []
+    collector = _Collector(system, target, config)
     for x, kept in zip(points, stored):
         if x.shape != (system.n,) or kept.shape != (system.d - 1,):
             return None
-        res = float(np.max(np.abs(residual(system, x))))
-        coeffs = canonical_coefficients(system, x)
-        if not (
-            res <= config.tol_residual
-            and _well_separated(system, x, config.tol_cluster)
-            and match_index(coeffs[None, :], kept, config.tol_dedup) == 0
-            and match_index(known, coeffs, config.tol_dedup) is None
-        ):
+        coeffs = collector.accept(x)
+        if coeffs is None or match_index(coeffs[None, :], kept, config.tol_dedup) != 0:
             return None
-        known = np.vstack((known, coeffs))
-        sols.append(_solution(system, x, coeffs, res))
-    return SolutionSet(spec, tuple(sols), target, "COMPLETE", 0, config.seed)
+    return collector.build_set(0, "COMPLETE")
 
 
 def solve_all(

@@ -117,8 +117,7 @@ def series_table(lam: Partition, m_max: int, config: RunConfig | None = None) ->
         if d > config.max_degree:
             truncated_at = m
             break
-        spec = one_part_spec(lam, m)
-        if spec.is_identity:
+        if d == 1:
             conventions[m] = "degree-1 identity covering counted as 1"
         entries[m] = h_value(lam, m, config)
         parities[m] = EVEN if d % 2 == 0 else ODD

@@ -222,7 +222,7 @@ def test_bad_config_file_rejected(tmp_path, capsys):
         ({"seed": 1.5}, "seed"),
         ({"seed": -1}, "seed"),
         ({"newton_max_iter": True}, "newton_max_iter"),
-        ({"harvest_symmetries": 1}, "harvest_symmetries"),
+        ({"harvest_symmetries": False}, "harvest_symmetries"),
         ({"verbosity": 1}, "verbosity"),
         ({"chunk_size": 64}, "chunk_size"),
     ],

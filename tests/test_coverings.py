@@ -135,12 +135,12 @@ def test_class_sign_dispatch():
         )
 
     plus, minus = fake(1), fake(-1)
-    assert class_sign([plus], 1, d=3, parity=0) == 1
-    assert class_sign([plus, plus], 1, d=4, parity=0) == 1
+    assert class_sign([plus], d=3, parity=0) == 1
+    assert class_sign([plus, plus], d=4, parity=0) == 1
     with pytest.raises(SignMismatch):
-        class_sign([plus, minus], 1, d=4, parity=0)
-    assert class_sign([plus, minus], 1, d=4, parity=1) == 0
-    assert class_sign([minus], 2, d=4, parity=1) == -1
+        class_sign([plus, minus], d=4, parity=0)
+    assert class_sign([plus, minus], d=4, parity=1) == 0
+    assert class_sign([minus], d=4, parity=1) == -1
 
 
 def test_real_hurwitz_examples(cfg):

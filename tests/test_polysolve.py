@@ -282,6 +282,50 @@ def test_solutions_lie_in_the_root_ball(cfg):
             assert max(abs(v) for v in sol.point) <= bound
 
 
+@pytest.mark.parametrize("text", ["3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"])
+def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
+    # the dihedral orbit {rot_t(x), conj(rot_t(x))} of a new solution is polished
+    # in one batch of its 2d - 1 mates; accepted mates start no harvest of their own
+    spec = validate_branch_spec(parse_profiles(text))
+    d = spec.d
+    batches = []
+    inside_offer = []
+    original_newton = polysolve._newton_batch
+    original_offer = polysolve._Collector.offer
+
+    def newton(system, starts, *args, **kwargs):
+        if inside_offer:
+            batches.append(starts.shape[0])
+        return original_newton(system, starts, *args, **kwargs)
+
+    def offer(self, x):
+        inside_offer.append(True)
+        try:
+            return original_offer(self, x)
+        finally:
+            inside_offer.pop()
+
+    monkeypatch.setattr(polysolve, "_newton_batch", newton)
+    monkeypatch.setattr(polysolve._Collector, "offer", offer)
+    solset = solve_all(spec, cfg)
+    coeffs = np.array([sol.coefficients for sol in solset.solutions])
+    orbit = [None] * len(coeffs)
+    orbits = 0
+    for i in range(len(coeffs)):
+        if orbit[i] is not None:
+            continue
+        for t in range(d):
+            rotated = rotate_coefficients(coeffs[i], d, t)
+            for mate in (rotated, np.conj(rotated)):
+                j = match_index(coeffs, mate, cfg.tol_dedup)
+                assert j is not None  # a complete set is closed under the group
+                orbit[j] = orbits
+        orbits += 1
+    assert solset.certificate == "COMPLETE"
+    assert orbits < len(coeffs)
+    assert batches == [2 * d - 1] * orbits
+
+
 def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
     system = build_system(CUBIC)
     calls = []
@@ -321,7 +365,7 @@ def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
 
 
 def test_incomplete_enumeration_raises(cfg):
-    tiny = cfg.replace(start_budget=1, harvest_symmetries=False)
+    tiny = cfg.replace(start_budget=1)
     with pytest.raises(IncompleteEnumeration) as err:
         solve_all(validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1")), tiny)
     assert err.value.target == 16
@@ -331,12 +375,7 @@ def test_incomplete_enumeration_raises(cfg):
 def test_overcount_detected_with_misconfigured_tolerances(cfg):
     # sloppy convergence plus a dedup tolerance far below the resulting
     # scatter makes one mathematical solution count several times
-    broken = cfg.replace(
-        tol_dedup=1e-15,
-        tol_residual=1e-2,
-        newton_step_tol=1e-3,
-        harvest_symmetries=False,
-    )
+    broken = cfg.replace(tol_dedup=1e-15, tol_residual=1e-2, newton_step_tol=1e-3)
     with pytest.raises(OvercountDetected):
         solve_all(CUBIC, broken)
 
@@ -353,7 +392,7 @@ def test_degenerate_configuration_raises(cfg):
     # converged point look collapsed; the persistence counter must trip
     from realhurwitz import DegenerateConfiguration
 
-    coarse = cfg.replace(tol_cluster=10.0, harvest_symmetries=False)
+    coarse = cfg.replace(tol_cluster=10.0)
     with pytest.raises(DegenerateConfiguration):
         solve_all(CUBIC, coarse)
 
@@ -427,7 +466,13 @@ def _widen_cluster_tolerance(lines):
     lines[0]["tol_cluster"] = 10.0  # every stored point now collapses its roots
 
 
-@pytest.mark.parametrize("edit", [_shift_coefficient, _duplicate_point, _widen_cluster_tolerance])
+def _drop_point_entry(lines):
+    lines[1]["point"].pop()  # a point of the wrong shape is a miss, not an exception
+
+
+@pytest.mark.parametrize(
+    "edit", [_shift_coefficient, _duplicate_point, _widen_cluster_tolerance, _drop_point_entry]
+)
 def test_cache_revalidates_points(tmp_path, cfg, edit):
     path = str(tmp_path / "cubic.jsonl")
     solset = solve_all(CUBIC, cfg, cache_path=path)

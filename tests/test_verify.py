@@ -35,7 +35,7 @@ def test_enumerate_sweep_specs_respects_kmax():
 
 
 def test_budget_exhaustion_marks_infra(cfg):
-    tiny = cfg.replace(start_budget=1, harvest_symmetries=False)
+    tiny = cfg.replace(start_budget=1)
     record = check_spec(
         (Partition([2, 1, 1]), Partition([2, 1, 1]), Partition([2, 1, 1])),
         tiny,
