@@ -25,7 +25,9 @@ from .errors import (
     DegenerateConfiguration,
     HurwitzError,
     IncompleteEnumeration,
+    InfraLimit,
     OvercountDetected,
+    PropertyFailure,
     ScaleExceeded,
     SignMismatch,
     ValidationError,
@@ -83,8 +85,10 @@ __all__ = [
     "HurwitzCount",
     "HurwitzError",
     "IncompleteEnumeration",
+    "InfraLimit",
     "OvercountDetected",
     "Partition",
+    "PropertyFailure",
     "RealHurwitzResult",
     "RealPolynomial",
     "RunConfig",

@@ -16,17 +16,7 @@ import sys
 
 from .config import RunConfig, load_config
 from .coverings import real_hurwitz
-from .errors import (
-    AmbiguousRealness,
-    ClusterAmbiguity,
-    CoveringAssemblyError,
-    DegenerateConfiguration,
-    IncompleteEnumeration,
-    OvercountDetected,
-    ScaleExceeded,
-    SignMismatch,
-    ValidationError,
-)
+from .errors import InfraLimit, PropertyFailure, ValidationError
 from .partitions import parse_partition, parse_profiles, parse_values, validate_branch_spec
 from .polysolve import classify_real, solve_all
 from .realsigns import signed_sum
@@ -38,22 +28,11 @@ EXIT_VALIDATION = 2
 EXIT_INFRA = 3
 EXIT_PROPERTY = 4
 
-_INFRA = (
-    IncompleteEnumeration,
-    ScaleExceeded,
-    AmbiguousRealness,
-    OvercountDetected,
-    DegenerateConfiguration,
-    ClusterAmbiguity,
-)
-_PROPERTY = (SignMismatch, CoveringAssemblyError)
-
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     parser.add_argument("--budget", type=int, default=None,
                         help="multistart start budget")
-    parser.add_argument("--workers", type=int, default=None, help="parallel workers")
     parser.add_argument("--tol-residual", type=float, default=None)
     parser.add_argument("--tol-dedup", type=float, default=None)
     parser.add_argument("--tol-real", type=float, default=None)
@@ -116,7 +95,6 @@ def _config_from_args(args) -> RunConfig:
     overrides = {
         "seed": args.seed,
         "start_budget": args.budget,
-        "workers": args.workers,
         "tol_residual": args.tol_residual,
         "tol_dedup": args.tol_dedup,
         "tol_real": args.tol_real,
@@ -263,10 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _INFRA as exc:
+    except InfraLimit as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFRA
-    except _PROPERTY as exc:
+    except PropertyFailure as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
 

@@ -35,17 +35,16 @@ class RunConfig:
     tol_dedup: float = 1e-6
     tol_real: float = 1e-8
     tol_cluster: float = 1e-5
-    newton_max_iter: int = 200
-    newton_step_tol: float = 1e-13
     start_budget: int = 4000
     seed: int = 0
-    workers: int = 1
     cache: str | None = None
     output_format: str = "json"
     max_degree: int = 5
-    max_solver_degree: int = 6
     force_class_diagnostics: bool = False
     debug_corrupt_signs: bool = False
+
+    # not a field, so nothing can set it; bench/run.py records it in its run facts
+    workers = 1
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -67,14 +66,13 @@ class RunConfig:
     def as_json_dict(self) -> dict:
         """Reproducibility block embedded in every output artifact.
 
-        The worker count is deliberately absent: results are required to be
-        identical for any worker count, including byte-for-byte output.
+        It holds the seed, the start budget, the tolerances and the table
+        degree bound.  The solver's iteration cap, step tolerance and degree
+        bound are constants of ``polysolve``, the same for every run.
         """
         return {
             "seed": self.seed,
             "start_budget": self.start_budget,
-            "newton_max_iter": self.newton_max_iter,
-            "newton_step_tol": self.newton_step_tol,
             "tol_residual": self.tol_residual,
             "tol_dedup": self.tol_dedup,
             "tol_real": self.tol_real,

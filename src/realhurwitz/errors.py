@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
-The CLI maps these onto distinct exit codes: bad input (ValidationError),
-infrastructure limits (budget, scale, tolerance trouble), and consistency
-failures that indicate a genuine bug or a violated invariant.
+Every concrete error is a ValidationError (bad input), an InfraLimit
+(budget, scale or tolerance trouble) or a PropertyFailure (a genuine bug or
+a violated invariant).  The CLI maps the three onto distinct exit codes, and
+a ``verify`` record that hits an InfraLimit is marked FAILED-INFRA.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ class ValidationError(HurwitzError, ValueError):
     """Malformed or inconsistent input data."""
 
 
-class IncompleteEnumeration(HurwitzError):
+class InfraLimit(HurwitzError):
+    """A budget, scale or tolerance limit stopped the computation."""
+
+
+class PropertyFailure(HurwitzError):
+    """A consistency check failed: a genuine bug or a violated invariant."""
+
+
+class IncompleteEnumeration(InfraLimit):
     """The multistart solver exhausted its budget before reaching the target count."""
 
     def __init__(self, found: int, target: int, partial=None):
@@ -26,7 +35,7 @@ class IncompleteEnumeration(HurwitzError):
         self.partial = partial
 
 
-class OvercountDetected(HurwitzError):
+class OvercountDetected(InfraLimit):
     """Deduplication produced more solutions than the combinatorial target.
 
     Signals a dedup tolerance misconfiguration or a degenerate spec; never
@@ -39,25 +48,25 @@ class OvercountDetected(HurwitzError):
         self.target = target
 
 
-class DegenerateConfiguration(HurwitzError):
+class DegenerateConfiguration(InfraLimit):
     """Converged points persistently collapse preimage roots inside one branch."""
 
 
-class AmbiguousRealness(HurwitzError):
+class AmbiguousRealness(InfraLimit):
     """A solution sits too close to the realness threshold to classify safely."""
 
 
-class ClusterAmbiguity(HurwitzError):
+class ClusterAmbiguity(InfraLimit):
     """Two real preimages of the same branch value are closer than the cluster tolerance."""
 
 
-class SignMismatch(HurwitzError):
+class SignMismatch(PropertyFailure):
     """The two representatives of a covering class disagree where they must agree."""
 
 
-class CoveringAssemblyError(HurwitzError):
+class CoveringAssemblyError(PropertyFailure):
     """A real solution has no reflection partner in a supposedly complete set."""
 
 
-class ScaleExceeded(HurwitzError):
-    """Requested degree is beyond the configured desk-scale bound."""
+class ScaleExceeded(InfraLimit):
+    """Requested degree is beyond the desk-scale bound."""

@@ -15,6 +15,7 @@ used by the signed counts, and the canonicalization of branch data.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -24,18 +25,23 @@ from .errors import ValidationError
 class Partition:
     """An integer partition, stored with parts in non-increasing order.
 
-    Parts are positive integers.  The empty partition (of 0) is permitted so
-    that part-wise reductions stay closed; parsers never produce it.
+    Parts are positive integers; a float, a bool or any other non-integer
+    part raises ValidationError instead of being truncated.  The empty
+    partition (of 0) is permitted so that part-wise reductions stay closed;
+    parsers never produce it.
     """
 
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        checked = []
         for p in parts:
+            if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+                raise ValidationError(f"partition parts must be integers, got {p!r}")
             if p <= 0:
                 raise ValidationError(f"partition parts must be positive, got {p}")
-        self._parts = tuple(sorted(parts, reverse=True))
+            checked.append(int(p))
+        self._parts = tuple(sorted(checked, reverse=True))
 
     @property
     def parts(self) -> tuple[int, ...]:

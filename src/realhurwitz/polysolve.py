@@ -37,7 +37,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,8 @@ from .realsigns import RealPolynomial
 _DEGENERACY_LIMIT = 25
 # random starts drawn per Newton batch; part of what a seed reproduces
 _CHUNK_SIZE = 64
+# highest degree solve_all accepts: the desk-scale bound
+_MAX_SOLVER_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,9 @@ def rotate_coefficients(coeffs: np.ndarray, d: int, t: int) -> np.ndarray:
 
 
 _MAX_HALVINGS = 12
+# Newton iteration cap, and the damped step below which a row stops
+_NEWTON_MAX_ITER = 200
+_NEWTON_STEP_TOL = 1e-13
 # a row is retired once max|x| exceeds this multiple of root_bound(spec);
 # measured converged paths stay within 2.2x of the bound and end within 0.42x
 _ESCAPE_FACTOR = 3.0
@@ -291,7 +295,7 @@ def _newton_batch(
     status[bad] = -1
     status[fnorm < 1e-14] = 1
     checkpoint = fnorm.copy()
-    for it in range(1, config.newton_max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         active = np.where(status == 0)[0]
         if active.size == 0:
             break
@@ -327,7 +331,7 @@ def _newton_batch(
         status[active[~accepted]] = -1
         active, t, step = active[accepted], t[accepted], step[accepted]
         fnorm[active] = new_fnorm[accepted]
-        small = (t * step < config.newton_step_tol) | (fnorm[active] < 1e-14)
+        small = (t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
         done = active[small]
         status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)
         live = active[~small]
@@ -510,26 +514,6 @@ class _Collector:
         )
 
 
-def _polish_batch(system: SystemSpec, starts: np.ndarray, config: RunConfig):
-    """Run Newton on every start; results keep the start order regardless of workers.
-
-    Work is split into contiguous row slices, one per worker, and merged in
-    slice order, so the output is identical for any worker count.
-    """
-    if config.workers <= 1 or starts.shape[0] < 2 * config.workers:
-        points, ok = _newton_batch(system, starts, config)
-        return [(points[i], bool(ok[i])) for i in range(starts.shape[0])]
-    slices = np.array_split(np.arange(starts.shape[0]), config.workers)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        chunks = list(
-            pool.map(lambda idx: _newton_batch(system, starts[idx], config), slices)
-        )
-    out = []
-    for points, ok in chunks:
-        out.extend((points[i], bool(ok[i])) for i in range(points.shape[0]))
-    return out
-
-
 def spec_hash(spec: BranchSpec) -> str:
     payload = json.dumps(spec.as_json_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -634,10 +618,8 @@ def solve_all(
     if spec.is_identity:
         sol = Solution(coefficients=(), roots=(), residual=0.0, point=())
         return SolutionSet(spec, (sol,), 1, "COMPLETE", 0, config.seed)
-    if spec.d > config.max_solver_degree:
-        raise ScaleExceeded(
-            f"degree {spec.d} exceeds the configured solver bound {config.max_solver_degree}"
-        )
+    if spec.d > _MAX_SOLVER_DEGREE:
+        raise ScaleExceeded(f"degree {spec.d} exceeds the solver bound {_MAX_SOLVER_DEGREE}")
     if target is None:
         target = count_factorizations(spec.profiles).N
     cache_path = cache_path or config.cache
@@ -661,9 +643,9 @@ def solve_all(
         starts_used += m
         # the whole chunk is processed even after the target is reached, so
         # an extra distinct solution cannot slip away unnoticed
-        for point, ok in _polish_batch(system, starts, config):
-            if ok:
-                collector.offer(point)
+        points, ok = _newton_batch(system, starts, config)
+        for point in points[ok]:
+            collector.offer(point)
     if not collector.complete:
         partial = collector.build_set(starts_used, "INCOMPLETE")
         raise IncompleteEnumeration(len(collector), target, partial)

@@ -6,8 +6,8 @@ solution set, the sign and parity laws of the real solutions, the equality
 of the signed class count with the signed polynomial count, and the
 invariance of both under profile reordering and branch value motion.
 
-Solver failures (budget exhaustion, ambiguous tolerances) mark a record
-FAILED-INFRA, which is kept distinct from a genuine property violation.
+An ``InfraLimit`` (budget exhaustion, scale, ambiguous tolerances) marks a
+record FAILED-INFRA, which is kept distinct from a genuine property violation.
 
 A ``Workspace`` memoizes each spec's solve, real solutions and class count;
 s and HR come from ``realsigns.signed_sum`` and ``coverings.hurwitz_from_reals``
@@ -26,16 +26,7 @@ import numpy as np
 
 from .config import RunConfig
 from .coverings import hurwitz_from_reals
-from .errors import (
-    AmbiguousRealness,
-    CoveringAssemblyError,
-    DegenerateConfiguration,
-    IncompleteEnumeration,
-    OvercountDetected,
-    ScaleExceeded,
-    SignMismatch,
-    ValidationError,
-)
+from .errors import InfraLimit, PropertyFailure, ValidationError
 from .factorizations import count_factorizations
 from .partitions import (
     BranchSpec,
@@ -51,14 +42,6 @@ from .realsigns import disorders_by_branch, ordered_pairs_by_branch, signed_sum
 PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
-
-_INFRA_ERRORS = (
-    IncompleteEnumeration,
-    AmbiguousRealness,
-    OvercountDetected,
-    DegenerateConfiguration,
-    ScaleExceeded,
-)
 
 
 def enumerate_sweep_specs(dmax: int, kmax: int) -> list[tuple[Partition, ...]]:
@@ -293,7 +276,7 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
         try:
             record.hr = ws.hurwitz(spec).value
             hr_assembled = True
-        except (SignMismatch, CoveringAssemblyError) as exc:
+        except PropertyFailure as exc:
             record.hr = None
             record.error = str(exc)
             hr_assembled = False
@@ -351,7 +334,7 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
             record.record("aut_consistency", aut_ok)
         else:
             record.record("aut_consistency", None)
-    except _INFRA_ERRORS as exc:
+    except InfraLimit as exc:
         record.status = "FAILED-INFRA"
         record.error = f"{type(exc).__name__}: {exc}"
     return record

@@ -14,7 +14,13 @@ import numpy as np
 
 from realhurwitz import RealPolynomial, enumerate_class
 from realhurwitz.factorizations import compose, full_cycle
-from realhurwitz.polysolve import residual, residual_and_jacobian_batch, residual_batch
+from realhurwitz.polysolve import (
+    _NEWTON_MAX_ITER,
+    _NEWTON_STEP_TOL,
+    residual,
+    residual_and_jacobian_batch,
+    residual_batch,
+)
 
 
 def brute_count(profiles, d, base_cycle=None):
@@ -49,7 +55,7 @@ def plain_newton(system, starts, config, max_halvings=12):
     fnorm = np.max(np.abs(residual_batch(system, points)), axis=1)
     status[~np.isfinite(fnorm)] = -1
     status[fnorm < 1e-14] = 1
-    for _ in range(config.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         active = np.where(status == 0)[0]
         if active.size == 0:
             break
@@ -83,7 +89,7 @@ def plain_newton(system, starts, config, max_halvings=12):
         status[active[pending]] = -1
         keep = ~pending
         active, t, step = active[keep], t[keep], step[keep]
-        done = active[(t * step < config.newton_step_tol) | (fnorm[active] < 1e-14)]
+        done = active[(t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)]
         status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)
     return points, status == 1
 

@@ -125,34 +125,34 @@ def test_validation_error_exit_code(capsys):
     assert "error" in err
 
 
-def test_nonpositive_degree_bounds_rejected(tmp_path, capsys):
+def test_nonpositive_degree_bounds_rejected(capsys):
     code, _, err = run_cli(capsys, "series", "--lambda", "1", "--mmax", "2", "--max-degree", "0")
     assert code == EXIT_VALIDATION
     assert "max_degree" in err
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"max_solver_degree": 0}))
-    code, _, err = run_cli(
-        capsys, "solve", "--profiles", "2,1|2,1", "--config", str(config_path)
-    )
-    assert code == EXIT_VALIDATION
-    assert "max_solver_degree" in err
 
 
-def test_infra_error_exit_code(capsys):
+def test_infra_error_exit_code(capsys, monkeypatch):
+    from realhurwitz import polysolve
+
     code, _, err = run_cli(
         capsys, "solve", "--profiles", "2,1,1|2,1,1|2,1,1", "--budget", "1"
     )
     assert code == EXIT_INFRA
     assert "IncompleteEnumeration" in err
+    # degree 7 is beyond the solver's scale guard: refused before any Newton step
+    newton = []
+    monkeypatch.setattr(polysolve, "_newton_batch", lambda *args: newton.append(args))
+    code, out, err = run_cli(capsys, "solve", "--profiles", "7")
+    assert code == EXIT_INFRA
+    assert out == "" and "ScaleExceeded" in err
+    assert newton == []
 
 
-def test_determinism_across_runs_and_workers(capsys):
+def test_determinism_across_runs(capsys):
     args = ("s-number", "--profiles", "3,1|2,1,1", "--values", "28,1", "--seed", "11")
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
-    _, parallel, _ = run_cli(capsys, *args, "--workers", "3")
-    assert parallel == first
 
 
 def test_seed_recorded_in_output(capsys):
@@ -181,12 +181,12 @@ def test_bad_cache_path_rejected(tmp_path, capsys, monkeypatch, command, where):
     from realhurwitz import polysolve
 
     cache = tmp_path / "missing" / "x.jsonl" if where == "missing directory" else tmp_path
-    polished = []
-    monkeypatch.setattr(polysolve, "_polish_batch", lambda *args: polished.append(args) or [])
+    newton = []
+    monkeypatch.setattr(polysolve, "_newton_batch", lambda *args: newton.append(args))
     code, out, err = run_cli(capsys, command, "--profiles", "2,1|2,1", "--cache", str(cache))
     assert code == EXIT_VALIDATION
     assert out == "" and str(cache) in err
-    assert polished == []  # rejected before any start is spent
+    assert newton == []  # rejected before any Newton batch ran
 
 
 def test_config_file_and_env(tmp_path, capsys, monkeypatch):
@@ -225,6 +225,9 @@ def test_bad_config_file_rejected(tmp_path, capsys):
         ({"harvest_symmetries": False}, "harvest_symmetries"),
         ({"verbosity": 1}, "verbosity"),
         ({"chunk_size": 64}, "chunk_size"),
+        ({"workers": 2}, "workers"),
+        ({"newton_step_tol": 1e-3}, "newton_step_tol"),
+        ({"max_solver_degree": 7}, "max_solver_degree"),
     ],
 )
 def test_bad_config_values_rejected(tmp_path, capsys, values, field):

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +8,7 @@ from realhurwitz import (
     BranchSpec,
     Partition,
     ValidationError,
+    count_factorizations,
     floor_sum_parity,
     o_count,
     parse_partition,
@@ -163,6 +165,13 @@ def test_branch_spec_constructor_rejects_non_canonical():
         BranchSpec((Partition([2, 1]), Partition([2, 1])), (2.0, -2.0), 3)
     with pytest.raises(ValidationError):
         BranchSpec((Partition([1, 1, 1]),), (1.0,), 3)
+    # parts are never truncated to integers: 2.7 is not a part of 3
+    for parts in ([2.5, 1.9], [2.0, 1], [True, 1], [2, False], [np.float64(2)], ["2"]):
+        with pytest.raises(ValidationError):
+            Partition(parts)
+    with pytest.raises(ValidationError):
+        count_factorizations([Partition([2.7, 1]), Partition([2, 1.2])])
+    assert Partition([np.int64(2), np.int32(1)]).parts == (2, 1)
 
 
 def test_partitions_of():
