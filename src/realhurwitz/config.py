@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -28,7 +29,8 @@ class RunConfig:
 
     Every output artifact embeds a copy of the active configuration so a run
     can be reproduced exactly.  Each field must hold a value of its annotated
-    type; every number but ``seed`` must be positive, and ``seed`` nonnegative.
+    type; every number but ``seed`` must be positive, and ``seed`` nonnegative;
+    every float must be finite.
     """
 
     tol_residual: float = 1e-10
@@ -57,6 +59,8 @@ class RunConfig:
                     raise ValidationError("seed must be nonnegative")
             elif f.type in ("int", "float") and not value > 0:
                 raise ValidationError(f"{f.name} must be positive")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
         if self.output_format not in ("json", "text", "csv"):
             raise ValidationError(f"unknown output format {self.output_format!r}")
 

@@ -25,6 +25,14 @@ dropped.  Neither rule touches the other rows; on every start measured, no
 row that Newton run to the iteration cap converges was dropped (converged
 paths stay within 2.2 times the bound).
 
+A Newton iteration is a fixed handful of numpy calls.  The residual is one
+gather of the roots, by the plan ``build_system`` stores, and one call of
+the in-place product kernel ``_batch_products``; the Jacobian is one more
+call for all n derivative polynomials.  The line search evaluates the full
+step of every row in one call and every shorter length 2^-1 ... 2^-11 of
+the rows it fails in one more; a row takes its first passing length, as
+sequential halving would, since its residual depends on it alone.
+
 Real solutions are re-polished by the same Newton loop, ``_newton_batch``,
 in real coordinates u: pairing each non-real root with its conjugate gives
 x = B u for a fixed complex basis B, and the loop runs on Re F(B u) with
@@ -37,7 +45,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,12 +74,19 @@ class SystemSpec:
     """Square polynomial system for one BranchSpec.
 
     ``slots`` lists the unknowns in deterministic order: branch by branch,
-    parts in non-increasing order within each branch.
+    parts in non-increasing order within each branch.  The other fields are
+    the kernel's gather plan.
     """
 
     spec: BranchSpec
     slots: tuple[tuple[int, int], ...]  # (branch index, multiplicity)
     branch_ranges: tuple[tuple[int, int], ...]  # slot index range per branch
+    # (k, d) each branch's slots repeated by multiplicity; (n, d - 1) per
+    # slot its branch's row less one copy of it; (n,) -m_j; (n,) branch - 1
+    root_index: np.ndarray = field(compare=False, repr=False)
+    deriv_index: np.ndarray = field(compare=False, repr=False)
+    deriv_factor: np.ndarray = field(compare=False, repr=False)
+    slot_block: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -87,7 +102,7 @@ class SystemSpec:
 
 
 def build_system(spec: BranchSpec) -> SystemSpec:
-    """Lay out unknowns and equation blocks for the given branch data."""
+    """Lay out unknowns, equation blocks and the kernel's gather plan for the branch data."""
     if spec.is_identity:
         raise ValidationError("the degree-1 identity covering has no system to solve")
     slots = []
@@ -97,87 +112,68 @@ def build_system(spec: BranchSpec) -> SystemSpec:
         for m in lam.parts:
             slots.append((i, m))
         ranges.append((start, len(slots)))
-    sys_spec = SystemSpec(spec, tuple(slots), tuple(ranges))
+    rows = [[j for j in range(*r) for _ in range(slots[j][1])] for r in ranges]
+    dropped = [list(rows[b]) for b, _ in slots]
+    for j, row in enumerate(dropped):
+        row.remove(j)
+    sys_spec = SystemSpec(
+        spec,
+        tuple(slots),
+        tuple(ranges),
+        root_index=np.array(rows),
+        deriv_index=np.array(dropped),
+        deriv_factor=np.array([-m for _, m in slots], dtype=complex),
+        slot_block=np.array([b - 1 for b, _ in slots]),
+    )
     assert sys_spec.n == (spec.k - 1) * spec.d + 1
     return sys_spec
 
 
-def _mul_linear(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Batched multiply of polynomials (rows of coeffs) by (z - root)."""
-    batch, width = coeffs.shape
-    out = np.zeros((batch, width + 1), dtype=complex)
-    out[:, :-1] = coeffs
-    out[:, 1:] -= roots[:, None] * coeffs
+def _batch_products(roots: np.ndarray) -> np.ndarray:
+    """Monic coefficients (..., m + 1), highest degree first, of prod_j (z - roots[..., j]).
+
+    The factors are multiplied in their given order, in place: m numpy steps
+    for any batch shape.
+    """
+    out = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
+    out[..., 0] = 1.0
+    for s in range(roots.shape[-1]):
+        out[..., 1 : s + 2] -= roots[..., s, None] * out[..., : s + 1]
     return out
 
 
-def _batch_branch_poly(roots: np.ndarray, mults: list[int]) -> np.ndarray:
-    """Monic coefficients (highest degree first) of prod (z - root_j)^mult_j per row."""
-    c = np.ones((roots.shape[0], 1), dtype=complex)
-    for j, m in enumerate(mults):
-        for _ in range(m):
-            c = _mul_linear(c, roots[:, j])
-    return c
+def _assemble_residual(system: SystemSpec, qs: np.ndarray) -> np.ndarray:
+    """Equation values from the branch polynomials qs (batch, k, d + 1).
 
-
-def _batch_branch_derivs(roots: np.ndarray, mults: list[int]):
-    """Branch polynomial and its derivative with respect to each root, batched.
-
-    d/d(root_j) of the product is -m_j * (z - root_j)^{m_j - 1} times the
-    other factors, a polynomial of degree d - 1.
+    a_1 of Q_0, then Q_i - Q_0 + w_i - w_0 for every i >= 1, as one block.
     """
-    derivs = [
-        -m * _batch_branch_poly(roots, [m2 - (j2 == j) for j2, m2 in enumerate(mults)])
-        for j, m in enumerate(mults)
-    ]
-    return _batch_branch_poly(roots, mults), derivs
-
-
-def _assemble_residual(system: SystemSpec, qs: list[np.ndarray]) -> np.ndarray:
-    """Equation values from the branch polynomials: a_1 of Q_0, then Q_i - Q_0 + w_i - w_0."""
-    d = system.d
-    values = system.spec.values
-    out = np.empty((qs[0].shape[0], system.n), dtype=complex)
-    out[:, 0] = qs[0][:, 1]
-    for i in range(1, system.k):
-        block = qs[i][:, 1:] - qs[0][:, 1:]
-        block[:, -1] += values[i] - values[0]
-        out[:, 1 + (i - 1) * d : 1 + i * d] = block
+    out = np.empty((qs.shape[0], system.n), dtype=complex)
+    out[:, 0] = qs[:, 0, 1]
+    blocks = out[:, 1:].reshape(qs.shape[0], system.k - 1, system.d)
+    np.subtract(qs[:, 1:, 1:], qs[:, :1, 1:], out=blocks)
+    blocks[:, :, -1] += np.subtract(system.spec.values[1:], system.spec.values[0])
     return out
 
 
 def residual_batch(system: SystemSpec, points: np.ndarray) -> np.ndarray:
     """Equation values for a batch of points, shape (batch, n)."""
-    return _assemble_residual(
-        system,
-        [
-            _batch_branch_poly(points[:, start:end], list(lam.parts))
-            for (start, end), lam in zip(system.branch_ranges, system.spec.profiles)
-        ],
-    )
+    return _assemble_residual(system, _batch_products(points[:, system.root_index]))
 
 
 def residual_and_jacobian_batch(system: SystemSpec, points: np.ndarray):
-    """Equation values and exact analytic Jacobians, shapes (batch, n) and (batch, n, n)."""
-    d = system.d
-    jac = np.zeros((points.shape[0], system.n, system.n), dtype=complex)
-    qs = []
-    dqs = []
-    for (start, end), lam in zip(system.branch_ranges, system.spec.profiles):
-        q, dq = _batch_branch_derivs(points[:, start:end], list(lam.parts))
-        qs.append(q)
-        dqs.append(dq)
-    for col, (branch, _) in enumerate(system.slots):
-        start, _ = system.branch_ranges[branch]
-        dq = dqs[branch][col - start]
-        if branch == 0:
-            jac[:, 0, col] = dq[:, 0]
-            for i in range(1, system.k):
-                jac[:, 1 + (i - 1) * d : 1 + i * d, col] = -dq
-        else:
-            i = branch
-            jac[:, 1 + (i - 1) * d : 1 + i * d, col] = dq
-    return _assemble_residual(system, qs), jac
+    """Equation values and exact analytic Jacobians, shapes (batch, n) and (batch, n, n).
+
+    Column j holds d/d(root_j) of its branch's product, -m_j (z - root_j)^(m_j - 1)
+    times the other factors, in block i - 1 of its branch i (branch 0: negated, in all).
+    """
+    batch, n, end0 = points.shape[0], system.n, system.branch_ranges[0][1]
+    dq = system.deriv_factor[:, None] * _batch_products(points[:, system.deriv_index])
+    jac = np.zeros((batch, n, n), dtype=complex)
+    jac[:, 0, :end0] = dq[:, :end0, 0]
+    blocks = jac[:, 1:].reshape(batch, system.k - 1, system.d, n)
+    blocks[..., :end0] = -dq[:, None, :end0].swapaxes(2, 3)
+    blocks[:, system.slot_block[end0:], :, np.arange(end0, n)] = dq[:, end0:].swapaxes(0, 1)
+    return _assemble_residual(system, _batch_products(points[:, system.root_index])), jac
 
 
 def residual(system: SystemSpec, x) -> np.ndarray:
@@ -200,8 +196,7 @@ def residual_and_jacobian(system: SystemSpec, x):
 def canonical_coefficients(system: SystemSpec, x) -> np.ndarray:
     """Coefficient vector (a_2, ..., a_d) of the polynomial modeled by x."""
     x = np.asarray(x, dtype=complex)
-    start, end = system.branch_ranges[0]
-    full = _batch_branch_poly(x[None, start:end], list(system.spec.profiles[0].parts))[0]
+    full = _batch_products(x[system.root_index[0]])
     full[-1] += system.spec.values[0]
     return full[2:]
 
@@ -218,6 +213,8 @@ def rotate_coefficients(coeffs: np.ndarray, d: int, t: int) -> np.ndarray:
 
 
 _MAX_HALVINGS = 12
+# the line search's step lengths 1, 1/2, ..., 2^-11, tried in order
+_STEP_LENGTHS = 0.5 ** np.arange(_MAX_HALVINGS)
 # Newton iteration cap, and the damped step below which a row stops
 _NEWTON_MAX_ITER = 200
 _NEWTON_STEP_TOL = 1e-13
@@ -280,11 +277,12 @@ def _newton_batch(
     else:
         points = np.array(starts, dtype=float)
 
+        # x = B u as one (1, n) matmul per row, so no row depends on the others
         def values(system, u):
-            return residual_batch(system, u @ basis.T).real
+            return residual_batch(system, (u[:, None] @ basis.T)[:, 0]).real
 
         def evaluate(system, u):
-            f, jac = residual_and_jacobian_batch(system, u @ basis.T)
+            f, jac = residual_and_jacobian_batch(system, (u[:, None] @ basis.T)[:, 0])
             return f.real, (jac @ basis).real
 
     batch = points.shape[0]
@@ -310,27 +308,29 @@ def _newton_batch(
         finite = np.isfinite(step)
         status[active[~finite]] = -1
         active, delta, step = active[finite], delta[finite], step[finite]
-        t = np.ones(active.size)
-        accepted = np.zeros(active.size, dtype=bool)
-        new_fnorm = fnorm[active].copy()
-        remaining = np.arange(active.size)
-        for _ in range(_MAX_HALVINGS):
-            if remaining.size == 0:
+        # line search: the full step of every row, then every shorter length
+        # of the rows it fails; a row keeps its first passing length
+        t = np.zeros(active.size)  # 0 until a length passes
+        trial, fn = points[active], fnorm[active]
+        for lengths in (_STEP_LENGTHS[:1], _STEP_LENGTHS[1:]):
+            rows = np.flatnonzero(t == 0)
+            if rows.size == 0:
                 break
-            trial = points[active[remaining]] + t[remaining, None] * delta[remaining]
-            fn = np.max(np.abs(values(system, trial)), axis=1)
-            good = np.isfinite(fn) & (
-                (fn <= (1.0 - 0.5 * t[remaining]) * fnorm[active[remaining]]) | (fn < 1e-14)
+            trials = points[active[rows], None] + lengths[:, None] * delta[rows, None]
+            fns = np.max(np.abs(values(system, trials.reshape(-1, points.shape[1]))), axis=1)
+            fns = fns.reshape(rows.size, lengths.size)
+            good = np.isfinite(fns) & (
+                (fns <= (1.0 - 0.5 * lengths) * fnorm[active[rows], None]) | (fns < 1e-14)
             )
-            took = remaining[good]
-            points[active[took]] = trial[good]
-            new_fnorm[took] = fn[good]
-            accepted[took] = True
-            remaining = remaining[~good]
-            t[remaining] *= 0.5
+            first = np.argmax(good, axis=1)
+            hit = good[np.arange(rows.size), first]
+            took, first = rows[hit], first[hit]
+            trial[took], fn[took], t[took] = trials[hit, first], fns[hit, first], lengths[first]
+        accepted = t > 0
         status[active[~accepted]] = -1
+        points[active[accepted]] = trial[accepted]
+        fnorm[active[accepted]] = fn[accepted]
         active, t, step = active[accepted], t[accepted], step[accepted]
-        fnorm[active] = new_fnorm[accepted]
         small = (t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
         done = active[small]
         status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)

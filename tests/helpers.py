@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by a route different from the
 library code under test: raw product enumeration without pruning, numpy
-root finding on coefficient polynomials, finite differences, and closed
-form solution families eliminated by hand.
+root finding on coefficient polynomials, finite differences, closed form
+solution families eliminated by hand, and the system kernel rebuilt one
+linear factor, one derivative and one Jacobian column at a time.
 """
 
 from __future__ import annotations
@@ -92,6 +93,76 @@ def plain_newton(system, starts, config, max_halvings=12):
         done = active[(t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)]
         status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)
     return points, status == 1
+
+
+def _mul_linear(coeffs, roots):
+    """Batched multiply of polynomials (rows of coeffs) by (z - root)."""
+    batch, width = coeffs.shape
+    out = np.zeros((batch, width + 1), dtype=complex)
+    out[:, :-1] = coeffs
+    out[:, 1:] -= roots[:, None] * coeffs
+    return out
+
+
+def _branch_poly(roots, mults):
+    """Monic coefficients of prod (z - root_j)^mult_j per row, one factor at a time."""
+    c = np.ones((roots.shape[0], 1), dtype=complex)
+    for j, m in enumerate(mults):
+        for _ in range(m):
+            c = _mul_linear(c, roots[:, j])
+    return c
+
+
+def _branch_polys(system, points):
+    return [
+        _branch_poly(points[:, start:end], list(lam.parts))
+        for (start, end), lam in zip(system.branch_ranges, system.spec.profiles)
+    ]
+
+
+def _assemble(system, qs):
+    d = system.d
+    values = system.spec.values
+    out = np.empty((qs[0].shape[0], system.n), dtype=complex)
+    out[:, 0] = qs[0][:, 1]
+    for i in range(1, system.k):
+        block = qs[i][:, 1:] - qs[0][:, 1:]
+        block[:, -1] += values[i] - values[0]
+        out[:, 1 + (i - 1) * d : 1 + i * d] = block
+    return out
+
+
+def kernel_residual(system, points):
+    """Reference residual_batch: each branch product rebuilt factor by factor."""
+    return _assemble(system, _branch_polys(system, points))
+
+
+def kernel_residual_and_jacobian(system, points):
+    """Reference residual_and_jacobian_batch: one rebuilt product per derivative,
+    scattered into the Jacobian column by column.
+    """
+    d = system.d
+    jac = np.zeros((points.shape[0], system.n, system.n), dtype=complex)
+    for col, (branch, m) in enumerate(system.slots):
+        start, end = system.branch_ranges[branch]
+        mults = [m2 - (start + j2 == col) for j2, (_, m2) in enumerate(system.slots[start:end])]
+        dq = -m * _branch_poly(points[:, start:end], mults)
+        if branch == 0:
+            jac[:, 0, col] = dq[:, 0]
+            for i in range(1, system.k):
+                jac[:, 1 + (i - 1) * d : 1 + i * d, col] = -dq
+        else:
+            jac[:, 1 + (branch - 1) * d : 1 + branch * d, col] = dq
+    return kernel_residual(system, points), jac
+
+
+def kernel_canonical(system, x):
+    """Reference canonical_coefficients: branch 0's product, shifted by w_0."""
+    start, end = system.branch_ranges[0]
+    x = np.asarray(x, dtype=complex)
+    full = _branch_poly(x[None, start:end], list(system.spec.profiles[0].parts))[0]
+    full[-1] += system.spec.values[0]
+    return full[2:]
 
 
 def fd_jacobian(system, x, h=1e-6):

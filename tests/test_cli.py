@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -228,16 +229,19 @@ def test_bad_config_file_rejected(tmp_path, capsys):
         ({"workers": 2}, "workers"),
         ({"newton_step_tol": 1e-3}, "newton_step_tol"),
         ({"max_solver_degree": 7}, "max_solver_degree"),
+        ({"tol_dedup": math.inf}, "tol_dedup"),
+        (["--tol-real", "inf"], "tol_real"),
     ],
 )
 def test_bad_config_values_rejected(tmp_path, capsys, values, field):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(values))
-    code, _, err = run_cli(
-        capsys, "solve", "--profiles", "2,1|2,1", "--config", str(config_path)
-    )
+    # a dict is written to a config file; a list is passed as flags
+    if isinstance(values, dict):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(values))
+        values = ["--config", str(config_path)]
+    code, out, err = run_cli(capsys, "solve", "--profiles", "2,1|2,1", *values)
     assert code == EXIT_VALIDATION
-    assert field in err
+    assert field in err and out == ""
 
 
 def test_unreadable_config_file_rejected(tmp_path, capsys):

@@ -23,6 +23,8 @@ from realhurwitz.polysolve import (
     _newton_batch,
     _real_structure,
     canonical_coefficients,
+    residual_and_jacobian_batch,
+    residual_batch,
     load_cache,
     match_index,
     root_bound,
@@ -34,6 +36,9 @@ from realhurwitz.verify import enumerate_sweep_specs
 from helpers import (
     cubic_solution_coefficients,
     fd_jacobian,
+    kernel_canonical,
+    kernel_residual,
+    kernel_residual_and_jacobian,
     match_coefficient_sets,
     quartic_cusp_solutions,
     plain_newton,
@@ -43,6 +48,15 @@ from helpers import (
 CUBIC = validate_branch_spec(parse_profiles("2,1|2,1"), (-2, 2))
 QUARTIC_DOUBLE = validate_branch_spec(parse_profiles("2,1,1|2,2"), (2, 1))
 QUARTIC_CUSP = validate_branch_spec(parse_profiles("3,1|2,1,1"), (28, 1))
+# the two-branch d=5 and d=6 specs of the benchmark's solve workload
+SOLVE_SPECS = (
+    "4,1|2,1,1,1",
+    "3,2|2,1,1,1",
+    "3,1,1|3,1,1",
+    "5,1|2,1,1,1,1",
+    "4,1,1|3,1,1,1",
+    "3,2,1|3,1,1,1",
+)
 
 
 def test_build_system_shapes():
@@ -77,6 +91,43 @@ def test_degenerate_point_evaluates_finitely():
     point = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)  # all roots collapsed
     f, jac = residual_and_jacobian(system, point)
     assert np.all(np.isfinite(f)) and np.all(np.isfinite(jac))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_kernel_matches_factor_by_factor_reference(cfg):
+    # the gathered product kernel repeats the reference's floating-point
+    # operations in the same order, so every value agrees bit for bit
+    specs = [validate_branch_spec(p) for p in enumerate_sweep_specs(4, 3)]
+    specs += [validate_branch_spec(parse_profiles(text)) for text in SOLVE_SPECS]
+    rng = np.random.default_rng(2024)
+    for spec in specs:
+        system = build_system(spec)
+        for rows in (1, 64):
+            shape = (rows, system.n)
+            points = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            points *= root_bound(spec) / 4.0
+            f, jac = residual_and_jacobian_batch(system, points)
+            ref_f, ref_jac = kernel_residual_and_jacobian(system, points)
+            assert np.array_equal(f, ref_f) and _same_bits(f, ref_f)
+            assert np.array_equal(jac, ref_jac) and _same_bits(jac, ref_jac)
+            values = residual_batch(system, points)
+            assert np.array_equal(values, ref_f) and _same_bits(values, ref_f)
+            for x in points[:4]:
+                coeffs, ref = canonical_coefficients(system, x), kernel_canonical(system, x)
+                assert np.array_equal(coeffs, ref) and _same_bits(coeffs, ref)
+
+    # real coordinates: each branch of 3,1,1|3,1,1 has one real root and a conjugate pair
+    system = build_system(validate_branch_spec(parse_profiles("3,1,1|3,1,1")))
+    point = np.array([0.3, 1 + 0.5j, 1 - 0.5j, -0.2, -1 + 2j, -1 - 2j])
+    basis, _, _ = _real_structure(system, point, cfg)
+    x = rng.standard_normal((64, system.n)) @ basis.T
+    f, jac = residual_and_jacobian_batch(system, x)
+    ref_f, ref_jac = kernel_residual_and_jacobian(system, x)
+    assert _same_bits(f, ref_f) and _same_bits(jac, ref_jac)
+    assert _same_bits(residual_batch(system, x), kernel_residual(system, x))
 
 
 def test_cubic_solutions_match_closed_form(cfg):
@@ -357,6 +408,34 @@ def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
     assert ref_ok.any()
     assert np.array_equal(ok, ref_ok)
     assert np.array_equal(points[ok], ref_points[ref_ok])
+
+
+def test_line_search_makes_at_most_two_residual_calls_per_iteration(cfg, monkeypatch):
+    # one call for the initial residuals, then per iteration one for the full
+    # step and at most one for every shorter length of the rows it failed
+    spec = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"))
+    system = build_system(spec)
+    rng = np.random.default_rng(5)
+    starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
+    starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
+    calls = {"residual": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(system, points):
+            calls[name] += 1
+            return fn(system, points)
+
+        return wrapper
+
+    monkeypatch.setattr(polysolve, "residual_batch", counted("residual", residual_batch))
+    monkeypatch.setattr(
+        polysolve,
+        "residual_and_jacobian_batch",
+        counted("jacobian", residual_and_jacobian_batch),
+    )
+    _, ok = _newton_batch(system, starts, cfg)
+    assert ok.any() and calls["jacobian"] > 0
+    assert calls["residual"] <= 1 + 2 * calls["jacobian"]
 
 
 def test_incomplete_enumeration_raises(cfg):
