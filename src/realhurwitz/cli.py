@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 infrastructure limit
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -31,7 +32,7 @@ EXIT_PROPERTY = 4
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", dest="start_budget", type=int, default=None,
                         help="multistart start budget")
     parser.add_argument("--tol-residual", type=float, default=None)
     parser.add_argument("--tol-dedup", type=float, default=None)
@@ -70,14 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("real-hurwitz", help="signed count of real covering classes")
     p.add_argument("--profiles", required=True)
     p.add_argument("--values", default=None)
-    p.add_argument("--diagnostics", action="store_true",
+    p.add_argument("--diagnostics", dest="force_class_diagnostics",
+                   action="store_const", const=True, default=None,
                    help="build classes even in the parity-odd branch")
     _add_common(p)
 
     p = sub.add_parser("verify", help="property sweep over all specs up to bounds")
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--debug-corrupt-signs", action="store_true",
+    p.add_argument("--debug-corrupt-signs", action="store_const", const=True, default=None,
                    help="negative control: corrupt one sign and expect failures")
     _add_common(p)
 
@@ -92,28 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {
-        "seed": args.seed,
-        "start_budget": args.budget,
-        "tol_residual": args.tol_residual,
-        "tol_dedup": args.tol_dedup,
-        "tol_real": args.tol_real,
-        "tol_cluster": args.tol_cluster,
-        "cache": args.cache,
-        "output_format": args.output_format,
-    }
-    if getattr(args, "max_degree", None) is not None:
-        overrides["max_degree"] = args.max_degree
-    if getattr(args, "debug_corrupt_signs", False):
-        overrides["debug_corrupt_signs"] = True
-    if getattr(args, "diagnostics", False):
-        overrides["force_class_diagnostics"] = True
+    # each flag's dest is its field name; a flag left unset (None) keeps the file's value
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return load_config(args.config, **overrides)
 
 
 def _spec_from_args(args):
     profiles = parse_profiles(args.profiles)
-    values = parse_values(args.values) if getattr(args, "values", None) else None
+    values = parse_values(args.values) if args.values is not None else None
     return validate_branch_spec(profiles, values)
 
 

@@ -70,18 +70,15 @@ class RunConfig:
     def as_json_dict(self) -> dict:
         """Reproducibility block embedded in every output artifact.
 
-        It holds the seed, the start budget, the tolerances and the table
-        degree bound.  The solver's iteration cap, step tolerance and degree
-        bound are constants of ``polysolve``, the same for every run.
+        It holds every field that can change a result: all but the cache
+        path and the output format.  The solver's iteration cap, step
+        tolerance and degree bound are constants of ``polysolve``, the same
+        for every run.
         """
         return {
-            "seed": self.seed,
-            "start_budget": self.start_budget,
-            "tol_residual": self.tol_residual,
-            "tol_dedup": self.tol_dedup,
-            "tol_real": self.tol_real,
-            "tol_cluster": self.tol_cluster,
-            "max_degree": self.max_degree,
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name not in ("cache", "output_format")
         }
 
 

@@ -16,11 +16,12 @@ The signed class count weights each class by sign / |automorphisms| and, by
 the main identity this package verifies, equals the plain signed count of
 normalized real polynomials.
 
-Both counts come from the same real solutions.  ``hurwitz_from_reals`` turns
-a spec and a provider of real solutions into the class count and alone
-decides the parity-odd shortcut; ``_assemble_classes`` alone pairs an
-even-degree spec with its reversed spec.  ``theorem_check`` shares one
-provider between both counts, so each side is solved once.
+Both counts come from the same real solutions, read from a ``RealsProvider``.
+``hurwitz_from_reals`` turns a spec and a provider into the class count and
+alone decides the parity-odd shortcut; ``_assemble_classes`` alone pairs an
+even-degree spec with its reversed spec; ``reflection_partners`` alone pairs
+P with P(-z).  ``theorem_from_reals`` alone decides the theorem HR = s (and
+the half-sum for even degree) from one provider, so each side is solved once.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import CoveringAssemblyError, SignMismatch, ValidationError
 from .partitions import BranchSpec, floor_sum_parity
-from .realsigns import RealPolynomial, s_number, signed_sum
+from .realsigns import RealPolynomial, signed_sum
 from .polysolve import classify_real, match_index, solve_all
 
 POSITIVE = "positive"
@@ -117,6 +118,12 @@ def _clean_form(form: np.ndarray) -> tuple[float, ...]:
     return tuple(float(c) for c in out)
 
 
+def reflection_partners(reals: Sequence[RealPolynomial], tol: float) -> list[int | None]:
+    """For each real, the first row whose coefficients match its z -> -z mirror, or None."""
+    table = np.array([p.coefficients for p in reals], dtype=float)
+    return [match_index(table, np.array(p.reflected().coefficients), tol) for p in reals]
+
+
 def _orbit_classes(
     reals: Sequence[RealPolynomial], side: str, config: RunConfig
 ) -> list[tuple[str, tuple[RealPolynomial, ...], int]]:
@@ -125,27 +132,24 @@ def _orbit_classes(
     A two-element orbit is a class with two representatives and trivial
     automorphisms; a fixed point (even polynomial) is a class with one
     representative and automorphism order 2.  Every polynomial must find its
-    partner inside the set; anything else means the set is not actually
-    complete and is reported as an assembly error.
+    partner inside the set and the partner map must be an involution;
+    anything else means the set is not actually complete and is reported as
+    an assembly error.
     """
-    coeffs = np.array([p.coefficients for p in reals], dtype=float)
-    unmatched = list(range(len(reals)))
+    partners = reflection_partners(reals, config.tol_dedup)
     classes = []
-    while unmatched:
-        i = unmatched.pop(0)
-        # row 0 is the polynomial itself, so a hit there is a fixed point
-        mirrored = np.array(reals[i].reflected().coefficients)
-        hit = match_index(coeffs[[i] + unmatched], mirrored, config.tol_dedup)
-        if hit is None:
+    for i, j in enumerate(partners):
+        if j is None:
             raise CoveringAssemblyError(
                 "a real solution has no z -> -z partner in the complete set"
             )
-        if hit == 0:
+        if partners[j] != i:
+            raise CoveringAssemblyError("the z -> -z partner map is not an involution")
+        if j == i:
             classes.append((side, (reals[i],), 2))
-            continue
-        partner = unmatched.pop(hit - 1)
-        reps = tuple(sorted((reals[i], reals[partner]), key=lambda p: p.coefficients))
-        classes.append((side, reps, 1))
+        elif i < j:
+            reps = tuple(sorted((reals[i], reals[j]), key=lambda p: p.coefficients))
+            classes.append((side, reps, 1))
     return classes
 
 
@@ -286,7 +290,6 @@ class TheoremReport:
     hr_equals_s: bool
     hr_integral: bool
     half_sum_ok: bool | None
-    parity_odd_branch: bool
     classes: tuple[CoveringClass, ...] | None
 
     @property
@@ -321,12 +324,18 @@ def theorem_check(spec: BranchSpec, config: RunConfig | None = None) -> TheoremR
     reversed spec are each solved at most once for all three numbers.
     """
     config = config or RunConfig()
-    reals = _solved_reals(config)
+    return theorem_from_reals(spec, _solved_reals(config), config)
+
+
+def theorem_from_reals(
+    spec: BranchSpec, reals: RealsProvider, config: RunConfig
+) -> TheoremReport:
+    """``theorem_check`` with the real solutions of each side read from ``reals``."""
     hr_result = hurwitz_from_reals(spec, reals, config)
-    s = s_number(spec, config) if spec.is_identity else signed_sum(reals(spec), config)
+    s = signed_sum(reals(spec), config)
     s_reversed = None
     half_sum_ok = None
-    if not spec.is_identity and spec.d % 2 == 0:
+    if spec.d % 2 == 0:
         s_reversed = signed_sum(reals(spec.reversed_spec()), config)
         half_sum_ok = hr_result.value == Fraction(s + s_reversed, 2)
     return TheoremReport(
@@ -337,6 +346,5 @@ def theorem_check(spec: BranchSpec, config: RunConfig | None = None) -> TheoremR
         hr_equals_s=hr_result.value == s,
         hr_integral=hr_result.is_integral,
         half_sum_ok=half_sum_ok,
-        parity_odd_branch=hr_result.parity_odd_branch,
         classes=hr_result.classes,
     )

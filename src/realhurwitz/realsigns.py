@@ -194,10 +194,8 @@ def s_number(spec: BranchSpec, config: RunConfig | None = None) -> int:
     Requires a complete complex solution set (the solver certificate ties
     the number of complex solutions to the exact factorization count); the
     real locus is then carved out and summed with signs.  The degree-1
-    identity covering contributes 1 by convention.
+    identity covering has the one identity polynomial, so it counts 1.
     """
-    if spec.is_identity:
-        return 1
     from .polysolve import classify_real, solve_all
 
     config = config or RunConfig()

@@ -4,7 +4,7 @@ For a partition lam and m extra sheets, the one-part value at m is the
 signed class count of the spec whose first profile is lam with m ones
 appended and whose remaining profiles are simple (one transposition each);
 the number of simple profiles, len(lam) + m - 1, is forced by the critical
-point count and asserted here rather than assumed.  The exponential
+point count, which ``BranchSpec`` checks.  The exponential
 generating series of a table splits by degree parity, and each parity part
 is expected to lie in the span of monomials q^a * tanh(q)^b (even degrees)
 or sech(q) times such monomials (odd degrees).
@@ -36,18 +36,9 @@ def one_part_spec(lam: Partition, m: int) -> BranchSpec:
         raise ValidationError("lam must be a nonempty partition")
     d = lam.d + m
     first = Partition(tuple(lam.parts) + (1,) * m)
-    n_simple = lam.length + m - 1
-    if d >= 2:
-        simple = Partition((2,) + (1,) * (d - 2))
-    else:
-        simple = None
-        if n_simple != 0:
-            raise ValidationError("degree 1 admits no simple branch points")
-    profiles = (first,) + (simple,) * n_simple
-    # the simple-profile count is forced by the critical point budget
-    expected = (len(profiles) - 1) * d + 1
-    assert sum(p.length for p in profiles) == expected
-    return validate_branch_spec(profiles)
+    # degree 1 forces lam = (1) and m = 0, so no simple profile is built there
+    simple = Partition((2,) + (1,) * (d - 2)) if d >= 2 else None
+    return validate_branch_spec((first,) + (simple,) * (lam.length + m - 1))
 
 
 def h_value(lam: Partition, m: int, config: RunConfig | None = None) -> int:
@@ -259,6 +250,8 @@ def basis_fit(table: SeriesTable, parity: str, degree_bound: int) -> BasisFit:
     """
     if parity not in (EVEN, ODD):
         raise ValidationError(f"parity must be {EVEN!r} or {ODD!r}")
+    if degree_bound < 0:
+        raise ValidationError(f"degree_bound must be nonnegative, got {degree_bound}")
     data = table.parity_entries(parity)
     if len(data) < 2:
         raise ValidationError(f"need at least 2 entries of parity {parity!r}, have {len(data)}")

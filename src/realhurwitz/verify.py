@@ -9,9 +9,10 @@ invariance of both under profile reordering and branch value motion.
 An ``InfraLimit`` (budget exhaustion, scale, ambiguous tolerances) marks a
 record FAILED-INFRA, which is kept distinct from a genuine property violation.
 
-A ``Workspace`` memoizes each spec's solve, real solutions and class count;
-s and HR come from ``realsigns.signed_sum`` and ``coverings.hurwitz_from_reals``
-as in ``s_number`` and ``real_hurwitz``.
+A ``Workspace`` memoizes each spec's solve, real solutions and class count.
+The theorem and the z -> -z pairing are decided in ``coverings`` alone:
+``theorem_from_reals`` and ``reflection_partners`` read the workspace's real
+solutions as they read the solver's in ``theorem_check``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .coverings import hurwitz_from_reals
+from .coverings import hurwitz_from_reals, reflection_partners, theorem_from_reals
 from .errors import InfraLimit, PropertyFailure, ValidationError
 from .factorizations import count_factorizations
 from .partitions import (
@@ -230,14 +231,11 @@ def _parity_law_checks(record: SpecRecord, ws: Workspace):
     orbit_sign_ok = True
     for side_spec in (spec, spec.reversed_spec()):
         reals = ws.reals(side_spec)
-        table = np.array([p.coefficients for p in reals]).reshape(len(reals), spec.d - 1)
-        for poly in reals:
+        for poly, hit in zip(reals, reflection_partners(reals, ws.config.tol_dedup)):
             if not all(_branch_parities(poly)):
                 per_branch_ok = False
-            mirrored = poly.reflected()
-            if mirrored.t != poly.ord_count:
+            if poly.reflected().t != poly.ord_count:
                 reflection_ok = False
-            hit = match_index(table, np.array(mirrored.coefficients), ws.config.tol_dedup)
             if hit is None:
                 reflection_ok = False
                 continue
@@ -274,24 +272,22 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
 
         record.s = ws.signed_count(spec)
         try:
-            record.hr = ws.hurwitz(spec).value
-            hr_assembled = True
+            report = theorem_from_reals(spec, ws.reals, config)
         except PropertyFailure as exc:
-            record.hr = None
+            report = None
             record.error = str(exc)
-            hr_assembled = False
-        record.record("class_assembly", hr_assembled)
-        record.record("theorem_hr_eq_s", hr_assembled and record.hr == record.s)
-        record.record("hr_integral", hr_assembled and record.hr.denominator == 1)
+        record.record("class_assembly", report is not None)
+        record.record("theorem_hr_eq_s", report is not None and report.hr_equals_s)
+        record.record("hr_integral", report is not None and report.hr_integral)
+        if report is not None:
+            record.hr = report.hr
+            record.s_reversed = report.s_reversed
+            record.record("half_sum", report.half_sum_ok)
 
         if d % 2 == 0:
-            record.s_reversed = ws.signed_count(spec.reversed_spec())
-            if hr_assembled:
-                record.record("half_sum", record.hr == Fraction(record.s + record.s_reversed, 2))
             _parity_law_checks(record, ws)
             record.record("parity_vanishing", (record.s == 0 and record.hr == 0) if parity_odd else None)
         else:
-            record.record("half_sum", None)
             record.record("parity_vanishing", None)
             _odd_degree_parity_diagnostic(record, ws)
 
@@ -308,13 +304,13 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
             # lists, not generators: every moved spec is solved, so a solver
             # failure on any of them marks the record FAILED-INFRA
             s_ok = all([ws.signed_count(m) == record.s for m in specs])
-            hr_ok = hr_assembled and all([ws.hurwitz(m).value == record.hr for m in specs])
+            hr_ok = report is not None and all([ws.hurwitz(m).value == record.hr for m in specs])
             record.record(f"{kind}_invariance_s", s_ok)
             record.record(f"{kind}_invariance_hr", hr_ok)
 
-        if hr_assembled and not parity_odd:
+        if report is not None and not parity_odd:
             aut_ok = True
-            for cls in ws.hurwitz(spec).classes:
+            for cls in report.classes:
                 if d % 2 == 1:
                     if cls.aut_order != 1 or len(cls.representatives) != 1:
                         aut_ok = False

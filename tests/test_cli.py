@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from realhurwitz import RunConfig
 from realhurwitz.cli import (
     EXIT_INFRA,
     EXIT_OK,
@@ -244,6 +246,20 @@ def test_bad_config_values_rejected(tmp_path, capsys, values, field):
     assert field in err and out == ""
 
 
+def test_config_block_records_result_changing_flags(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "3", "--kmax", "2", "--debug-corrupt-signs")
+    assert code == EXIT_PROPERTY
+    config = json.loads(out)["config"]
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(config) == fields - {"cache", "output_format"}
+    assert config["debug_corrupt_signs"] is True
+    assert config["force_class_diagnostics"] is False
+
+    payload = run_json(capsys, "real-hurwitz", "--profiles", "3,1|2,1,1", "--diagnostics")
+    assert payload["config"]["force_class_diagnostics"] is True
+    assert payload["config"]["debug_corrupt_signs"] is False
+
+
 def test_unreadable_config_file_rejected(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{seed: 1")
@@ -260,6 +276,8 @@ def test_unreadable_config_file_rejected(tmp_path, capsys):
         ("verify", "--dmax", "1", "--kmax", "2"),
         ("verify", "--dmax", "3", "--kmax", "0"),
         ("series", "--lambda", "1", "--mmax", "-1"),
+        ("s-number", "--profiles", "2,1|2,1", "--values="),
+        ("series", "--lambda", "1", "--mmax", "2", "--fit", "-1"),
     ],
 )
 def test_bad_arguments_rejected(capsys, argv):

@@ -123,6 +123,20 @@ def test_missing_partner_is_an_assembly_error(cfg):
         hurwitz_from_reals(spec, partial, diag)
 
 
+def test_repeated_real_is_an_assembly_error(cfg):
+    # a provider that lists one real twice gives two rows the same z -> -z
+    # partner, so the partner map is not an involution
+    spec = validate_branch_spec(parse_profiles("3,1|2,1,1"), (28, 1))
+    diag = cfg.replace(force_class_diagnostics=True)
+    full = _solved_reals(diag)
+
+    def doubled(side):
+        return full(side)[:1] + full(side) if side == spec else full(side)
+
+    with pytest.raises(CoveringAssemblyError, match="not an involution"):
+        hurwitz_from_reals(spec, doubled, diag)
+
+
 def test_class_sign_dispatch():
     def fake(sign_value):
         seq = (((0.0, 3),), ()) if sign_value > 0 else (((0.0, 2), (1.0, 1)), ())

@@ -159,6 +159,8 @@ def test_basis_fit_validations(cfg):
         basis_fit(table, "sideways", 1)
     with pytest.raises(ValidationError):
         basis_fit(table, "even", 1)  # only one even-degree entry in this table
+    with pytest.raises(ValidationError, match="degree_bound"):
+        basis_fit(table, "odd", -1)
 
 
 def test_exponential_series_consistency(cfg):

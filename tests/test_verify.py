@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from realhurwitz import (
@@ -5,9 +7,11 @@ from realhurwitz import (
     ValidationError,
     parse_profiles,
     run_sweep,
+    s_number,
     theorem_check,
     validate_branch_spec,
 )
+from realhurwitz.cli import EXIT_OK, main
 from realhurwitz.verify import Workspace, check_spec, enumerate_sweep_specs
 
 
@@ -72,6 +76,19 @@ def test_corrupt_signs_negative_control(cfg):
         assert record.status == "FAIL"
         assert record.properties["theorem_hr_eq_s"] == "FAIL"
         assert not theorem_check(validate_branch_spec(parse_profiles(text)), bad).passed
+
+
+def test_corrupt_signs_reach_the_identity_covering(cfg, tmp_path, capsys):
+    # the degree-1 identity has one real polynomial, so its corrupted count is -1
+    bad = cfg.replace(debug_corrupt_signs=True)
+    spec = validate_branch_spec([Partition([1])])
+    assert s_number(spec, bad) == -1
+    report = theorem_check(spec, bad)
+    assert report.s == -1 and report.hr == 1 and not report.passed
+    config_path = tmp_path / "dbg.json"
+    config_path.write_text(json.dumps({"debug_corrupt_signs": True}))
+    assert main(["s-number", "--profiles", "1", "--config", str(config_path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["s"] == -1
 
 
 def test_sweep_solves_each_spec_once(cfg, solves):
