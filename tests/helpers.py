@@ -5,15 +5,20 @@ library code under test: raw product enumeration without pruning, numpy
 root finding on coefficient polynomials, finite differences, closed form
 solution families eliminated by hand, and the system kernel rebuilt one
 linear factor, one derivative and one Jacobian column at a time.
+``run_cli_in_process`` captures what one CLI command prints and returns.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+import json
 
 import numpy as np
 
 from realhurwitz import RealPolynomial, enumerate_class
+from realhurwitz.cli import main
 from realhurwitz.factorizations import compose, full_cycle
 from realhurwitz.polysolve import (
     _NEWTON_MAX_ITER,
@@ -278,3 +283,20 @@ def match_coefficient_sets(found, expected, tol=1e-8):
             return False
         used.add(hit)
     return True
+
+
+def run_cli_in_process(argv):
+    """Exit code, stderr and ``result`` block of ``realhurwitz.cli.main(argv)``.
+
+    ``result`` is None when the command prints no payload (an error exit).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    text = out.getvalue()
+    return {
+        "argv": list(argv),
+        "exit": code,
+        "stderr": err.getvalue(),
+        "result": json.loads(text)["result"] if text else None,
+    }
