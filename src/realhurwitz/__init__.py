@@ -14,13 +14,11 @@ from .coverings import (
     RealHurwitzResult,
     TheoremReport,
     covering_classes,
-    normalize,
     real_hurwitz,
     theorem_check,
 )
 from .errors import (
     AmbiguousRealness,
-    ClusterAmbiguity,
     CoveringAssemblyError,
     DegenerateConfiguration,
     HurwitzError,
@@ -34,10 +32,8 @@ from .errors import (
 )
 from .factorizations import (
     HurwitzCount,
-    class_size,
     count_factorizations,
     cycle_type,
-    enumerate_class,
 )
 from .partitions import (
     BranchSpec,
@@ -48,7 +44,6 @@ from .partitions import (
     parse_profiles,
     parse_values,
     partitions_of,
-    reduce_partition,
     validate_branch_spec,
 )
 from .polysolve import (
@@ -58,7 +53,6 @@ from .polysolve import (
     build_system,
     classify_real,
     residual,
-    residual_and_jacobian,
     solve_all,
 )
 from .realsigns import (
@@ -66,7 +60,6 @@ from .realsigns import (
     disorder_count,
     ordered_pair_count,
     polynomial_sign,
-    real_preimage_sequence,
     s_number,
 )
 from .series import BasisFit, SeriesTable, basis_fit, h_value, one_part_spec, series_table
@@ -78,7 +71,6 @@ __all__ = [
     "AmbiguousRealness",
     "BasisFit",
     "BranchSpec",
-    "ClusterAmbiguity",
     "CoveringAssemblyError",
     "CoveringClass",
     "DegenerateConfiguration",
@@ -93,27 +85,24 @@ __all__ = [
     "RealPolynomial",
     "RunConfig",
     "ScaleExceeded",
+    "SeriesTable",
     "SignMismatch",
     "Solution",
     "SolutionSet",
-    "SeriesTable",
     "SystemSpec",
     "TheoremReport",
     "ValidationError",
     "VerifyReport",
     "basis_fit",
     "build_system",
-    "class_size",
     "classify_real",
     "count_factorizations",
     "covering_classes",
     "cycle_type",
     "disorder_count",
-    "enumerate_class",
     "floor_sum_parity",
     "h_value",
     "load_config",
-    "normalize",
     "o_count",
     "one_part_spec",
     "ordered_pair_count",
@@ -123,10 +112,7 @@ __all__ = [
     "partitions_of",
     "polynomial_sign",
     "real_hurwitz",
-    "real_preimage_sequence",
-    "reduce_partition",
     "residual",
-    "residual_and_jacobian",
     "run_sweep",
     "s_number",
     "series_table",

@@ -27,7 +27,6 @@ the half-sum for even degree) from one provider, so each side is solved once.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -35,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import RunConfig
-from .errors import CoveringAssemblyError, SignMismatch, ValidationError
+from .errors import CoveringAssemblyError, SignMismatch
 from .partitions import BranchSpec, floor_sum_parity
 from .realsigns import RealPolynomial, signed_sum
 from .polysolve import classify_real, match_index, solve_all
@@ -65,57 +64,6 @@ class CoveringClass:
             "sign": self.class_sign,
             "weight": str(self.weight),
         }
-
-
-def _compose_affine(coeffs: Sequence[float], alpha: float, beta: float) -> np.ndarray:
-    """Coefficients of P(alpha z + beta), highest degree first."""
-    result = np.array([coeffs[0]], dtype=float)
-    unit = np.array([alpha, beta], dtype=float)
-    for c in coeffs[1:]:
-        result = np.convolve(result, unit)
-        result[-1] += c
-    return result
-
-
-def normalize(coeffs: Sequence[float]) -> tuple[str, list[tuple[float, ...]]]:
-    """Normalized forms of a real polynomial under real affine precomposition.
-
-    Returns (side, forms): the leading-coefficient side and the one or two
-    normalized coefficient vectors (monic, vanishing z^{d-1} term, highest
-    degree first).  For even degree with negative leading coefficient the
-    forms are those of -P, flagged side "negative".
-    """
-    coeffs = [float(c) for c in coeffs]
-    if len(coeffs) < 2:
-        raise ValidationError("degree must be at least 1")
-    lead = coeffs[0]
-    if lead == 0:
-        raise ValidationError("leading coefficient must be nonzero")
-    d = len(coeffs) - 1
-    if d % 2 == 1:
-        alpha = math.copysign(abs(lead) ** (-1.0 / d), lead)
-        beta = -coeffs[1] / (d * lead)
-        form = _compose_affine(coeffs, alpha, beta)
-        return POSITIVE, [_clean_form(form)]
-    side = POSITIVE
-    if lead < 0:
-        coeffs = [-c for c in coeffs]
-        lead = -lead
-        side = NEGATIVE
-    alpha = lead ** (-1.0 / d)
-    beta = -coeffs[1] / (d * lead)
-    plus = _clean_form(_compose_affine(coeffs, alpha, beta))
-    minus = _clean_form(_compose_affine(coeffs, -alpha, beta))
-    if match_index(np.array([plus]), np.array(minus), 1e-12) == 0:
-        return side, [plus]
-    return side, sorted([plus, minus])
-
-
-def _clean_form(form: np.ndarray) -> tuple[float, ...]:
-    out = form.copy()
-    out[0] = 1.0
-    out[1] = 0.0
-    return tuple(float(c) for c in out)
 
 
 def reflection_partners(reals: Sequence[RealPolynomial], tol: float) -> list[int | None]:

@@ -4,6 +4,9 @@ Every concrete error is a ValidationError (bad input), an InfraLimit
 (budget, scale or tolerance trouble) or a PropertyFailure (a genuine bug or
 a violated invariant).  The CLI maps the three onto distinct exit codes, and
 a ``verify`` record that hits an InfraLimit is marked FAILED-INFRA.
+
+Every concrete InfraLimit is raised by the solver or the real
+classification in ``polysolve``; ScaleExceeded is also raised by ``series``.
 """
 
 from __future__ import annotations
@@ -54,10 +57,6 @@ class DegenerateConfiguration(InfraLimit):
 
 class AmbiguousRealness(InfraLimit):
     """A solution sits too close to the realness threshold to classify safely."""
-
-
-class ClusterAmbiguity(InfraLimit):
-    """Two real preimages of the same branch value are closer than the cluster tolerance."""
 
 
 class SignMismatch(PropertyFailure):

@@ -16,26 +16,25 @@ Combin. 1992): when the profile lengths sum to (k-1)d + 1,
 
 where |Aut lam| is the product of the factorials of the part
 multiplicities.  Counting is exact integer arithmetic; H is kept as a
-Fraction whose denominator divides d.  The permutation helpers below serve
-the brute-force oracle in the tests.
+Fraction whose denominator divides d.
+
+The permutation helpers fix the labelling conventions: ``compose(a, b)`` is
+a after b, and ``full_cycle(d)`` is the fixed cycle 0 -> 1 -> ... -> d-1 -> 0.
+The closed form needs none of them; the brute-force factorization oracle in
+the tests is built on them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 from .partitions import Partition
 
 Perm = tuple[int, ...]
-
-
-def identity(d: int) -> Perm:
-    return tuple(range(d))
 
 
 def full_cycle(d: int) -> Perm:
@@ -82,51 +81,6 @@ def cycle_type(p: Perm) -> Partition:
             length += 1
         lengths.append(length)
     return Partition(lengths)
-
-
-def class_size(d: int, lam: Partition) -> int:
-    """Size of the conjugacy class of cycle type lam in the symmetric group on d symbols."""
-    if lam.d != d:
-        raise ValidationError(f"{lam} does not partition {d}")
-    z = 1
-    for value, mult in lam.multiplicities().items():
-        z *= value**mult * math.factorial(mult)
-    return math.factorial(d) // z
-
-
-def enumerate_class(d: int, lam: Partition) -> Iterator[Perm]:
-    """Yield every permutation of cycle type lam exactly once, deterministically.
-
-    Cycles are anchored at the smallest symbol not yet placed, so each
-    permutation arises from exactly one sequence of choices.
-    """
-    if lam.d != d:
-        raise ValidationError(f"{lam} does not partition {d}")
-
-    def rec(elements: tuple[int, ...], lengths: tuple[int, ...]) -> Iterator[dict]:
-        if not elements:
-            yield {}
-            return
-        anchor = elements[0]
-        others = elements[1:]
-        seen_lengths = set()
-        for idx, length in enumerate(lengths):
-            if length in seen_lengths:
-                continue
-            seen_lengths.add(length)
-            rest_lengths = lengths[:idx] + lengths[idx + 1 :]
-            for tail in itertools.permutations(others, length - 1):
-                used = set(tail)
-                remaining = tuple(x for x in others if x not in used)
-                for sub in rec(remaining, rest_lengths):
-                    mapping = dict(sub)
-                    cyc = (anchor,) + tail
-                    for a, b in zip(cyc, cyc[1:] + (anchor,)):
-                        mapping[a] = b
-                    yield mapping
-
-    for mapping in rec(tuple(range(d)), lam.parts):
-        yield tuple(mapping[i] for i in range(d))
 
 
 @dataclass(frozen=True)

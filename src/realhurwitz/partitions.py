@@ -27,8 +27,7 @@ class Partition:
 
     Parts are positive integers; a float, a bool or any other non-integer
     part raises ValidationError instead of being truncated.  The empty
-    partition (of 0) is permitted so that part-wise reductions stay closed;
-    parsers never produce it.
+    partition (of 0) is permitted; parsers never produce it.
     """
 
     __slots__ = ("_parts",)
@@ -135,11 +134,6 @@ def parse_values(text: str) -> tuple[float, ...]:
 def o_count(lam: Partition) -> int:
     """Number of distinct part values occurring an odd number of times."""
     return sum(1 for m in Counter(lam.parts).values() if m % 2 == 1)
-
-
-def reduce_partition(lam: Partition) -> Partition:
-    """Decrease every part by one and drop the zeros (may yield the empty partition)."""
-    return Partition(p - 1 for p in lam.parts if p > 1)
 
 
 def floor_sum_parity(profiles: Sequence[Partition]) -> int:

@@ -184,15 +184,6 @@ def residual(system: SystemSpec, x) -> np.ndarray:
     return residual_batch(system, x[None, :])[0]
 
 
-def residual_and_jacobian(system: SystemSpec, x):
-    """Equation values and the exact analytic Jacobian at x."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (system.n,):
-        raise ValidationError(f"point has shape {x.shape}, expected ({system.n},)")
-    f, jac = residual_and_jacobian_batch(system, x[None, :])
-    return f[0], jac[0]
-
-
 def canonical_coefficients(system: SystemSpec, x) -> np.ndarray:
     """Coefficient vector (a_2, ..., a_d) of the polynomial modeled by x."""
     x = np.asarray(x, dtype=complex)

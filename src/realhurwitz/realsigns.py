@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .config import RunConfig
-from .errors import ClusterAmbiguity, ValidationError
+from .errors import ValidationError
 from .partitions import BranchSpec, Partition
 
 # ordered (preimage, ramification order) pairs for one branch value
@@ -71,16 +71,6 @@ class RealPolynomial:
     def k(self) -> int:
         return len(self.values)
 
-    def full_coefficients(self) -> tuple[float, ...]:
-        """Monic coefficient vector (1, 0, a_2, ..., a_d), highest degree first."""
-        return (1.0, 0.0) + self.coefficients
-
-    def evaluate(self, x: float) -> float:
-        acc = 0.0
-        for c in self.full_coefficients():
-            acc = acc * x + c
-        return acc
-
     @property
     def t(self) -> int:
         return disorder_count(self)
@@ -128,25 +118,6 @@ class RealPolynomial:
             "sign": self.sign,
             "residual": self.residual,
         }
-
-
-def real_preimage_sequence(
-    poly: RealPolynomial, branch: int, *, tol_cluster: float = 1e-5
-) -> PreimageSeq:
-    """The ordered real preimages of branch value ``branch`` with their orders.
-
-    Raises ClusterAmbiguity when two real preimages sit closer than the
-    cluster tolerance, since their multiplicities could then not be told
-    apart reliably.
-    """
-    seq = poly.real_preimages[branch]
-    for (x1, _), (x2, _) in zip(seq, seq[1:]):
-        if x2 - x1 <= tol_cluster:
-            raise ClusterAmbiguity(
-                f"real preimages {x1} and {x2} of value {poly.values[branch]} "
-                f"are within cluster tolerance {tol_cluster}"
-            )
-    return seq
 
 
 def _disorders(orders: list[int]) -> int:

@@ -129,10 +129,6 @@ class VerifyReport:
     def passed(self) -> bool:
         return all(r.status == PASS for r in self.records)
 
-    @property
-    def any_infra(self) -> bool:
-        return any(r.status == "FAILED-INFRA" for r in self.records)
-
     def summary(self) -> dict:
         return {
             "total": len(self.records),
@@ -302,9 +298,12 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
         }
         for kind, specs in moved.items():
             # lists, not generators: every moved spec is solved, so a solver
-            # failure on any of them marks the record FAILED-INFRA
+            # failure on any of them marks the record FAILED-INFRA; the spec
+            # itself is among them, and its HR is the report's
             s_ok = all([ws.signed_count(m) == record.s for m in specs])
-            hr_ok = report is not None and all([ws.hurwitz(m).value == record.hr for m in specs])
+            hr_ok = report is not None and all(
+                [m == spec or ws.hurwitz(m).value == record.hr for m in specs]
+            )
             record.record(f"{kind}_invariance_s", s_ok)
             record.record(f"{kind}_invariance_hr", hr_ok)
 

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values by a route different from the
-library code under test: raw product enumeration without pruning, numpy
+library code under test: raw product enumeration over conjugacy classes
+listed one permutation at a time, without pruning, numpy
 root finding on coefficient polynomials, finite differences, closed form
 solution families eliminated by hand, and the system kernel rebuilt one
 linear factor, one derivative and one Jacobian column at a time.
@@ -14,12 +15,14 @@ import contextlib
 import io
 import itertools
 import json
+import math
+from typing import Iterator
 
 import numpy as np
 
-from realhurwitz import RealPolynomial, enumerate_class
+from realhurwitz import Partition, RealPolynomial, ValidationError
 from realhurwitz.cli import main
-from realhurwitz.factorizations import compose, full_cycle
+from realhurwitz.factorizations import Perm, compose, full_cycle
 from realhurwitz.polysolve import (
     _NEWTON_MAX_ITER,
     _NEWTON_STEP_TOL,
@@ -27,6 +30,51 @@ from realhurwitz.polysolve import (
     residual_and_jacobian_batch,
     residual_batch,
 )
+
+
+def class_size(d: int, lam: Partition) -> int:
+    """Size of the conjugacy class of cycle type lam in the symmetric group on d symbols."""
+    if lam.d != d:
+        raise ValidationError(f"{lam} does not partition {d}")
+    z = 1
+    for value, mult in lam.multiplicities().items():
+        z *= value**mult * math.factorial(mult)
+    return math.factorial(d) // z
+
+
+def enumerate_class(d: int, lam: Partition) -> Iterator[Perm]:
+    """Yield every permutation of cycle type lam exactly once, deterministically.
+
+    Cycles are anchored at the smallest symbol not yet placed, so each
+    permutation arises from exactly one sequence of choices.
+    """
+    if lam.d != d:
+        raise ValidationError(f"{lam} does not partition {d}")
+
+    def rec(elements: tuple[int, ...], lengths: tuple[int, ...]) -> Iterator[dict]:
+        if not elements:
+            yield {}
+            return
+        anchor = elements[0]
+        others = elements[1:]
+        seen_lengths = set()
+        for idx, length in enumerate(lengths):
+            if length in seen_lengths:
+                continue
+            seen_lengths.add(length)
+            rest_lengths = lengths[:idx] + lengths[idx + 1 :]
+            for tail in itertools.permutations(others, length - 1):
+                used = set(tail)
+                remaining = tuple(x for x in others if x not in used)
+                for sub in rec(remaining, rest_lengths):
+                    mapping = dict(sub)
+                    cyc = (anchor,) + tail
+                    for a, b in zip(cyc, cyc[1:] + (anchor,)):
+                        mapping[a] = b
+                    yield mapping
+
+    for mapping in rec(tuple(range(d)), lam.parts):
+        yield tuple(mapping[i] for i in range(d))
 
 
 def brute_count(profiles, d, base_cycle=None):

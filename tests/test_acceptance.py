@@ -23,12 +23,12 @@ from realhurwitz import (
     basis_fit,
     parse_partition,
     parse_profiles,
-    residual_and_jacobian,
     series_table,
     solve_all,
     validate_branch_spec,
 )
 from realhurwitz.cli import main as cli_main
+from realhurwitz.polysolve import residual_and_jacobian_batch
 from realhurwitz.verify import enumerate_sweep_specs
 
 from helpers import brute_count, fd_jacobian, match_coefficient_sets
@@ -229,7 +229,7 @@ def test_criterion_7_numerics_hygiene(session_cfg, capsys):
         worst = 0.0
         for _ in range(100):
             x = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
-            _, jac = residual_and_jacobian(system, x)
+            _, (jac,) = residual_and_jacobian_batch(system, x[None])
             approx = fd_jacobian(system, x, h=1e-6)
             worst = max(worst, float(np.max(np.abs(jac - approx) / (1.0 + np.abs(jac)))))
         checks.append((f"jacobian[{spec.canonical_key()}]<1e-6", worst < 1e-6))

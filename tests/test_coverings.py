@@ -7,9 +7,7 @@ from realhurwitz import (
     CoveringAssemblyError,
     Partition,
     SignMismatch,
-    ValidationError,
     covering_classes,
-    normalize,
     parse_profiles,
     real_hurwitz,
     theorem_check,
@@ -18,58 +16,6 @@ from realhurwitz import (
 from realhurwitz.coverings import _solved_reals, class_sign, hurwitz_from_reals
 
 from helpers import real_polynomial_from_factored
-
-
-def test_normalize_cubic_shift():
-    # x^3 + 3x^2 composed with z -> z - 1 gives z^3 - 3z + 2
-    side, forms = normalize([1.0, 3.0, 0.0, 0.0])
-    assert side == "positive"
-    assert len(forms) == 1
-    assert np.allclose(forms[0], (1.0, 0.0, -3.0, 2.0), atol=1e-12)
-
-
-def test_normalize_even_degree_two_forms():
-    side, forms = normalize([1.0, 1.0, 0.0, 0.0, 0.0])  # x^4 + x^3
-    assert side == "positive"
-    assert len(forms) == 2
-    expected = [
-        (1.0, 0.0, -3.0 / 8.0, -1.0 / 8.0, -3.0 / 256.0),
-        (1.0, 0.0, -3.0 / 8.0, 1.0 / 8.0, -3.0 / 256.0),
-    ]
-    for form, want in zip(sorted(forms), expected):
-        assert np.allclose(form, want, atol=1e-12)
-
-
-def test_normalize_even_polynomial_single_form():
-    side, forms = normalize([1.0, 0.0, 1.0, 0.0, 0.0])  # x^4 + x^2
-    assert side == "positive"
-    assert forms == [(1.0, 0.0, 1.0, 0.0, 0.0)]
-
-
-def test_normalize_negative_leading_even_degree():
-    side, forms = normalize([-1.0, 0.0, -1.0, 0.0, 0.0])  # -(x^4 + x^2)
-    assert side == "negative"
-    assert forms == [(1.0, 0.0, 1.0, 0.0, 0.0)]
-
-
-def test_normalize_negative_leading_odd_degree():
-    # odd degree absorbs the sign: -x^3 maps to z^3 under z -> -z
-    side, forms = normalize([-1.0, 0.0, 0.0, 0.0])
-    assert side == "positive"
-    assert np.allclose(forms[0], (1.0, 0.0, 0.0, 0.0), atol=1e-12)
-
-
-def test_normalize_scaling():
-    # 8 x^3 rescales to z^3
-    side, forms = normalize([8.0, 0.0, 0.0, 0.0])
-    assert np.allclose(forms[0], (1.0, 0.0, 0.0, 0.0), atol=1e-12)
-
-
-def test_normalize_rejects_degenerate_input():
-    with pytest.raises(ValidationError):
-        normalize([0.0, 1.0])
-    with pytest.raises(ValidationError):
-        normalize([1.0])
 
 
 def test_covering_classes_full_branch_point(cfg):

@@ -15,7 +15,6 @@ from realhurwitz import (
     parse_profiles,
     parse_values,
     partitions_of,
-    reduce_partition,
     validate_branch_spec,
 )
 
@@ -56,12 +55,6 @@ def test_o_count_examples():
     assert o_count(Partition([2, 1, 1])) == 1
 
 
-def test_reduce_partition_examples():
-    assert reduce_partition(Partition([3, 1])).parts == (2,)
-    assert reduce_partition(Partition([1, 1, 1])).parts == ()
-    assert reduce_partition(Partition([2, 2, 1])).parts == (1, 1)
-
-
 def _parity_by_definition(profiles):
     total = 0
     for lam in profiles:
@@ -88,11 +81,6 @@ def test_floor_sum_parity_matches_definition(profiles):
 @given(partitions)
 def test_odd_multiplicity_count_has_length_parity(lam):
     assert o_count(lam) % 2 == lam.length % 2
-
-
-@given(partitions)
-def test_reduce_partition_drops_exactly_length(lam):
-    assert reduce_partition(lam).d == lam.d - lam.length
 
 
 def test_validate_branch_spec_examples():

@@ -14,7 +14,6 @@ from realhurwitz import (
     count_factorizations,
     parse_profiles,
     residual,
-    residual_and_jacobian,
     solve_all,
     validate_branch_spec,
 )
@@ -80,7 +79,7 @@ def test_jacobian_matches_finite_differences(cfg):
         system = build_system(spec)
         for _ in range(20):
             x = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
-            _, jac = residual_and_jacobian(system, x)
+            _, (jac,) = residual_and_jacobian_batch(system, x[None])
             approx = fd_jacobian(system, x, h=1e-6)
             rel = np.abs(jac - approx) / (1.0 + np.abs(jac))
             assert np.max(rel) < 1e-6
@@ -89,7 +88,7 @@ def test_jacobian_matches_finite_differences(cfg):
 def test_degenerate_point_evaluates_finitely():
     system = build_system(CUBIC)
     point = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)  # all roots collapsed
-    f, jac = residual_and_jacobian(system, point)
+    (f,), (jac,) = residual_and_jacobian_batch(system, point[None])
     assert np.all(np.isfinite(f)) and np.all(np.isfinite(jac))
 
 
@@ -226,7 +225,7 @@ def test_real_jacobian_matches_finite_differences(cfg, spec, coefficients):
     rng = np.random.default_rng(5)
     h = 1e-6
     for u in (u0, u0 + 0.1 * rng.standard_normal(system.n)):
-        f, jac = residual_and_jacobian(system, basis @ u)
+        (f,), (jac,) = residual_and_jacobian_batch(system, (basis @ u)[None])
         jac_b = jac @ basis
         # F(B u) and its u-derivative are real for real u
         assert np.max(np.abs(f.imag)) < 1e-12 and np.max(np.abs(jac_b.imag)) < 1e-12

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from realhurwitz import (
-    ClusterAmbiguity,
     Partition,
     RealPolynomial,
     ValidationError,
@@ -11,7 +10,6 @@ from realhurwitz import (
     ordered_pair_count,
     parse_profiles,
     polynomial_sign,
-    real_preimage_sequence,
     s_number,
     solve_all,
     validate_branch_spec,
@@ -37,14 +35,14 @@ def cubic_poly():
 
 def test_real_preimage_sequences_of_cubic():
     poly = cubic_poly()
-    assert real_preimage_sequence(poly, 0) == ((-2.0, 1), (1.0, 2))
-    assert real_preimage_sequence(poly, 1) == ((-1.0, 2), (2.0, 1))
+    assert poly.real_preimages[0] == ((-2.0, 1), (1.0, 2))
+    assert poly.real_preimages[1] == ((-1.0, 2), (2.0, 1))
 
 
 def test_preimage_sequences_cross_checked_by_root_finding():
     poly = cubic_poly()
     for i, w in enumerate(poly.values):
-        oracle = preimages_from_coefficients(poly.full_coefficients(), w)
+        oracle = preimages_from_coefficients((1.0, 0.0) + poly.coefficients, w)
         stored = poly.real_preimages[i]
         assert len(oracle) == len(stored)
         for (x_o, m_o), (x_s, m_s) in zip(oracle, stored):
@@ -60,24 +58,9 @@ def test_empty_preimage_sequence():
         values=(1.0, 2.0),
         profiles=(Partition([2, 2]), Partition([2, 1, 1])),
     )
-    assert real_preimage_sequence(poly, 0) == ()
-    oracle = preimages_from_coefficients(poly.full_coefficients(), 1.0)
+    assert poly.real_preimages[0] == ()
+    oracle = preimages_from_coefficients((1.0, 0.0) + poly.coefficients, 1.0)
     assert oracle == []
-
-
-def test_cluster_ambiguity_raised():
-    poly = real_polynomial_from_factored(
-        d=3,
-        coefficients=(-3.0, 0.0),
-        branch_data=[
-            (((0.0, 1), (1e-7, 2)), ()),
-            (((-1.0, 2), (2.0, 1)), ()),
-        ],
-        values=(-2.0, 2.0),
-        profiles=(Partition([2, 1]), Partition([2, 1])),
-    )
-    with pytest.raises(ClusterAmbiguity):
-        real_preimage_sequence(poly, 0, tol_cluster=1e-5)
 
 
 def test_disorder_and_ordered_pair_counts_cubic():
@@ -177,9 +160,3 @@ def test_real_polynomial_validates_order_sums():
             nonreal_orders=((),),
         )
 
-
-def test_evaluate():
-    poly = cubic_poly()
-    assert poly.evaluate(2.0) == pytest.approx(2.0)
-    assert poly.evaluate(-1.0) == pytest.approx(2.0)
-    assert poly.evaluate(0.0) == pytest.approx(0.0)

@@ -11,6 +11,7 @@ from realhurwitz import (
     theorem_check,
     validate_branch_spec,
 )
+from realhurwitz import coverings
 from realhurwitz.cli import EXIT_OK, main
 from realhurwitz.verify import Workspace, check_spec, enumerate_sweep_specs
 
@@ -51,7 +52,7 @@ def test_budget_exhaustion_marks_infra(cfg):
 
 def test_small_sweep_report_shape(cfg):
     report = run_sweep(3, 2, cfg)
-    assert report.passed and not report.any_infra
+    assert report.passed
     assert report.summary() == {"total": 3, "passed": 3, "failed": 0, "infra": 0}
     keys = [r.spec.canonical_key() for r in report.records]
     assert keys == sorted(keys)
@@ -94,6 +95,20 @@ def test_corrupt_signs_reach_the_identity_covering(cfg, tmp_path, capsys):
 def test_sweep_solves_each_spec_once(cfg, solves):
     assert run_sweep(4, 2, cfg).passed
     assert len(solves) == len(set(solves))
+
+
+def test_sweep_assembles_each_spec_classes_once(cfg, monkeypatch):
+    # the spec's own HR comes from its theorem report, not from a second assembly
+    assembled = []
+    original = coverings._assemble_classes
+
+    def counting(spec, *args):
+        assembled.append(spec)
+        return original(spec, *args)
+
+    monkeypatch.setattr(coverings, "_assemble_classes", counting)
+    assert run_sweep(4, 3, cfg).passed
+    assert len(assembled) == len(set(assembled)) == 19
 
 
 @pytest.mark.parametrize("dmax,kmax", [(1, 2), (0, 3), (4, 0)])
