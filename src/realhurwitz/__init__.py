@@ -13,7 +13,6 @@ from .coverings import (
     CoveringClass,
     RealHurwitzResult,
     TheoremReport,
-    covering_classes,
     real_hurwitz,
     theorem_check,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "build_system",
     "classify_real",
     "count_factorizations",
-    "covering_classes",
     "cycle_type",
     "disorder_count",
     "floor_sum_parity",

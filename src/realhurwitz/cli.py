@@ -38,11 +38,15 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--tol-dedup", type=float, default=None)
     parser.add_argument("--tol-real", type=float, default=None)
     parser.add_argument("--tol-cluster", type=float, default=None)
-    parser.add_argument("--cache", type=str, default=None, help="solution cache file (JSONL)")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file (default: $REALHURWITZ_CONFIG)")
     parser.add_argument("--format", dest="output_format", choices=("json", "text", "csv"),
                         default=None, help="output format (default json)")
+
+
+# the one-spec commands only: a command that solves many specs would
+# overwrite the one-spec file on every solve and never hit
+_CACHE_HELP = "solution cache file (JSONL) for this one spec"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,11 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", required=True)
     p.add_argument("--values", default=None,
                    help='branch values (default 1..k); write --values=-2,2 for a leading minus')
+    p.add_argument("--cache", default=None, help=_CACHE_HELP)
     _add_common(p)
 
     p = sub.add_parser("s-number", help="signed count of real normalized polynomials")
     p.add_argument("--profiles", required=True)
     p.add_argument("--values", default=None)
+    p.add_argument("--cache", default=None, help=_CACHE_HELP)
     _add_common(p)
 
     p = sub.add_parser("real-hurwitz", help="signed count of real covering classes")
@@ -163,14 +169,14 @@ def _cmd_hurwitz(args, config: RunConfig) -> int:
 
 def _cmd_solve(args, config: RunConfig) -> int:
     spec = _spec_from_args(args)
-    solset = solve_all(spec, config, cache_path=config.cache)
+    solset = solve_all(spec, config, cache_path=args.cache)
     _emit(_payload("solve", config, solset.as_json_dict()), config)
     return EXIT_OK
 
 
 def _cmd_s_number(args, config: RunConfig) -> int:
     spec = _spec_from_args(args)
-    solset = solve_all(spec, config, cache_path=config.cache)
+    solset = solve_all(spec, config, cache_path=args.cache)
     reals = classify_real(solset, config)
     result = {
         "spec": spec.as_json_dict(),

@@ -19,7 +19,6 @@ _FIELD_KINDS = {
     "float": (int, float),
     "bool": (bool,),
     "str": (str,),
-    "str | None": (str, type(None)),
 }
 
 
@@ -39,7 +38,6 @@ class RunConfig:
     tol_cluster: float = 1e-5
     start_budget: int = 4000
     seed: int = 0
-    cache: str | None = None
     output_format: str = "json"
     max_degree: int = 5
     force_class_diagnostics: bool = False
@@ -70,15 +68,14 @@ class RunConfig:
     def as_json_dict(self) -> dict:
         """Reproducibility block embedded in every output artifact.
 
-        It holds every field that can change a result: all but the cache
-        path and the output format.  The solver's iteration cap, step
-        tolerance and degree bound are constants of ``polysolve``, the same
-        for every run.
+        It holds every field that can change a result: all but the output
+        format.  The solver's iteration cap, step tolerance and degree bound
+        are constants of ``polysolve``, the same for every run.
         """
         return {
             f.name: getattr(self, f.name)
             for f in dataclasses.fields(self)
-            if f.name not in ("cache", "output_format")
+            if f.name != "output_format"
         }
 
 

@@ -16,12 +16,13 @@ The signed class count weights each class by sign / |automorphisms| and, by
 the main identity this package verifies, equals the plain signed count of
 normalized real polynomials.
 
-Both counts come from the same real solutions, read from a ``RealsProvider``.
-``hurwitz_from_reals`` turns a spec and a provider into the class count and
-alone decides the parity-odd shortcut; ``_assemble_classes`` alone pairs an
-even-degree spec with its reversed spec; ``reflection_partners`` alone pairs
-P with P(-z).  ``theorem_from_reals`` alone decides the theorem HR = s (and
-the half-sum for even degree) from one provider, so each side is solved once.
+Both counts come from the same real solutions, read from a ``RealsProvider``
+(by default the solver's, one solve per spec).  ``real_hurwitz`` turns a
+spec and a provider into the class count and alone decides the parity-odd
+shortcut; ``_assemble_classes`` alone pairs an even-degree spec with its
+reversed spec; ``reflection_partners`` alone pairs P with P(-z).
+``theorem_check`` alone decides the theorem HR = s (and the half-sum for
+even degree) from one provider, so each side is solved once.
 """
 
 from __future__ import annotations
@@ -159,16 +160,6 @@ def _assemble_classes(
     return classes
 
 
-def covering_classes(spec: BranchSpec, config: RunConfig | None = None) -> list[CoveringClass]:
-    """Enumerate the real isomorphism classes of coverings for the spec.
-
-    For even degree this needs complete solution sets for both the spec and
-    its reversed spec (the negative-leading side).
-    """
-    config = config or RunConfig()
-    return _assemble_classes(spec, _solved_reals(config), config)
-
-
 @dataclass(frozen=True)
 class RealHurwitzResult:
     """Signed class count with its provenance."""
@@ -195,21 +186,19 @@ class RealHurwitzResult:
         return out
 
 
-def real_hurwitz(spec: BranchSpec, config: RunConfig | None = None) -> RealHurwitzResult:
+def real_hurwitz(
+    spec: BranchSpec, config: RunConfig | None = None, reals: RealsProvider | None = None
+) -> RealHurwitzResult:
     """Signed count of real covering classes, weighted by 1/|automorphisms|.
 
-    For even degree with odd floor-sum parity the value is 0 by definition
-    and no solving happens; set ``force_class_diagnostics`` in the config to
-    build the classes anyway and verify that the averaged signs cancel.
+    The real solutions of each side are read from ``reals``, by default the
+    solver's.  For even degree with odd floor-sum parity the value is 0 by
+    definition and no solving happens; set ``force_class_diagnostics`` in
+    the config to build the classes anyway and verify that the averaged
+    signs cancel.
     """
     config = config or RunConfig()
-    return hurwitz_from_reals(spec, _solved_reals(config), config)
-
-
-def hurwitz_from_reals(
-    spec: BranchSpec, reals: RealsProvider, config: RunConfig
-) -> RealHurwitzResult:
-    """``real_hurwitz`` with the real solutions of each side read from ``reals``."""
+    reals = reals or _solved_reals(config)
     if spec.is_identity:
         return RealHurwitzResult(spec, Fraction(1), False, None)
     parity_odd = spec.d % 2 == 0 and floor_sum_parity(spec.profiles) == 1
@@ -264,22 +253,19 @@ class TheoremReport:
         return out
 
 
-def theorem_check(spec: BranchSpec, config: RunConfig | None = None) -> TheoremReport:
+def theorem_check(
+    spec: BranchSpec, config: RunConfig | None = None, reals: RealsProvider | None = None
+) -> TheoremReport:
     """Verify that the signed class count equals the signed polynomial count.
 
     For even degree the identity HR = (s + s_reversed) / 2 is checked as
-    well; failures land in the report rather than raising.  The spec and its
-    reversed spec are each solved at most once for all three numbers.
+    well; failures land in the report rather than raising.  The real
+    solutions are read from ``reals``, by default the solver's, so the spec
+    and its reversed spec are each solved at most once for all three numbers.
     """
     config = config or RunConfig()
-    return theorem_from_reals(spec, _solved_reals(config), config)
-
-
-def theorem_from_reals(
-    spec: BranchSpec, reals: RealsProvider, config: RunConfig
-) -> TheoremReport:
-    """``theorem_check`` with the real solutions of each side read from ``reals``."""
-    hr_result = hurwitz_from_reals(spec, reals, config)
+    reals = reals or _solved_reals(config)
+    hr_result = real_hurwitz(spec, config, reals)
     s = signed_sum(reals(spec), config)
     s_reversed = None
     half_sum_ok = None

@@ -105,25 +105,19 @@ class HurwitzCount:
         }
 
 
-def count_factorizations(profiles: Sequence[Partition], *, d: int | None = None) -> HurwitzCount:
+def count_factorizations(profiles: Sequence[Partition]) -> HurwitzCount:
     """Count tuples of prescribed cycle types whose product is a fixed full cycle.
 
     Uses the Goulden-Jackson closed form (see the module docstring).  The
     count does not depend on the order of the profiles or on which full
-    cycle is fixed.  ``d`` is required when no profiles are given; it must
-    be positive and every profile must partition it, and the profile
-    lengths must sum to (k-1)d + 1.
+    cycle is fixed.  At least one profile is required; every profile must
+    partition the degree d of the first, and the profile lengths must sum
+    to (k-1)d + 1.
     """
     profiles = tuple(profiles)
-    if d is None:
-        if not profiles:
-            raise ValidationError("degree is required when no profiles are given")
-        d = profiles[0].d
-    if d < 1:
-        raise ValidationError(f"degree must be positive, got d={d}")
     if not profiles:
-        n = 1 if d == 1 else 0
-        return HurwitzCount(d, (), n, Fraction(n, d), 0)
+        raise ValidationError("at least one profile is required")
+    d = profiles[0].d
     for lam in profiles:
         if lam.d != d:
             raise ValidationError(f"profile {lam} does not partition d={d}")

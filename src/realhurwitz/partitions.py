@@ -26,13 +26,13 @@ class Partition:
     """An integer partition, stored with parts in non-increasing order.
 
     Parts are positive integers; a float, a bool or any other non-integer
-    part raises ValidationError instead of being truncated.  The empty
-    partition (of 0) is permitted; parsers never produce it.
+    part raises ValidationError instead of being truncated, and so does an
+    empty list of parts: every degree is positive.
     """
 
     __slots__ = ("_parts",)
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __init__(self, parts: Iterable[int]):
         checked = []
         for p in parts:
             if isinstance(p, bool) or not isinstance(p, numbers.Integral):
@@ -40,6 +40,8 @@ class Partition:
             if p <= 0:
                 raise ValidationError(f"partition parts must be positive, got {p}")
             checked.append(int(p))
+        if not checked:
+            raise ValidationError("a partition needs at least one part")
         self._parts = tuple(sorted(checked, reverse=True))
 
     @property
@@ -97,12 +99,9 @@ def parse_partition(text: str) -> Partition:
     parts = []
     for t in tokens:
         try:
-            v = int(t)
+            parts.append(int(t))
         except ValueError:
             raise ValidationError(f"malformed partition token {t!r}") from None
-        if v <= 0:
-            raise ValidationError(f"partition parts must be positive, got {v}")
-        parts.append(v)
     return Partition(parts)
 
 

@@ -590,7 +590,6 @@ def solve_all(
     spec: BranchSpec,
     config: RunConfig | None = None,
     *,
-    target: int | None = None,
     cache_path: str | None = None,
 ) -> SolutionSet:
     """Find every normalized complex polynomial for the spec, with a certificate.
@@ -600,6 +599,8 @@ def solve_all(
     validated for residual and root separation, canonicalized to coefficient
     vectors and deduplicated.
     The run stops as soon as the count matches the factorization target.
+    With ``cache_path``, a matching complete set stored there is reused and
+    a new one is written there.
 
     Raises IncompleteEnumeration (carrying the partial set) when the start
     budget runs out first and OvercountDetected if dedup ever exceeds the
@@ -611,17 +612,13 @@ def solve_all(
         return SolutionSet(spec, (sol,), 1, "COMPLETE", 0, config.seed)
     if spec.d > _MAX_SOLVER_DEGREE:
         raise ScaleExceeded(f"degree {spec.d} exceeds the solver bound {_MAX_SOLVER_DEGREE}")
-    if target is None:
-        target = count_factorizations(spec.profiles).N
-    cache_path = cache_path or config.cache
+    target = count_factorizations(spec.profiles).N
     if cache_path:
         cached = load_cache(cache_path, spec, target, config)
         if cached is not None:
             return cached
     system = build_system(spec)
     collector = _Collector(system, target, config)
-    if target == 0:
-        return collector.build_set(0, "COMPLETE")
     rng = np.random.default_rng(config.seed)
     scale = root_bound(spec) / 4.0
     starts_used = 0

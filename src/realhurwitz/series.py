@@ -32,8 +32,6 @@ def one_part_spec(lam: Partition, m: int) -> BranchSpec:
     """Branch data for the one-part value: lam with m ones, plus simple profiles."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    if lam.length == 0:
-        raise ValidationError("lam must be a nonempty partition")
     d = lam.d + m
     first = Partition(tuple(lam.parts) + (1,) * m)
     # degree 1 forces lam = (1) and m = 0, so no simple profile is built there

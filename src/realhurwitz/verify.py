@@ -10,9 +10,10 @@ An ``InfraLimit`` (budget exhaustion, scale, ambiguous tolerances) marks a
 record FAILED-INFRA, which is kept distinct from a genuine property violation.
 
 A ``Workspace`` memoizes each spec's solve, real solutions and class count.
-The theorem and the z -> -z pairing are decided in ``coverings`` alone:
-``theorem_from_reals`` and ``reflection_partners`` read the workspace's real
-solutions as they read the solver's in ``theorem_check``.
+The theorem and the z -> -z pairing are decided in ``coverings`` alone: the
+sweep passes the workspace's real solutions to ``theorem_check``,
+``real_hurwitz`` and ``reflection_partners``, which read them as they read
+the solver's.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .coverings import hurwitz_from_reals, reflection_partners, theorem_from_reals
+from .coverings import real_hurwitz, reflection_partners, theorem_check
 from .errors import InfraLimit, PropertyFailure, ValidationError
 from .factorizations import count_factorizations
 from .partitions import (
@@ -68,7 +69,7 @@ class Workspace:
         self.config = config
         self.solset = functools.cache(lambda spec: solve_all(spec, config))
         self.reals = functools.cache(lambda spec: classify_real(self.solset(spec), config))
-        self.hurwitz = functools.cache(lambda spec: hurwitz_from_reals(spec, self.reals, config))
+        self.hurwitz = functools.cache(lambda spec: real_hurwitz(spec, config, self.reals))
 
     def signed_count(self, spec: BranchSpec) -> int:
         return signed_sum(self.reals(spec), self.config)
@@ -252,9 +253,8 @@ def _odd_degree_parity_diagnostic(record: SpecRecord, ws: Workspace):
     record.diagnostics["odd_d_per_branch_parity"] = {"holds": sum(holds), "of": len(holds)}
 
 
-def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace | None = None) -> SpecRecord:
+def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace) -> SpecRecord:
     """Run every applicable check for one profile multiset."""
-    ws = ws or Workspace(config)
     spec = validate_branch_spec(profiles)
     d = spec.d
     parity = floor_sum_parity(spec.profiles)
@@ -268,7 +268,7 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
 
         record.s = ws.signed_count(spec)
         try:
-            report = theorem_from_reals(spec, ws.reals, config)
+            report = theorem_check(spec, config, ws.reals)
         except PropertyFailure as exc:
             report = None
             record.error = str(exc)

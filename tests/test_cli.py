@@ -176,6 +176,52 @@ def test_cache_flag_roundtrip(tmp_path, capsys):
     assert again["result"]["starts_used"] == 0
 
 
+def test_s_number_cache_hits_on_second_run(tmp_path, capsys, monkeypatch):
+    from realhurwitz import polysolve
+
+    # Newton on complex points (multistart and symmetry polish) is the solve;
+    # Newton in real coordinates (a basis given) refines the reals afterwards
+    newton = polysolve._newton_batch
+    complex_rows = []
+
+    def spy(system, starts, config, basis=None):
+        if basis is None:
+            complex_rows.append(len(starts))
+        return newton(system, starts, config, basis)
+
+    monkeypatch.setattr(polysolve, "_newton_batch", spy)
+    cache = str(tmp_path / "c.jsonl")
+    args = ("s-number", "--profiles", "2,1|2,1", "--values=-2,2", "--cache", cache)
+    first = run_json(capsys, *args)
+    assert complex_rows
+    complex_rows.clear()
+    again = run_json(capsys, *args)
+    assert again["result"] == first["result"]
+    assert complex_rows == []  # the second run reads the cache and solves nothing
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--dmax", "3", "--kmax", "2"),
+        ("real-hurwitz", "--profiles", "2,1|2,1"),
+        ("series", "--lambda", "1", "--mmax", "2"),
+    ],
+)
+def test_cache_rejected_on_multi_spec_commands(tmp_path, capsys, monkeypatch, argv):
+    # these commands solve more than one spec, so a one-spec cache file
+    # would be overwritten on every solve and never hit
+    from realhurwitz import polysolve
+
+    newton = []
+    monkeypatch.setattr(polysolve, "_newton_batch", lambda *a: newton.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cache", str(tmp_path / "c.jsonl")])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "--cache" in capsys.readouterr().err
+    assert newton == []
+
+
 @pytest.mark.parametrize(
     "command, where",
     [("solve", "missing directory"), ("s-number", "directory")],
@@ -233,6 +279,7 @@ def test_bad_config_file_rejected(tmp_path, capsys):
         ({"max_solver_degree": 7}, "max_solver_degree"),
         ({"tol_dedup": math.inf}, "tol_dedup"),
         (["--tol-real", "inf"], "tol_real"),
+        ({"cache": "x.jsonl"}, "cache"),
     ],
 )
 def test_bad_config_values_rejected(tmp_path, capsys, values, field):
@@ -251,7 +298,7 @@ def test_config_block_records_result_changing_flags(capsys):
     assert code == EXIT_PROPERTY
     config = json.loads(out)["config"]
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert set(config) == fields - {"cache", "output_format"}
+    assert set(config) == fields - {"output_format"}
     assert config["debug_corrupt_signs"] is True
     assert config["force_class_diagnostics"] is False
 

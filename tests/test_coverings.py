@@ -7,20 +7,19 @@ from realhurwitz import (
     CoveringAssemblyError,
     Partition,
     SignMismatch,
-    covering_classes,
     parse_profiles,
     real_hurwitz,
     theorem_check,
     validate_branch_spec,
 )
-from realhurwitz.coverings import _solved_reals, class_sign, hurwitz_from_reals
+from realhurwitz.coverings import _solved_reals, class_sign
 
 from helpers import real_polynomial_from_factored
 
 
 def test_covering_classes_full_branch_point(cfg):
     spec = validate_branch_spec([Partition([2])], (5.0,))
-    classes = covering_classes(spec, cfg)
+    classes = real_hurwitz(spec, cfg).classes
     assert len(classes) == 2
     by_side = {c.side: c for c in classes}
     assert by_side["positive"].representatives[0].coefficients == pytest.approx((5.0,))
@@ -33,7 +32,7 @@ def test_covering_classes_full_branch_point(cfg):
 
 def test_covering_classes_cubic(cfg):
     spec = validate_branch_spec(parse_profiles("2,1|2,1"), (-2, 2))
-    classes = covering_classes(spec, cfg)
+    classes = real_hurwitz(spec, cfg).classes
     assert len(classes) == 1
     (cls,) = classes
     assert cls.side == "positive" and cls.aut_order == 1
@@ -42,8 +41,9 @@ def test_covering_classes_cubic(cfg):
 
 
 def test_covering_classes_cusp_quartic_positive_side(cfg):
+    # parity-odd, so the classes are built only as diagnostics
     spec = validate_branch_spec(parse_profiles("3,1|2,1,1"), (28, 1))
-    classes = covering_classes(spec, cfg)
+    classes = real_hurwitz(spec, cfg.replace(force_class_diagnostics=True)).classes
     positive = [c for c in classes if c.side == "positive"]
     assert len(positive) == 1
     (cls,) = positive
@@ -59,14 +59,14 @@ def test_missing_partner_is_an_assembly_error(cfg):
     spec = validate_branch_spec(parse_profiles("3,1|2,1,1"), (28, 1))
     diag = cfg.replace(force_class_diagnostics=True)
     full = _solved_reals(diag)
-    (cls,) = hurwitz_from_reals(spec, full, diag).classes
+    (cls,) = real_hurwitz(spec, diag, full).classes
     assert len(cls.representatives) == 2
 
     def partial(side):
         return full(side)[:1] if side == spec else full(side)
 
     with pytest.raises(CoveringAssemblyError, match="no z -> -z partner"):
-        hurwitz_from_reals(spec, partial, diag)
+        real_hurwitz(spec, diag, partial)
 
 
 def test_repeated_real_is_an_assembly_error(cfg):
@@ -80,7 +80,7 @@ def test_repeated_real_is_an_assembly_error(cfg):
         return full(side)[:1] + full(side) if side == spec else full(side)
 
     with pytest.raises(CoveringAssemblyError, match="not an involution"):
-        hurwitz_from_reals(spec, doubled, diag)
+        real_hurwitz(spec, diag, doubled)
 
 
 def test_class_sign_dispatch():
@@ -139,7 +139,7 @@ def test_theorem_check_examples(cfg):
 
 def test_negative_side_matches_reversed_spec(cfg):
     spec = validate_branch_spec(parse_profiles("2,1,1|2,2"), (2, 1))
-    classes = covering_classes(spec, cfg)
+    classes = real_hurwitz(spec, cfg).classes
     negative = [c for c in classes if c.side == "negative"]
     from realhurwitz import classify_real, solve_all
 

@@ -102,17 +102,16 @@ def test_single_full_cycle_profile():
 
 
 def test_identity_covering_count():
-    result = count_factorizations((), d=1)
+    # the single trivial profile of degree 1 is the identity covering
+    result = count_factorizations((Partition([1]),))
     assert result.N == 1 and result.H == 1
-    assert count_factorizations((), d=3).N == 0
 
 
 def test_nonpositive_degree_rejected():
-    for d in (0, -1):
-        with pytest.raises(ValidationError):
-            count_factorizations((), d=d)
-    with pytest.raises(ValidationError):
-        count_factorizations((Partition(()),))
+    # no profile names a degree below 1 (the empty partition raises), so
+    # only an empty profile list is left to refuse
+    with pytest.raises(ValidationError, match="at least one profile"):
+        count_factorizations(())
 
 
 def test_base_cycle_invariance():

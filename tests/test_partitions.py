@@ -162,6 +162,13 @@ def test_branch_spec_constructor_rejects_non_canonical():
     assert Partition([np.int64(2), np.int32(1)]).parts == (2, 1)
 
 
+def test_empty_partition_rejected():
+    # every degree is positive, so the partition of 0 is not a profile
+    for parts in ((), []):
+        with pytest.raises(ValidationError, match="at least one part"):
+            Partition(parts)
+
+
 def test_partitions_of():
     assert [p.parts for p in partitions_of(4)] == [
         (4,),

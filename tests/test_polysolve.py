@@ -478,11 +478,6 @@ def test_identity_spec_solution(cfg):
     assert len(reals) == 1 and reals[0].sign == 1
 
 
-def test_target_zero_is_complete(cfg):
-    solset = solve_all(CUBIC, cfg, target=0)
-    assert solset.certificate == "COMPLETE" and len(solset) == 0
-
-
 def test_cache_roundtrip(tmp_path, cfg):
     path = str(tmp_path / "cubic.jsonl")
     first = solve_all(CUBIC, cfg, cache_path=path)
