@@ -27,11 +27,13 @@ paths stay within 2.2 times the bound).
 
 A Newton iteration is a fixed handful of numpy calls.  The residual is one
 gather of the roots, by the plan ``build_system`` stores, and one call of
-the in-place product kernel ``_batch_products``; the Jacobian is one more
-call for all n derivative polynomials.  The line search evaluates the full
-step of every row in one call and every shorter length 2^-1 ... 2^-11 of
-the rows it fails in one more; a row takes its first passing length, as
-sequential halving would, since its residual depends on it alone.
+the in-place product kernel ``_batch_products``, with the batch as the
+trailing, contiguous axis.  The Jacobian's one product call, for all n
+derivative polynomials, also yields the residual: the derivative product of
+a branch's last slot is the first d - 1 factors of that branch's product, so
+one more factor completes it.  The line search evaluates all 12 lengths
+1, 2^-1, ..., 2^-11 of every row in one call; a row takes its first passing
+length, as sequential halving would, since its residual depends on it alone.
 
 Real solutions are re-polished by the same Newton loop, ``_newton_batch``,
 in real coordinates u: pairing each non-real root with its conjugate gives
@@ -81,8 +83,10 @@ class SystemSpec:
     spec: BranchSpec
     slots: tuple[tuple[int, int], ...]  # (branch index, multiplicity)
     branch_ranges: tuple[tuple[int, int], ...]  # slot index range per branch
-    # (k, d) each branch's slots repeated by multiplicity; (n, d - 1) per
-    # slot its branch's row less one copy of it; (n,) -m_j; (n,) branch - 1
+    # (d, k) column b lists branch b's slots repeated by multiplicity;
+    # (d - 1, n) column j is its branch's column less one copy of slot j, so
+    # a branch's last slot keeps the first d - 1 factors; (n,) -m_j;
+    # (n,) branch - 1
     root_index: np.ndarray = field(compare=False, repr=False)
     deriv_index: np.ndarray = field(compare=False, repr=False)
     deriv_factor: np.ndarray = field(compare=False, repr=False)
@@ -120,8 +124,8 @@ def build_system(spec: BranchSpec) -> SystemSpec:
         spec,
         tuple(slots),
         tuple(ranges),
-        root_index=np.array(rows),
-        deriv_index=np.array(dropped),
+        root_index=np.array(rows).T,
+        deriv_index=np.array(dropped).T,
         deriv_factor=np.array([-m for _, m in slots], dtype=complex),
         slot_block=np.array([b - 1 for b, _ in slots]),
     )
@@ -130,34 +134,38 @@ def build_system(spec: BranchSpec) -> SystemSpec:
 
 
 def _batch_products(roots: np.ndarray) -> np.ndarray:
-    """Monic coefficients (..., m + 1), highest degree first, of prod_j (z - roots[..., j]).
+    """Monic coefficients (m + 1, ...), highest degree first, of prod_j (z - roots[j, ...]).
 
-    The factors are multiplied in their given order, in place: m numpy steps
-    for any batch shape.
+    The factor axis leads and the batch axes trail, so every step works on
+    contiguous rows.  The factors are multiplied in their given order, in
+    place: m pairs of numpy calls for any batch shape.
     """
-    out = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
-    out[..., 0] = 1.0
-    for s in range(roots.shape[-1]):
-        out[..., 1 : s + 2] -= roots[..., s, None] * out[..., : s + 1]
+    out = np.zeros((roots.shape[0] + 1,) + roots.shape[1:], dtype=complex)
+    tmp = np.empty_like(roots)
+    out[0] = 1.0
+    for s in range(roots.shape[0]):
+        np.multiply(roots[s], out[: s + 1], out=tmp[: s + 1])
+        out[1 : s + 2] -= tmp[: s + 1]
     return out
 
 
 def _assemble_residual(system: SystemSpec, qs: np.ndarray) -> np.ndarray:
-    """Equation values from the branch polynomials qs (batch, k, d + 1).
+    """Equation values (batch, n) from the branch polynomials qs (d + 1, k, batch).
 
-    a_1 of Q_0, then Q_i - Q_0 + w_i - w_0 for every i >= 1, as one block.
+    a_1 of Q_0, then Q_i - Q_0 + w_i - w_0 for every i >= 1, as one block,
+    written batch-last and returned as its transposed view.
     """
-    out = np.empty((qs.shape[0], system.n), dtype=complex)
-    out[:, 0] = qs[:, 0, 1]
-    blocks = out[:, 1:].reshape(qs.shape[0], system.k - 1, system.d)
-    np.subtract(qs[:, 1:, 1:], qs[:, :1, 1:], out=blocks)
-    blocks[:, :, -1] += np.subtract(system.spec.values[1:], system.spec.values[0])
-    return out
+    out = np.empty((system.n, qs.shape[2]), dtype=complex)
+    out[0] = qs[1, 0]
+    blocks = out[1:].reshape(system.k - 1, system.d, qs.shape[2])
+    np.subtract(qs[1:, 1:].swapaxes(0, 1), qs[1:, :1].swapaxes(0, 1), out=blocks)
+    blocks[:, -1] += np.subtract(system.spec.values[1:], system.spec.values[0])[:, None]
+    return out.T
 
 
 def residual_batch(system: SystemSpec, points: np.ndarray) -> np.ndarray:
     """Equation values for a batch of points, shape (batch, n)."""
-    return _assemble_residual(system, _batch_products(points[:, system.root_index]))
+    return _assemble_residual(system, _batch_products(points.T[system.root_index]))
 
 
 def residual_and_jacobian_batch(system: SystemSpec, points: np.ndarray):
@@ -165,15 +173,23 @@ def residual_and_jacobian_batch(system: SystemSpec, points: np.ndarray):
 
     Column j holds d/d(root_j) of its branch's product, -m_j (z - root_j)^(m_j - 1)
     times the other factors, in block i - 1 of its branch i (branch 0: negated, in all).
+    Each branch's product is its last slot's derivative product times one
+    more factor, the same steps ``residual_batch`` takes.
     """
     batch, n, end0 = points.shape[0], system.n, system.branch_ranges[0][1]
-    dq = system.deriv_factor[:, None] * _batch_products(points[:, system.deriv_index])
+    roots = points.T
+    prods = _batch_products(roots[system.deriv_index])  # (d, n, batch)
+    last = [end - 1 for _, end in system.branch_ranges]
+    qs = np.zeros((system.d + 1, system.k, batch), dtype=complex)
+    qs[:-1] = prods[:, last]
+    qs[1:] -= roots[last] * qs[:-1]
+    dq = system.deriv_factor[:, None] * prods.transpose(2, 1, 0)  # (batch, n, d)
     jac = np.zeros((batch, n, n), dtype=complex)
     jac[:, 0, :end0] = dq[:, :end0, 0]
     blocks = jac[:, 1:].reshape(batch, system.k - 1, system.d, n)
     blocks[..., :end0] = -dq[:, None, :end0].swapaxes(2, 3)
     blocks[:, system.slot_block[end0:], :, np.arange(end0, n)] = dq[:, end0:].swapaxes(0, 1)
-    return _assemble_residual(system, _batch_products(points[:, system.root_index])), jac
+    return _assemble_residual(system, qs), jac
 
 
 def residual(system: SystemSpec, x) -> np.ndarray:
@@ -187,7 +203,7 @@ def residual(system: SystemSpec, x) -> np.ndarray:
 def canonical_coefficients(system: SystemSpec, x) -> np.ndarray:
     """Coefficient vector (a_2, ..., a_d) of the polynomial modeled by x."""
     x = np.asarray(x, dtype=complex)
-    full = _batch_products(x[system.root_index[0]])
+    full = _batch_products(x[system.root_index[:, 0]])
     full[-1] += system.spec.values[0]
     return full[2:]
 
@@ -203,9 +219,8 @@ def rotate_coefficients(coeffs: np.ndarray, d: int, t: int) -> np.ndarray:
     return coeffs * np.exp(-2j * np.pi * t * j / d)
 
 
-_MAX_HALVINGS = 12
 # the line search's step lengths 1, 1/2, ..., 2^-11, tried in order
-_STEP_LENGTHS = 0.5 ** np.arange(_MAX_HALVINGS)
+_STEP_LENGTHS = 0.5 ** np.arange(12)
 # Newton iteration cap, and the damped step below which a row stops
 _NEWTON_MAX_ITER = 200
 _NEWTON_STEP_TOL = 1e-13
@@ -255,7 +270,7 @@ def _newton_batch(
     Re(J(B u) B); the escape rule then bounds max|u|, which is at most max|x|.
 
     Returns (points, converged_mask).  A row fails when its Jacobian is
-    singular, when step halving cannot decrease the residual, when it
+    singular, when no step length passes the line search, when it
     escapes (an accepted step leaves max|x| above _ESCAPE_FACTOR times
     root_bound, where no solution lies), when it stalls (its residual has
     not fallen by _STALL_FACTOR over the last _STALL_WINDOW iterations), or
@@ -290,38 +305,27 @@ def _newton_batch(
             break
         f, jac = evaluate(system, points[active])
         delta, solvable = _solve_linear_batch(jac, -f)
-        status[active[~solvable]] = -1
-        active = active[solvable]
-        delta = delta[solvable]
+        step = np.max(np.abs(delta), axis=1)
+        usable = solvable & np.isfinite(step)
+        status[active[~usable]] = -1
+        active, delta, step = active[usable], delta[usable], step[usable]
         if active.size == 0:
             continue
-        step = np.max(np.abs(delta), axis=1)
-        finite = np.isfinite(step)
-        status[active[~finite]] = -1
-        active, delta, step = active[finite], delta[finite], step[finite]
-        # line search: the full step of every row, then every shorter length
-        # of the rows it fails; a row keeps its first passing length
-        t = np.zeros(active.size)  # 0 until a length passes
-        trial, fn = points[active], fnorm[active]
-        for lengths in (_STEP_LENGTHS[:1], _STEP_LENGTHS[1:]):
-            rows = np.flatnonzero(t == 0)
-            if rows.size == 0:
-                break
-            trials = points[active[rows], None] + lengths[:, None] * delta[rows, None]
-            fns = np.max(np.abs(values(system, trials.reshape(-1, points.shape[1]))), axis=1)
-            fns = fns.reshape(rows.size, lengths.size)
-            good = np.isfinite(fns) & (
-                (fns <= (1.0 - 0.5 * lengths) * fnorm[active[rows], None]) | (fns < 1e-14)
-            )
-            first = np.argmax(good, axis=1)
-            hit = good[np.arange(rows.size), first]
-            took, first = rows[hit], first[hit]
-            trial[took], fn[took], t[took] = trials[hit, first], fns[hit, first], lengths[first]
-        accepted = t > 0
+        # line search: every length of every row in one call; a row keeps
+        # its first passing length
+        trials = points[active, None] + _STEP_LENGTHS[:, None] * delta[:, None]
+        fns = np.max(np.abs(values(system, trials.reshape(-1, points.shape[1]))), axis=1)
+        fns = fns.reshape(active.size, _STEP_LENGTHS.size)
+        good = np.isfinite(fns) & (
+            (fns <= (1.0 - 0.5 * _STEP_LENGTHS) * fnorm[active, None]) | (fns < 1e-14)
+        )
+        first = np.argmax(good, axis=1)
+        accepted = good[np.arange(active.size), first]
         status[active[~accepted]] = -1
-        points[active[accepted]] = trial[accepted]
-        fnorm[active[accepted]] = fn[accepted]
-        active, t, step = active[accepted], t[accepted], step[accepted]
+        active, first, step = active[accepted], first[accepted], step[accepted]
+        points[active] = trials[accepted, first]
+        fnorm[active] = fns[accepted, first]
+        t = _STEP_LENGTHS[first]
         small = (t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
         done = active[small]
         status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)

@@ -101,10 +101,16 @@ def test_kernel_matches_factor_by_factor_reference(cfg):
     # operations in the same order, so every value agrees bit for bit
     specs = [validate_branch_spec(p) for p in enumerate_sweep_specs(4, 3)]
     specs += [validate_branch_spec(parse_profiles(text)) for text in SOLVE_SPECS]
+    # a last slot of multiplicity 3, and four branches at d=6
+    specs += [
+        validate_branch_spec(parse_profiles(text))
+        for text in ("3,3|2,1,1,1,1", "2,2,1,1|2,1,1,1,1|2,1,1,1,1|2,1,1,1,1")
+    ]
     rng = np.random.default_rng(2024)
     for spec in specs:
         system = build_system(spec)
-        for rows in (1, 64):
+        # one point, one chunk of starts, and the line search's 12 lengths of a chunk
+        for rows in (1, 64, 12 * 64):
             shape = (rows, system.n)
             points = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             points *= root_bound(spec) / 4.0
@@ -392,7 +398,12 @@ def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
 
 @pytest.mark.parametrize(
     "text, values, seed",
-    [("3,1|2,1,1", (28, 1), 3), ("4,1|2,1,1,1", (-1.3, 2.1), 5), ("2,1,1|2,1,1|2,1,1", None, 11)],
+    [
+        ("3,1|2,1,1", (28, 1), 3),
+        ("4,1|2,1,1,1", (-1.3, 2.1), 5),
+        ("2,1,1|2,1,1|2,1,1", None, 11),
+        ("5,1|2,1,1,1,1", None, 13),
+    ],
 )
 def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
     # early retirement drops only rows that plain Newton also fails on, and
@@ -409,9 +420,9 @@ def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
     assert np.array_equal(points[ok], ref_points[ref_ok])
 
 
-def test_line_search_makes_at_most_two_residual_calls_per_iteration(cfg, monkeypatch):
-    # one call for the initial residuals, then per iteration one for the full
-    # step and at most one for every shorter length of the rows it failed
+def test_line_search_makes_one_residual_call_per_iteration(cfg, monkeypatch):
+    # one call for the initial residuals, then per iteration one for every
+    # length of every row
     spec = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"))
     system = build_system(spec)
     rng = np.random.default_rng(5)
@@ -434,7 +445,25 @@ def test_line_search_makes_at_most_two_residual_calls_per_iteration(cfg, monkeyp
     )
     _, ok = _newton_batch(system, starts, cfg)
     assert ok.any() and calls["jacobian"] > 0
-    assert calls["residual"] <= 1 + 2 * calls["jacobian"]
+    assert calls["residual"] <= 1 + calls["jacobian"]
+
+
+def test_jacobian_call_makes_one_product_call(monkeypatch):
+    # the branch products behind F come from the derivative products
+    calls = []
+    original = polysolve._batch_products
+
+    def counting(roots):
+        calls.append(roots.shape)
+        return original(roots)
+
+    monkeypatch.setattr(polysolve, "_batch_products", counting)
+    for text in ("3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"):
+        system = build_system(validate_branch_spec(parse_profiles(text)))
+        x = np.random.default_rng(3).standard_normal((8, system.n)) + 0j
+        calls.clear()
+        residual_and_jacobian_batch(system, x)
+        assert calls == [(system.d - 1, system.n, 8)]
 
 
 def test_incomplete_enumeration_raises(cfg):
