@@ -38,7 +38,7 @@ from .config import RunConfig
 from .errors import CoveringAssemblyError, SignMismatch
 from .partitions import BranchSpec, floor_sum_parity
 from .realsigns import RealPolynomial, signed_sum
-from .polysolve import classify_real, match_index, solve_all
+from .polysolve import SolutionSet, classify_real, match_index, solve_all
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -127,8 +127,19 @@ def class_sign(representatives: Sequence[RealPolynomial], d: int, parity: int) -
 
 
 def _solved_reals(config: RunConfig) -> RealsProvider:
-    """Real solutions of each spec from the solver; one provider solves a spec once."""
-    return functools.cache(lambda spec: classify_real(solve_all(spec, config), config))
+    """Real solutions of each spec from the solver; one provider solves a spec once.
+
+    Each solve is handed the sets this provider solved before, so the
+    reversed spec of an even degree is mapped from the spec, not solved.
+    """
+    solved: dict[BranchSpec, SolutionSet] = {}
+
+    @functools.cache
+    def reals(spec: BranchSpec) -> list[RealPolynomial]:
+        solved[spec] = solve_all(spec, config, known=tuple(solved.values()))
+        return classify_real(solved[spec], config)
+
+    return reals
 
 
 def _assemble_classes(

@@ -39,6 +39,17 @@ Real solutions are re-polished by the same Newton loop, ``_newton_batch``,
 in real coordinates u: pairing each non-real root with its conjugate gives
 x = B u for a fixed complex basis B, and the loop runs on Re F(B u) with
 Jacobian Re(J(B u) B).
+
+A spec whose branch data is an affine image of a solved one is mapped, not
+solved: if the (profile, value) pairs of B are those of A under
+w -> a w + b (a != 0), then P -> a P(z / c) + b with c^d = a maps A's
+normalized solutions one to one onto B's, each preimage root r going to c r
+in the block of its branch.  Since values increase in both specs, a > 0
+keeps the branch order and a < 0 reverses it; the reversed spec, every
+k <= 2 reordering and layout, and equally spaced k = 3 layouts are such
+images.  ``solve_all(spec, known=...)`` polishes the mapped points and
+accepts them like any other; the multistart fills whatever they miss, so
+the certificate still counts N accepted solutions.
 """
 
 from __future__ import annotations
@@ -48,6 +59,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -269,7 +281,8 @@ def _newton_batch(
     real coordinates u of x = B u with residual Re F(B u) and Jacobian
     Re(J(B u) B); the escape rule then bounds max|u|, which is at most max|x|.
 
-    Returns (points, converged_mask).  A row fails when its Jacobian is
+    Returns (points, converged_mask, residual_norms), the norms max|F| at
+    the returned points.  A row fails when its Jacobian is
     singular, when no step length passes the line search, when it
     escapes (an accepted step leaves max|x| above _ESCAPE_FACTOR times
     root_bound, where no solution lies), when it stalls (its residual has
@@ -335,7 +348,7 @@ def _newton_batch(
             live = np.where(status == 0)[0]
             status[live[fnorm[live] > _STALL_FACTOR * checkpoint[live]]] = -1
             checkpoint[live] = fnorm[live]
-    return points, status == 1
+    return points, status == 1, fnorm
 
 
 @dataclass(frozen=True)
@@ -439,15 +452,16 @@ class _Collector:
     def complete(self) -> bool:
         return len(self.points) >= self.target
 
-    def accept(self, cand: np.ndarray) -> np.ndarray | None:
-        """Keep cand as a new solution and return its coefficients, else None.
+    def accept(self, cand: np.ndarray, res: float) -> np.ndarray | None:
+        """Keep cand, whose residual norm is res, as a new solution and return its coefficients.
 
-        Every solution, solved or reloaded, passes here: residual within
+        Every solution, solved, mapped or reloaded, passes here: residual within
         tol_residual, each branch's roots more than tol_cluster apart (repeated
         collapses raise DegenerateConfiguration), coefficients new up to
         tol_dedup.  A new solution beyond the target raises OvercountDetected.
+        Returns None for a rejected point.
         """
-        res = float(np.max(np.abs(residual(self.system, cand))))
+        res = float(res)
         if not (res <= self.config.tol_residual):
             return None
         if not _well_separated(self.system, cand, self.config.tol_cluster):
@@ -469,8 +483,8 @@ class _Collector:
             raise OvercountDetected(len(self.points), self.target)
         return coeffs
 
-    def offer(self, x: np.ndarray):
-        """Accept a converged point; if it is new, harvest its symmetry orbit once.
+    def offer(self, x: np.ndarray, res: float):
+        """Accept a converged point of residual norm res; if it is new, harvest its orbit once.
 
         The orbit of x under z -> zeta z and conjugation (dihedral, order 2d)
         is {rot_t(x), conj(rot_t(x))}: its 2d - 1 mates are polished in one
@@ -478,7 +492,7 @@ class _Collector:
         the multistart.  Mates are accepted after the target too, so a new
         solution beyond it surfaces as OvercountDetected, never dropped.
         """
-        if self.accept(x) is None:
+        if self.accept(x, res) is None:
             return
         d = self.system.d
         mates = [
@@ -486,9 +500,9 @@ class _Collector:
             for mate in (rotate_point(x, d, t) for t in range(d))
             for conj in (False, True)
         ][1:]
-        polished, ok = _newton_batch(self.system, np.array(mates), self.config)
-        for mate in polished[ok]:
-            self.accept(mate)
+        polished, ok, norms = _newton_batch(self.system, np.array(mates), self.config)
+        for mate, norm in zip(polished[ok], norms[ok]):
+            self.accept(mate, norm)
 
     def build_set(self, starts_used: int, certificate: str) -> SolutionSet:
         order = sorted(
@@ -584,10 +598,49 @@ def load_cache(path: str, spec: BranchSpec, target: int, config: RunConfig) -> S
     for x, kept in zip(points, stored):
         if x.shape != (system.n,) or kept.shape != (system.d - 1,):
             return None
-        coeffs = collector.accept(x)
+        coeffs = collector.accept(x, np.max(np.abs(residual(system, x))))
         if coeffs is None or match_index(coeffs[None, :], kept, config.tol_dedup) != 0:
             return None
     return collector.build_set(0, "COMPLETE")
+
+
+def _affine_image(source: BranchSpec, spec: BranchSpec, tol: float):
+    """(a, order) when spec's branch j is source's branch order[j] under w -> a w + b, else None.
+
+    Values increase in both specs, so order is the identity (a > 0) or the
+    reversal (a < 0).  The end values fix a and b (k = 1: a = 1), and every
+    mapped value must match spec's by ``match_index`` at tol.
+    """
+    if source.is_identity or (source.d, source.k) != (spec.d, spec.k):
+        return None
+    k = spec.k
+    target = np.array(spec.values)
+    for order in (list(range(k)), list(range(k - 1, -1, -1))):
+        if [source.profiles[i] for i in order] != list(spec.profiles):
+            continue
+        w = np.array(source.values)[order]
+        a = 1.0 if k == 1 else (target[-1] - target[0]) / (w[-1] - w[0])
+        if match_index(target[None, :], a * (w - w[0]) + target[0], tol) == 0:
+            return a, order
+    return None
+
+
+def _mapped_points(source: SolutionSet, spec: BranchSpec, tol: float) -> np.ndarray | None:
+    """The points of source's solutions mapped to spec.
+
+    None when source is not COMPLETE or spec is no affine image of its spec.
+    A root r of P - w maps to c r, a root of the same order of
+    a P(z / c) + b - (a w + b); its branch block moves to the branch's new
+    place.
+    """
+    image = _affine_image(source.spec, spec, tol)
+    if image is None or source.certificate != "COMPLETE":
+        return None
+    a, order = image
+    bounds = np.cumsum([0] + [lam.length for lam in source.spec.profiles])
+    columns = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in order])
+    points = np.array([sol.point for sol in source.solutions], dtype=complex)
+    return complex(a) ** (1.0 / spec.d) * points.reshape(-1, bounds[-1])[:, columns]
 
 
 def solve_all(
@@ -595,6 +648,7 @@ def solve_all(
     config: RunConfig | None = None,
     *,
     cache_path: str | None = None,
+    known: Iterable[SolutionSet] = (),
 ) -> SolutionSet:
     """Find every normalized complex polynomial for the spec, with a certificate.
 
@@ -604,7 +658,11 @@ def solve_all(
     vectors and deduplicated.
     The run stops as soon as the count matches the factorization target.
     With ``cache_path``, a matching complete set stored there is reused and
-    a new one is written there.
+    a new one is written there.  Of the solution sets in ``known``, the
+    first COMPLETE one whose spec maps onto this spec by an affine change of
+    value is mapped first: its points are polished in one Newton batch and
+    accepted, and the multistart runs only for the solutions they miss
+    (``starts_used`` is 0 when they reach the target).
 
     Raises IncompleteEnumeration (carrying the partial set) when the start
     budget runs out first and OvercountDetected if dedup ever exceeds the
@@ -623,6 +681,13 @@ def solve_all(
             return cached
     system = build_system(spec)
     collector = _Collector(system, target, config)
+    for source in known:
+        mapped = _mapped_points(source, spec, config.tol_dedup)
+        if mapped is not None:
+            points, ok, norms = _newton_batch(system, mapped, config)
+            for point, norm in zip(points[ok], norms[ok]):
+                collector.accept(point, norm)
+            break
     rng = np.random.default_rng(config.seed)
     scale = root_bound(spec) / 4.0
     starts_used = 0
@@ -635,9 +700,9 @@ def solve_all(
         starts_used += m
         # the whole chunk is processed even after the target is reached, so
         # an extra distinct solution cannot slip away unnoticed
-        points, ok = _newton_batch(system, starts, config)
-        for point in points[ok]:
-            collector.offer(point)
+        points, ok, norms = _newton_batch(system, starts, config)
+        for point, norm in zip(points[ok], norms[ok]):
+            collector.offer(point, norm)
     if not collector.complete:
         partial = collector.build_set(starts_used, "INCOMPLETE")
         raise IncompleteEnumeration(len(collector), target, partial)
@@ -763,7 +828,7 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
             continue
         point = np.array(sol.point, dtype=complex)
         basis, real_mask, u0 = _real_structure(system, point, config)
-        u, ok = _newton_batch(system, u0[None, :], config, basis)
+        u, ok, _ = _newton_batch(system, u0[None, :], config, basis)
         if not ok[0]:
             raise AmbiguousRealness("real-restricted polish failed to converge")
         reals.append(_build_real_polynomial(system, basis @ u[0], real_mask, config))

@@ -9,7 +9,9 @@ invariance of both under profile reordering and branch value motion.
 An ``InfraLimit`` (budget exhaustion, scale, ambiguous tolerances) marks a
 record FAILED-INFRA, which is kept distinct from a genuine property violation.
 
-A ``Workspace`` memoizes each spec's solve, real solutions and class count.
+A ``Workspace`` memoizes each spec's solve, real solutions and class count,
+and maps each spec whose branch data is an affine image of a solved one
+instead of solving it afresh.
 The theorem and the z -> -z pairing are decided in ``coverings`` alone: the
 sweep passes the workspace's real solutions to ``theorem_check``,
 ``real_hurwitz`` and ``reflection_partners``, which read them as they read
@@ -38,7 +40,7 @@ from .partitions import (
     partitions_of,
     validate_branch_spec,
 )
-from .polysolve import classify_real, match_index, rotate_coefficients, solve_all
+from .polysolve import SolutionSet, classify_real, match_index, rotate_coefficients, solve_all
 from .realsigns import disorders_by_branch, ordered_pairs_by_branch, signed_sum
 
 PASS = "PASS"
@@ -62,14 +64,26 @@ class Workspace:
     """Memoizes solve, classification and class-count results across a sweep.
 
     ``solset``, ``reals`` and ``hurwitz`` map a spec to its certified solution
-    set, its real normalized polynomials and its ``RealHurwitzResult``.
+    set, its real normalized polynomials and its ``RealHurwitzResult``.  Each
+    solve is handed the sets solved so far, so a reordered, reversed or moved
+    spec is mapped from one of them when its branch data is an affine image.
+    The closures hold locals, never ``self``, so a dropped workspace is freed
+    at once.
     """
 
     def __init__(self, config: RunConfig):
+        solved: dict[BranchSpec, SolutionSet] = {}
+
+        def solset(spec: BranchSpec) -> SolutionSet:
+            if spec not in solved:
+                solved[spec] = solve_all(spec, config, known=tuple(solved.values()))
+            return solved[spec]
+
+        reals = functools.cache(lambda spec: classify_real(solset(spec), config))
         self.config = config
-        self.solset = functools.cache(lambda spec: solve_all(spec, config))
-        self.reals = functools.cache(lambda spec: classify_real(self.solset(spec), config))
-        self.hurwitz = functools.cache(lambda spec: real_hurwitz(spec, config, self.reals))
+        self.solset = solset
+        self.reals = reals
+        self.hurwitz = functools.cache(lambda spec: real_hurwitz(spec, config, reals))
 
     def signed_count(self, spec: BranchSpec) -> int:
         return signed_sum(self.reals(spec), self.config)

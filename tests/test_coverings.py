@@ -163,6 +163,23 @@ def test_theorem_check_solves_each_side_once(cfg, solves):
     assert len(solves) == 1
 
 
+def test_theorem_check_maps_the_reversed_spec(cfg, monkeypatch):
+    from realhurwitz import coverings
+
+    drawn = {}
+    original = coverings.solve_all
+
+    def recording(spec, *args, **kwargs):
+        solset = original(spec, *args, **kwargs)
+        drawn[spec] = solset.starts_used
+        return solset
+
+    monkeypatch.setattr(coverings, "solve_all", recording)
+    spec = validate_branch_spec(parse_profiles("2,1,1|2,2"))
+    assert theorem_check(spec, cfg).passed
+    assert drawn[spec] > 0 and drawn[spec.reversed_spec()] == 0
+
+
 def test_parity_odd_branch_solves_nothing(cfg, solves):
     spec = validate_branch_spec(parse_profiles("3,1|2,1,1"))
     assert real_hurwitz(spec, cfg).parity_odd_branch

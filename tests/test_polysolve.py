@@ -245,7 +245,7 @@ def test_real_jacobian_matches_finite_differences(cfg, spec, coefficients):
         assert np.max(np.abs(jac_b.real - approx) / (1.0 + np.abs(approx))) < 1e-6
     # solutions arrive polished, so only a perturbed start makes the real Newton step
     start = u0 + 1e-3 * rng.standard_normal(system.n)
-    u, ok = _newton_batch(system, start[None, :], cfg, basis)
+    u, ok, _ = _newton_batch(system, start[None, :], cfg, basis)
     assert ok[0] and np.max(np.abs(u[0] - u0)) < 1e-9
 
 
@@ -349,10 +349,10 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
             batches.append(starts.shape[0])
         return original_newton(system, starts, *args, **kwargs)
 
-    def offer(self, x):
+    def offer(self, x, res):
         inside_offer.append(True)
         try:
-            return original_offer(self, x)
+            return original_offer(self, x, res)
         finally:
             inside_offer.pop()
 
@@ -388,11 +388,11 @@ def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
 
     monkeypatch.setattr(polysolve, "residual_and_jacobian_batch", counting)
     far = 100.0 * root_bound(CUBIC) * np.exp(2j * np.pi * np.arange(system.n) / system.n)
-    _, ok = _newton_batch(system, far[None, :], cfg)
+    _, ok, _ = _newton_batch(system, far[None, :], cfg)
     assert not ok[0] and len(calls) <= 1
 
     exact = np.array([1.0, -2.0, -1.0, 2.0], dtype=complex)
-    points, ok = _newton_batch(system, (exact + 1e-3 * (1 + 1j))[None, :], cfg)
+    points, ok, _ = _newton_batch(system, (exact + 1e-3 * (1 + 1j))[None, :], cfg)
     assert ok[0] and np.max(np.abs(points[0] - exact)) < 1e-9
 
 
@@ -413,7 +413,7 @@ def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
     starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
-    points, ok = _newton_batch(system, starts, cfg)
+    points, ok, _ = _newton_batch(system, starts, cfg)
     ref_points, ref_ok = plain_newton(system, starts, cfg)
     assert ref_ok.any()
     assert np.array_equal(ok, ref_ok)
@@ -443,7 +443,7 @@ def test_line_search_makes_one_residual_call_per_iteration(cfg, monkeypatch):
         "residual_and_jacobian_batch",
         counted("jacobian", residual_and_jacobian_batch),
     )
-    _, ok = _newton_batch(system, starts, cfg)
+    _, ok, _ = _newton_batch(system, starts, cfg)
     assert ok.any() and calls["jacobian"] > 0
     assert calls["residual"] <= 1 + calls["jacobian"]
 
@@ -608,3 +608,85 @@ def test_solution_count_matches_factorizations(cfg):
         n = count_factorizations(spec.profiles).N
         solset = solve_all(spec, cfg)
         assert len(solset) == n == solset.target
+
+
+def _affine_cases():
+    d4 = validate_branch_spec(parse_profiles("3,1|2,1,1"))
+    d5 = validate_branch_spec(parse_profiles("4,1|2,1,1,1"))
+    d6 = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"))
+    simple = parse_profiles("2,1,1|2,1,1|2,1,1")
+    return {
+        "reversed d=4": (d4, d4.reversed_spec()),
+        "reversed d=6": (d6, d6.reversed_spec()),
+        # w -> 3 - w at d = 5: an odd degree with a complex c, c^5 = -1
+        "swapped k=2": (d5, d5.permuted([1, 0])),
+        "moved k=2": (d4, validate_branch_spec(d4.profiles, (-1.3, 2.7))),
+        "shifted k=3": (
+            validate_branch_spec(simple),
+            validate_branch_spec(simple, (-2.5, -0.75, 1.0)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_affine_cases()))
+def test_affine_image_is_mapped_not_solved(cfg, case):
+    source, spec = _affine_cases()[case]
+    known = solve_all(source, cfg)
+    # the closed-form images solve the spec before any polish
+    images = polysolve._mapped_points(known, spec, cfg.tol_dedup)
+    assert images.shape == (len(known), build_system(spec).n)
+    assert np.max(np.abs(residual_batch(build_system(spec), images))) < 1e-9
+    mapped = solve_all(spec, cfg, known=(known,))
+    assert mapped.certificate == "COMPLETE" and mapped.starts_used == 0
+    assert len(mapped) == mapped.target == count_factorizations(spec.profiles).N
+    fresh = solve_all(spec, cfg)
+    assert fresh.starts_used > 0
+    assert match_coefficient_sets(
+        [s.coefficients for s in mapped.solutions],
+        [s.coefficients for s in fresh.solutions],
+        tol=cfg.tol_dedup,
+    )
+
+
+def test_non_affine_layout_falls_back_to_the_multistart(cfg):
+    profiles = parse_profiles("2,1,1|2,1,1|2,1,1")
+    known = solve_all(validate_branch_spec(profiles), cfg)
+    solset = solve_all(validate_branch_spec(profiles, (1.0, 2.0, 4.0)), cfg, known=(known,))
+    assert solset.certificate == "COMPLETE" and solset.starts_used > 0
+    assert len(solset) == solset.target
+
+
+def test_known_set_missing_a_solution_is_filled_by_the_multistart(cfg):
+    source = validate_branch_spec(parse_profiles("3,1|2,1,1"))
+    known = solve_all(source, cfg)
+    short = dataclasses.replace(known, solutions=known.solutions[1:])
+    solset = solve_all(source.reversed_spec(), cfg, known=(short,))
+    assert solset.certificate == "COMPLETE" and solset.starts_used > 0
+    assert len(solset) == solset.target
+
+
+def test_incomplete_known_set_is_not_used(cfg):
+    source = validate_branch_spec(parse_profiles("3,1|2,1,1"))
+    known = dataclasses.replace(solve_all(source, cfg), certificate="INCOMPLETE")
+    solset = solve_all(source.reversed_spec(), cfg, known=(known,))
+    assert solset.certificate == "COMPLETE" and solset.starts_used > 0
+
+
+def test_solve_without_cache_makes_no_single_row_residual_call(cfg, monkeypatch):
+    # Newton returns the residual norm of every point it hands to acceptance
+    calls = []
+    original = polysolve.residual
+
+    def counting(system, x):
+        calls.append(len(x))
+        return original(system, x)
+
+    monkeypatch.setattr(polysolve, "residual", counting)
+    spec = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"))
+    known = solve_all(spec, cfg)
+    mapped = solve_all(spec.reversed_spec(), cfg, known=(known,))
+    assert mapped.starts_used == 0 and calls == []
+    system = build_system(spec)
+    for sol in known.solutions:
+        assert sol.residual <= cfg.tol_residual
+        assert np.max(np.abs(original(system, np.array(sol.point)))) <= cfg.tol_residual

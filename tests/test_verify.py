@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -11,7 +13,7 @@ from realhurwitz import (
     theorem_check,
     validate_branch_spec,
 )
-from realhurwitz import coverings
+from realhurwitz import coverings, verify
 from realhurwitz.cli import EXIT_OK, main
 from realhurwitz.verify import Workspace, check_spec, enumerate_sweep_specs
 
@@ -115,3 +117,33 @@ def test_sweep_assembles_each_spec_classes_once(cfg, monkeypatch):
 def test_empty_sweep_rejected(cfg, dmax, kmax):
     with pytest.raises(ValidationError):
         run_sweep(dmax, kmax, cfg)
+
+
+def test_sweep_draws_starts_for_the_swept_specs_and_one_layout(cfg, monkeypatch):
+    # every other solve is an affine image of a solved spec: the reversed
+    # specs, the k <= 2 orders and layouts, and the shifted k = 3 layout
+    drawn = []
+    original = verify.solve_all
+
+    def recording(spec, *args, **kwargs):
+        solset = original(spec, *args, **kwargs)
+        drawn.append(solset.starts_used > 0)
+        return solset
+
+    monkeypatch.setattr(verify, "solve_all", recording)
+    assert run_sweep(4, 3, cfg).passed
+    assert len(drawn) == 37
+    assert sum(drawn) == len(enumerate_sweep_specs(4, 3)) + 1 == 8
+
+
+def test_dropped_workspace_is_freed_without_the_cycle_collector(cfg):
+    spec = validate_branch_spec(parse_profiles("2,1|2,1"))
+    gc.disable()
+    try:
+        ws = Workspace(cfg)
+        assert ws.hurwitz(spec).value == ws.signed_count(spec)
+        ref = weakref.ref(ws)
+        del ws
+        assert ref() is None
+    finally:
+        gc.enable()
