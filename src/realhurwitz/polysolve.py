@@ -419,8 +419,28 @@ def match_index(table: np.ndarray, vec: np.ndarray, tol: float) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _grid_key(values) -> tuple[tuple[float, float], ...]:
+    """Sort key of complex values rounded to 9 decimals, far below tol_dedup.
+
+    Rounding noise in the last bits cannot reorder two values that differ on
+    this grid, such as the equal real parts of a conjugate pair.
+    """
+    return tuple((round(v.real, 9), round(v.imag, 9)) for v in values)
+
+
 def _solution(system: SystemSpec, x: np.ndarray, coeffs: np.ndarray, res: float) -> Solution:
-    """The Solution record of a validated point x, its roots grouped by branch."""
+    """The Solution record of a validated point x, its roots grouped by branch.
+
+    Roots of equal multiplicity within a branch are listed by ``_grid_key``,
+    and ``point`` is permuted to match, so the record does not depend on which
+    of the equivalent orderings the solver found.
+    """
+    order = [
+        j
+        for start, end in system.branch_ranges
+        for j in sorted(range(start, end), key=lambda j: (-system.slots[j][1], _grid_key([x[j]])))
+    ]
+    x = x[order]
     roots = tuple(
         tuple((complex(r), m) for r, m in zip(x[start:end], lam.parts))
         for (start, end), lam in zip(system.branch_ranges, system.spec.profiles)
@@ -505,10 +525,7 @@ class _Collector:
             self.accept(mate, norm)
 
     def build_set(self, starts_used: int, certificate: str) -> SolutionSet:
-        order = sorted(
-            range(len(self.points)),
-            key=lambda i: tuple((c.real, c.imag) for c in self.coeffs[i]),
-        )
+        order = sorted(range(len(self.points)), key=lambda i: _grid_key(self.coeffs[i]))
         sols = [
             _solution(self.system, self.points[i], self.coeffs[i], self.residuals[i])
             for i in order

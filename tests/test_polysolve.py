@@ -323,6 +323,28 @@ def test_determinism_same_seed(cfg):
     assert first == second
 
 
+def test_output_order_does_not_depend_on_the_representative(cfg):
+    # the same solutions accepted in reverse order, each with its equal-multiplicity
+    # roots listed in reverse, give the same records in the same order
+    spec = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"))
+    system = build_system(spec)
+    solset = solve_all(spec, cfg)
+    branch, order = np.array(system.slots).T
+    relabel = np.lexsort((-np.arange(system.n), -order, branch))
+    assert not np.array_equal(relabel, np.arange(system.n))
+    collector = polysolve._Collector(system, solset.target, cfg)
+    for sol in reversed(solset.solutions):
+        x = np.array(sol.point)[relabel]
+        assert collector.accept(x, np.max(np.abs(residual(system, x)))) is not None
+    again = collector.build_set(solset.starts_used, "COMPLETE")
+    for got, want in zip(again.solutions, solset.solutions):
+        assert np.allclose(got.coefficients, want.coefficients, rtol=0, atol=1e-12)
+        assert np.allclose(got.point, want.point, rtol=0, atol=1e-12)
+        assert [[m for _, m in branch] for branch in got.roots] == [
+            [m for _, m in branch] for branch in want.roots
+        ]
+
+
 def test_solutions_lie_in_the_root_ball(cfg):
     # the theorem behind the escape rule: |root| <= 4 max|w_i|^(1/d)
     quintic = validate_branch_spec(parse_profiles("4,1|2,1,1,1"), (-1.3, 2.1))
