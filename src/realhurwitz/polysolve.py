@@ -12,7 +12,13 @@ long as the roots within one branch stay separated.
 Completeness is certified against the exact factorization count: the solver
 keeps drawing seeded random starts for damped Newton until the deduplicated
 solution count reaches that target, harvesting the conjugation and
-root-of-unity symmetry orbits of every solution found along the way.
+root-of-unity symmetry orbits of every solution found along the way.  Newton
+hands converged rows over as they converge.  The first time the count
+reaches the target, a Krawczyk test (``_krawczyk_certified``) tries to prove
+that the accepted points lie near that many distinct true solutions with the
+exact profiles; if it does, no other solution exists and the rest of the
+chunk is skipped.  If it does not, it is not tried again and the chunk runs
+to its end, so a duplicate that dedup missed still raises OvercountDetected.
 
 Most random starts never reach a solution, so Newton retires a row early
 by two rules.  Escape: every root of every solution has modulus at most
@@ -59,7 +65,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -180,28 +186,42 @@ def residual_batch(system: SystemSpec, points: np.ndarray) -> np.ndarray:
     return _assemble_residual(system, _batch_products(points.T[system.root_index]))
 
 
-def residual_and_jacobian_batch(system: SystemSpec, points: np.ndarray):
-    """Equation values and exact analytic Jacobians, shapes (batch, n) and (batch, n, n).
+def _products(system: SystemSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch products qs (d + 1, k, batch) and derivative polynomials dq (batch, n, d).
 
-    Column j holds d/d(root_j) of its branch's product, -m_j (z - root_j)^(m_j - 1)
-    times the other factors, in block i - 1 of its branch i (branch 0: negated, in all).
-    Each branch's product is its last slot's derivative product times one
-    more factor, the same steps ``residual_batch`` takes.
+    dq[:, j] is d/d(root_j) of its branch's product, -m_j (z - root_j)^(m_j - 1)
+    times the other factors.  Each branch's product is its last slot's
+    derivative product times one more factor, the same steps
+    ``residual_batch`` takes.
     """
-    batch, n, end0 = points.shape[0], system.n, system.branch_ranges[0][1]
     roots = points.T
     prods = _batch_products(roots[system.deriv_index])  # (d, n, batch)
     last = [end - 1 for _, end in system.branch_ranges]
-    qs = np.zeros((system.d + 1, system.k, batch), dtype=complex)
+    qs = np.zeros((system.d + 1, system.k, points.shape[0]), dtype=complex)
     qs[:-1] = prods[:, last]
     qs[1:] -= roots[last] * qs[:-1]
-    dq = system.deriv_factor[:, None] * prods.transpose(2, 1, 0)  # (batch, n, d)
-    jac = np.zeros((batch, n, n), dtype=complex)
+    return qs, system.deriv_factor[:, None] * prods.transpose(2, 1, 0)
+
+
+def _assemble_jacobian(system: SystemSpec, dq: np.ndarray) -> np.ndarray:
+    """Jacobians (batch, n, n): column j holds dq[:, j] in block i - 1 of its branch i.
+
+    A branch-0 column holds it negated in every block, and its leading
+    coefficient -m_j in row 0, the normalization equation.
+    """
+    batch, n, end0 = dq.shape[0], system.n, system.branch_ranges[0][1]
+    jac = np.zeros((batch, n, n), dtype=dq.dtype)
     jac[:, 0, :end0] = dq[:, :end0, 0]
     blocks = jac[:, 1:].reshape(batch, system.k - 1, system.d, n)
     blocks[..., :end0] = -dq[:, None, :end0].swapaxes(2, 3)
     blocks[:, system.slot_block[end0:], :, np.arange(end0, n)] = dq[:, end0:].swapaxes(0, 1)
-    return _assemble_residual(system, qs), jac
+    return jac
+
+
+def residual_and_jacobian_batch(system: SystemSpec, points: np.ndarray):
+    """Equation values and exact analytic Jacobians, shapes (batch, n) and (batch, n, n)."""
+    qs, dq = _products(system, points)
+    return _assemble_residual(system, qs), _assemble_jacobian(system, dq)
 
 
 def residual(system: SystemSpec, x) -> np.ndarray:
@@ -273,7 +293,11 @@ def _solve_linear_batch(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _newton_batch(
-    system: SystemSpec, starts: np.ndarray, config: RunConfig, basis: np.ndarray | None = None
+    system: SystemSpec,
+    starts: np.ndarray,
+    config: RunConfig,
+    basis: np.ndarray | None = None,
+    stop: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ):
     """Damped Newton on a batch of starts; results depend on each row alone.
 
@@ -289,6 +313,11 @@ def _newton_batch(
     not fallen by _STALL_FACTOR over the last _STALL_WINDOW iterations), or
     when the iteration cap is hit.  Retiring a row early changes no other
     row.
+
+    After each iteration that converges rows, ``stop`` receives their points
+    and residual norms, in row order; rows converged at the initial check
+    count as iteration 0.  Once it returns True the batch ends, and the rows
+    still active are reported as not converged.
     """
     if basis is None:
         points = np.array(starts, dtype=complex)
@@ -312,9 +341,14 @@ def _newton_batch(
     status[bad] = -1
     status[fnorm < 1e-14] = 1
     checkpoint = fnorm.copy()
+
+    def stopped(rows: np.ndarray) -> bool:
+        return stop is not None and rows.size > 0 and stop(points[rows], fnorm[rows])
+
+    ended = stopped(np.flatnonzero(status == 1))
     for it in range(1, _NEWTON_MAX_ITER + 1):
         active = np.where(status == 0)[0]
-        if active.size == 0:
+        if ended or active.size == 0:
             break
         f, jac = evaluate(system, points[active])
         delta, solvable = _solve_linear_batch(jac, -f)
@@ -342,6 +376,8 @@ def _newton_batch(
         small = (t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
         done = active[small]
         status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)
+        if stopped(done[status[done] == 1]):
+            break
         live = active[~small]
         status[live[np.max(np.abs(points[live]), axis=1) > escape]] = -1
         if it % _STALL_WINDOW == 0:
@@ -349,6 +385,125 @@ def _newton_batch(
             status[live[fnorm[live] > _STALL_FACTOR * checkpoint[live]]] = -1
             checkpoint[live] = fnorm[live]
     return points, status == 1, fnorm
+
+
+# a box's radius is this multiple of the bound on its point's correction |Y F(x^)|
+_BOX_FACTOR = 16.0
+
+
+def _rounding_bound(system: SystemSpec) -> float:
+    """gamma_m = m u / (1 - m u) with u = 2^-53 and m = 8 (n + d): the certifier's rounding bound.
+
+    A complex addition errs by at most u and a complex multiplication by at
+    most sqrt(2) gamma_2 < gamma_3, relative (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sections 3.1 and 3.6).  The product
+    kernel's at most d steps of one multiplication and one subtraction leave
+    each coefficient within gamma_4d times the same coefficient computed at
+    |r|; the residual adds three roundings, and a product with an n-row
+    matrix n + 3.  Every other quantity is a sum or product of at most 2n
+    nonnegative terms.  gamma_8(n+d) bounds each chain of these, and its
+    product with any other, so the computed F(x^), J(x^) and coefficients
+    are widened by this bound times their values at |x^| and |w|, and every
+    comparison by a factor 1 + gamma.
+    """
+    m = 8 * (system.n + system.d)
+    return m * 2.0**-53 / (1.0 - m * 2.0**-53)
+
+
+def _point_enclosure(system: SystemSpec, x: np.ndarray):
+    """(F, radius, J) at the rows of x: the exact F(x^) lies within radius of the computed F."""
+    qs, dq = _products(system, x)
+    abs_q = _products(system, -np.abs(x) + 0j)[0].real  # coefficients at |r|, all >= 0
+    f_abs = np.empty((system.n, len(x)))
+    f_abs[0] = abs_q[1, 0]
+    blocks = f_abs[1:].reshape(system.k - 1, system.d, len(x))
+    np.add(abs_q[1:, 1:].swapaxes(0, 1), abs_q[1:, :1].swapaxes(0, 1), out=blocks)
+    blocks[:, -1] += np.add(np.abs(system.spec.values[1:]), abs(system.spec.values[0]))[:, None]
+    f_rad = _rounding_bound(system) * f_abs.T
+    return _assemble_residual(system, qs), f_rad, _assemble_jacobian(system, dq)
+
+
+def _box_enclosure(system: SystemSpec, x: np.ndarray, rho: np.ndarray):
+    """(J radius, coefficients, coefficient radius) over the polydiscs of radius rho (batch, 1).
+
+    Moving each root r by at most rho moves a coefficient of prod(z - r) by
+    at most that coefficient of prod(z + |r| + rho) minus that of
+    prod(z + |r|), so J(x) for x in the box lies within the radius of the
+    computed J(x^), and the coefficients (a_2, ..., a_d) of x within theirs
+    of the computed ones at x^; both radii include the rounding of those
+    computed values.
+    """
+    gamma = _rounding_bound(system)
+    lo_q, lo_dq = _products(system, -np.abs(x) + 0j)
+    hi_q, hi_dq = _products(system, -(np.abs(x) + rho) + 0j)
+    hi_j, lo_j = (np.abs(_assemble_jacobian(system, dq)) for dq in (hi_dq, lo_dq))
+    coeffs = _batch_products(x.T[system.root_index[:, 0]])[2:].T
+    coeffs[:, -1] += system.spec.values[0]
+    hi_c, lo_c = hi_q[2:, 0].real.T, lo_q[2:, 0].real.T
+    c_rad = hi_c - lo_c + 3.0 * gamma * (hi_c + lo_c + abs(system.spec.values[0]))
+    return hi_j - lo_j + 2.0 * gamma * (hi_j + lo_j), coeffs, c_rad
+
+
+def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> bool:
+    """True when the points provably lie near len(points) distinct solutions.
+
+    Each point x^ gets the polydisc X of radius rho about it, with Y the
+    computed inverse of J(x^): rho is _BOX_FACTOR times the bound on the
+    Newton correction |Y F(x^)|, at least 2^-52 (1 + max|x^|), and must not
+    exceed tol (1 + max|x^|), so a point far from its zero fails.  With the
+    enclosures of ``_point_enclosure`` and ``_box_enclosure``, three facts
+    are proved for every point:
+
+    - One zero in X (the Krawczyk test K(X) in int X): over X, x - Y F(x)
+      moves at most |Y F(x^)| + |I - Y J(X)| rho from x^, componentwise.
+      When every component is below rho, that map sends X into itself and
+      contracts in the max norm, so it has one fixed point, and Y is
+      nonsingular: F has exactly one zero in X.
+    - The exact profile: within each branch the roots of x^ are more than
+      2 rho apart, so the zero's are distinct.
+    - Distinct polynomials: the coefficient discs of any two points are
+      disjoint in some coefficient, so the zeros are distinct polynomials,
+      not two orderings of the roots of one.
+
+    Points are taken _CHUNK_SIZE at a time, so memory stays that of a
+    Newton batch.
+    """
+    points = np.asarray(points, dtype=complex)
+    gamma = _rounding_bound(system)
+    branch = np.array([b for b, _ in system.slots])
+    pair_a, pair_b = np.nonzero(np.triu(branch[:, None] == branch, 1))
+    eye = np.eye(system.n)
+    coeffs, c_rads = [], []
+    for lo in range(0, len(points), _CHUNK_SIZE):
+        x = points[lo : lo + _CHUNK_SIZE]
+        f, f_rad, jac = _point_enclosure(system, x)
+        try:
+            y = np.linalg.inv(jac)
+        except np.linalg.LinAlgError:
+            return False
+        ay = np.abs(y)
+        beta = (ay @ (np.abs(f) + f_rad)[..., None])[..., 0]  # bounds |Y F(x^)|
+        scale = 1.0 + np.max(np.abs(x), axis=1, keepdims=True)
+        rho = np.maximum(_BOX_FACTOR * beta.max(axis=1, keepdims=True), 2.0**-52 * scale)
+        if np.any(rho > tol * scale):
+            return False
+        j_rad, c, c_rad = _box_enclosure(system, x, rho)
+        spread = np.abs(eye - y @ jac) + gamma * (eye + ay @ np.abs(jac)) + ay @ j_rad
+        inside = (1.0 + gamma) * (beta + rho * spread.sum(axis=2)) < rho
+        apart = np.abs(x[:, pair_a] - x[:, pair_b]) > 2.0 * (1.0 + gamma) * rho
+        if not (inside.all() and apart.all()):
+            return False
+        coeffs.append(c)
+        c_rads.append(c_rad)
+    coeffs, c_rads = np.concatenate(coeffs), np.concatenate(c_rads)
+    for lo in range(0, len(coeffs), _CHUNK_SIZE):
+        rows = slice(lo, lo + _CHUNK_SIZE)
+        gap = np.abs(coeffs[rows, None] - coeffs)
+        disjoint = np.any(gap > (1.0 + gamma) * (c_rads[rows, None] + c_rads), axis=2)
+        disjoint[np.arange(len(gap)), np.arange(lo, lo + len(gap))] = True
+        if not disjoint.all():
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -464,6 +619,7 @@ class _Collector:
         self.coeffs = np.empty((0, system.d - 1), dtype=complex)  # one row per point
         self.residuals: list[float] = []
         self.collapse_counts: dict[tuple, int] = {}
+        self.proven: bool | None = None  # the one certification, once the target is reached
 
     def __len__(self) -> int:
         return len(self.points)
@@ -523,6 +679,22 @@ class _Collector:
         polished, ok, norms = _newton_batch(self.system, np.array(mates), self.config)
         for mate, norm in zip(polished[ok], norms[ok]):
             self.accept(mate, norm)
+
+    def offer_all(self, points: np.ndarray, norms: np.ndarray) -> bool:
+        """Offer converged points in order; True once the accepted set is proven complete.
+
+        The first time the count reaches the target, ``_krawczyk_certified``
+        runs once on the accepted points.  If it proves them, no other
+        solution exists and the caller may stop; if not, it never runs again
+        and every later point is offered as before.
+        """
+        for x, res in zip(points, norms):
+            self.offer(x, res)
+        if self.complete and self.proven is None:
+            self.proven = _krawczyk_certified(
+                self.system, np.array(self.points), self.config.tol_dedup
+            )
+        return bool(self.proven)
 
     def build_set(self, starts_used: int, certificate: str) -> SolutionSet:
         order = sorted(range(len(self.points)), key=lambda i: _grid_key(self.coeffs[i]))
@@ -673,7 +845,9 @@ def solve_all(
     (1 + max|w_i|)^(1/d), a quarter of root_bound; converged points are
     validated for residual and root separation, canonicalized to coefficient
     vectors and deduplicated.
-    The run stops as soon as the count matches the factorization target.
+    The run stops after the chunk in which the count matches the
+    factorization target, and within that chunk as soon as the accepted
+    points are proven distinct true solutions (``_Collector.offer_all``).
     With ``cache_path``, a matching complete set stored there is reused and
     a new one is written there.  Of the solution sets in ``known``, the
     first COMPLETE one whose spec maps onto this spec by an affine change of
@@ -715,11 +889,10 @@ def solve_all(
         )
         starts *= scale / math.sqrt(2.0)
         starts_used += m
-        # the whole chunk is processed even after the target is reached, so
-        # an extra distinct solution cannot slip away unnoticed
-        points, ok, norms = _newton_batch(system, starts, config)
-        for point, norm in zip(points[ok], norms[ok]):
-            collector.offer(point, norm)
+        # the chunk ends early only once its N accepted points are proven N
+        # distinct solutions; otherwise every converged row is offered, so an
+        # extra distinct solution cannot slip away unnoticed
+        _newton_batch(system, starts, config, stop=collector.offer_all)
     if not collector.complete:
         partial = collector.build_set(starts_used, "INCOMPLETE")
         raise IncompleteEnumeration(len(collector), target, partial)

@@ -144,7 +144,7 @@ def test_infra_error_exit_code(capsys, monkeypatch):
     assert "IncompleteEnumeration" in err
     # degree 7 is beyond the solver's scale guard: refused before any Newton step
     newton = []
-    monkeypatch.setattr(polysolve, "_newton_batch", lambda *args: newton.append(args))
+    monkeypatch.setattr(polysolve, "_newton_batch", lambda *args, **kwargs: newton.append(args))
     code, out, err = run_cli(capsys, "solve", "--profiles", "7")
     assert code == EXIT_INFRA
     assert out == "" and "ScaleExceeded" in err
@@ -184,10 +184,10 @@ def test_s_number_cache_hits_on_second_run(tmp_path, capsys, monkeypatch):
     newton = polysolve._newton_batch
     complex_rows = []
 
-    def spy(system, starts, config, basis=None):
+    def spy(system, starts, config, basis=None, stop=None):
         if basis is None:
             complex_rows.append(len(starts))
-        return newton(system, starts, config, basis)
+        return newton(system, starts, config, basis, stop)
 
     monkeypatch.setattr(polysolve, "_newton_batch", spy)
     cache = str(tmp_path / "c.jsonl")
@@ -214,7 +214,7 @@ def test_cache_rejected_on_multi_spec_commands(tmp_path, capsys, monkeypatch, ar
     from realhurwitz import polysolve
 
     newton = []
-    monkeypatch.setattr(polysolve, "_newton_batch", lambda *a: newton.append(a))
+    monkeypatch.setattr(polysolve, "_newton_batch", lambda *a, **kw: newton.append(a))
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--cache", str(tmp_path / "c.jsonl")])
     assert exc.value.code == EXIT_VALIDATION
@@ -231,7 +231,7 @@ def test_bad_cache_path_rejected(tmp_path, capsys, monkeypatch, command, where):
 
     cache = tmp_path / "missing" / "x.jsonl" if where == "missing directory" else tmp_path
     newton = []
-    monkeypatch.setattr(polysolve, "_newton_batch", lambda *args: newton.append(args))
+    monkeypatch.setattr(polysolve, "_newton_batch", lambda *args, **kwargs: newton.append(args))
     code, out, err = run_cli(capsys, command, "--profiles", "2,1|2,1", "--cache", str(cache))
     assert code == EXIT_VALIDATION
     assert out == "" and str(cache) in err

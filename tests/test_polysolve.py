@@ -712,3 +712,188 @@ def test_solve_without_cache_makes_no_single_row_residual_call(cfg, monkeypatch)
     for sol in known.solutions:
         assert sol.residual <= cfg.tol_residual
         assert np.max(np.abs(original(system, np.array(sol.point)))) <= cfg.tol_residual
+
+
+# --- Krawczyk certification and the early stop --------------------------------
+
+CERTIFIED_SPECS = SOLVE_SPECS + ("2,1,1|2,1,1|2,1,1",)
+
+
+def _solved_points(cfg, text):
+    spec = validate_branch_spec(parse_profiles(text))
+    solset = solve_all(spec, cfg)
+    return build_system(spec), np.array([sol.point for sol in solset.solutions])
+
+
+@pytest.mark.parametrize("text", CERTIFIED_SPECS)
+def test_every_solution_certifies(cfg, text):
+    system, points = _solved_points(cfg, text)
+    assert polysolve._krawczyk_certified(system, points, cfg.tol_dedup)
+
+
+@pytest.mark.parametrize("text", ["3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"])
+def test_certification_fails_for_false_solution_sets(cfg, text):
+    system, points = _solved_points(cfg, text)
+    # two equal-multiplicity roots of the last branch, swapped: the same polynomial
+    start, end = system.branch_ranges[-1]
+    swapped = points[0].copy()
+    swapped[[end - 2, end - 1]] = swapped[[end - 1, end - 2]]
+    moved = points.copy()
+    moved[0] += 1e-4 * np.exp(2j * np.pi * np.arange(system.n) / system.n)
+    for bad in (np.vstack((points, points[:1] + 1e-9)), np.vstack((points, swapped)), moved):
+        assert not polysolve._krawczyk_certified(system, bad, cfg.tol_dedup)
+
+
+def test_box_too_small_for_its_zero_fails(cfg, monkeypatch):
+    # a point 1e-5 from its zero, in a box far smaller than that: its roots
+    # and coefficients stay apart and the box is within tol, so only the
+    # Krawczyk inclusion can reject it
+    system, points = _solved_points(cfg, "3,2,1|3,1,1,1")
+    points[0] += 1e-5 * np.exp(2j * np.pi * np.arange(system.n) / system.n)
+    monkeypatch.setattr(polysolve, "_BOX_FACTOR", 1e-3)
+    assert not polysolve._krawczyk_certified(system, points, cfg.tol_dedup)
+
+
+def _iv_poly(iv, roots):
+    """Interval coefficients, highest degree first, of prod (z - r)^m over (r, m) pairs."""
+    coeffs = [iv.mpc(1)]
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = [a - r * b for a, b in zip(coeffs + [iv.mpc(0)], [iv.mpc(0)] + coeffs)]
+    return coeffs
+
+
+def _iv_system(iv, system, x):
+    """F(x), J(x) and the coefficients (a_2, ..., a_d) in interval arithmetic, by definition."""
+    n, d, k = system.n, system.d, system.k
+    w = [iv.mpc(v) for v in system.spec.values]
+    r = [iv.mpc(complex(v).real, complex(v).imag) for v in x]
+    branches = [[(r[j], system.slots[j][1]) for j in range(*rng)] for rng in system.branch_ranges]
+    qs = [_iv_poly(iv, roots) for roots in branches]
+    f = [qs[0][1]]
+    for i in range(1, k):
+        block = [qs[i][t] - qs[0][t] for t in range(1, d + 1)]
+        block[-1] += w[i] - w[0]
+        f += block
+    jac = [[iv.mpc(0)] * n for _ in range(n)]
+    for j, (b, m) in enumerate(system.slots):
+        others = [(r[l], mult) for l, (c, mult) in enumerate(system.slots) if c == b and l != j]
+        dq = [-m * c for c in _iv_poly(iv, others + [(r[j], m - 1)])]
+        if b == 0:
+            jac[0][j] = dq[0]
+        for i in range(1, k):
+            for t in range(d):
+                if b in (0, i):
+                    jac[1 + (i - 1) * d + t][j] = -dq[t] if b == 0 else dq[t]
+    coeffs = qs[0][2:]
+    coeffs[-1] += w[0]
+    return f, jac, coeffs
+
+
+def _disc_holds(mp, centre, radius, value):
+    """Every corner of the complex interval value lies within radius of centre."""
+    c = complex(centre)
+    return all(
+        mp.sqrt((mp.mpf(re.a) - c.real) ** 2 + (mp.mpf(im.a) - c.imag) ** 2) <= radius
+        for re in (value.real.a, value.real.b)
+        for im in (value.imag.a, value.imag.b)
+    )
+
+
+@pytest.mark.parametrize("box", ["solution", "wide"])
+def test_enclosures_hold_interval_evaluations(cfg, box):
+    mpmath = pytest.importorskip("mpmath")
+    iv, mp = mpmath.iv, mpmath.mp
+    iv.dps = mp.dps = 40
+    spec = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"))
+    system = build_system(spec)
+    rng = np.random.default_rng(8)
+    if box == "solution":
+        centre, rho = np.array(solve_all(spec, cfg).solutions[3].point), 1e-7
+    else:
+        centre = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
+        rho = 0.05
+    x = centre[None, :]
+    f, f_rad, jac = polysolve._point_enclosure(system, x)
+    j_rad, coeffs, c_rad = polysolve._box_enclosure(system, x, np.array([[rho]]))
+    exact_f, _, _ = _iv_system(iv, system, centre)
+    for i in range(system.n):
+        assert _disc_holds(mp, f[0, i], f_rad[0, i], exact_f[i])
+    # points of the polydisc: on its boundary with random phases, and moved
+    # radially outward, where the coefficient bound is tightest
+    samples = [centre + 0.999 * rho * np.exp(2j * np.pi * rng.random(system.n)) for _ in range(3)]
+    samples.append(centre + 0.999 * rho * centre / np.abs(centre))
+    for sample in samples:
+        _, exact_jac, exact_coeffs = _iv_system(iv, system, sample)
+        for i in range(system.n):
+            for j in range(system.n):
+                assert _disc_holds(mp, jac[0, i, j], j_rad[0, i, j], exact_jac[i][j])
+        for t in range(system.d - 1):
+            assert _disc_holds(mp, coeffs[0, t], c_rad[0, t], exact_coeffs[t])
+
+
+@pytest.mark.parametrize("text", ["3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"])
+@pytest.mark.parametrize("seed", range(5))
+def test_early_stop_keeps_the_full_chunk_result(cfg, monkeypatch, text, seed):
+    spec = validate_branch_spec(parse_profiles(text))
+    config = cfg.replace(seed=seed)
+    early = solve_all(spec, config)
+    monkeypatch.setattr(polysolve, "_krawczyk_certified", lambda *args: False)
+    full = solve_all(spec, config)
+    assert early.certificate == full.certificate == "COMPLETE"
+    assert early.starts_used == full.starts_used
+    assert match_coefficient_sets(
+        [s.coefficients for s in early.solutions],
+        [s.coefficients for s in full.solutions],
+        tol=cfg.tol_dedup,
+    )
+
+
+def test_early_stop_saves_newton_rows(cfg, monkeypatch):
+    rows = []
+    original = polysolve.residual_and_jacobian_batch
+
+    def counting(system, points):
+        rows.append(points.shape[0])
+        return original(system, points)
+
+    monkeypatch.setattr(polysolve, "residual_and_jacobian_batch", counting)
+    specs = [validate_branch_spec(parse_profiles(text)) for text in CERTIFIED_SPECS]
+    for spec in specs:
+        solve_all(spec, cfg)
+    early = sum(rows)
+    rows.clear()
+    monkeypatch.setattr(polysolve, "_krawczyk_certified", lambda *args: False)
+    for spec in specs:
+        solve_all(spec, cfg)
+    assert 2 * early < sum(rows)
+
+
+def test_newton_stop_sees_rows_in_convergence_order(cfg):
+    spec = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"))
+    system = build_system(spec)
+    rng = np.random.default_rng(5)
+    starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
+    starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
+    starts[7] = solve_all(spec, cfg).solutions[0].point  # converged at the initial check
+    points, ok, norms = _newton_batch(system, starts, cfg)
+    seen = []
+
+    def record(pts, nrm):
+        seen.append((pts.copy(), nrm.copy()))
+        return False
+
+    again, again_ok, _ = _newton_batch(system, starts, cfg, stop=record)
+    assert np.array_equal(again_ok, ok) and np.array_equal(again[ok], points[ok])
+    assert np.array_equal(seen[0][0], starts[7:8])
+    got = np.concatenate([pts for pts, _ in seen])
+    assert sorted(map(tuple, got)) == sorted(map(tuple, points[ok]))
+    assert len(seen) > 2
+
+    # ending after the second group reports only the first two groups converged
+    calls = []
+    _, stopped_ok, _ = _newton_batch(
+        system, starts, cfg, stop=lambda pts, nrm: calls.append(len(pts)) or len(calls) == 2
+    )
+    assert calls == [len(seen[0][0]), len(seen[1][0])]
+    assert stopped_ok.sum() == sum(calls) < ok.sum()
