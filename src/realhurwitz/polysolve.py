@@ -460,7 +460,7 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
       contracts in the max norm, so it has one fixed point, and Y is
       nonsingular: F has exactly one zero in X.
     - The exact profile: within each branch the roots of x^ are more than
-      2 rho apart, so the zero's are distinct.
+      2 rho apart, so the roots of the zero are distinct.
     - Distinct polynomials: the coefficient discs of any two points are
       disjoint in some coefficient, so the zeros are distinct polynomials,
       not two orderings of the roots of one.
