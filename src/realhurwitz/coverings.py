@@ -38,7 +38,7 @@ from .config import RunConfig
 from .errors import CoveringAssemblyError, SignMismatch
 from .partitions import BranchSpec, floor_sum_parity
 from .realsigns import RealPolynomial, signed_sum
-from .polysolve import SolutionSet, classify_real, match_index, solve_all
+from .polysolve import SolutionSet, classify_real, grid_key, match_index, solve_all
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -97,7 +97,7 @@ def _orbit_classes(
         if j == i:
             classes.append((side, (reals[i],), 2))
         elif i < j:
-            reps = tuple(sorted((reals[i], reals[j]), key=lambda p: p.coefficients))
+            reps = tuple(sorted((reals[i], reals[j]), key=lambda p: grid_key(p.coefficients)))
             classes.append((side, reps, 1))
     return classes
 
@@ -167,7 +167,7 @@ def _assemble_classes(
                 weight=Fraction(sgn, aut),
             )
         )
-    classes.sort(key=lambda c: (c.side, c.representatives[0].coefficients))
+    classes.sort(key=lambda c: (c.side, grid_key(c.representatives[0].coefficients)))
     return classes
 
 

@@ -46,16 +46,22 @@ in real coordinates u: pairing each non-real root with its conjugate gives
 x = B u for a fixed complex basis B, and the loop runs on Re F(B u) with
 Jacobian Re(J(B u) B).
 
-A spec whose branch data is an affine image of a solved one is mapped, not
-solved: if the (profile, value) pairs of B are those of A under
+A spec whose profile multiset was solved before is carried over, not
+solved.  If its branch data is an affine image of the solved one's, it is
+mapped: if the (profile, value) pairs of B are those of A under
 w -> a w + b (a != 0), then P -> a P(z / c) + b with c^d = a maps A's
 normalized solutions one to one onto B's, each preimage root r going to c r
 in the block of its branch.  Since values increase in both specs, a > 0
 keeps the branch order and a < 0 reverses it; the reversed spec, every
 k <= 2 reordering and layout, and equally spaced k = 3 layouts are such
-images.  ``solve_all(spec, known=...)`` polishes the mapped points and
-accepts them like any other; the multistart fills whatever they miss, so
-the certificate still counts N accepted solutions.
+images.  Any other layout or order is tracked (``_track``): the branch
+values move from the solved spec's to the new one's along a path on which
+they stay distinct, so by Riemann existence each of the N solutions moves
+along a path of its own, and a predictor-corrector follows all of them in
+one batch.  A one-branch spec needs neither: P = z^d + w, the point 0, is
+its one solution.  ``solve_all(spec, known=...)`` polishes the mapped or
+tracked points and accepts them like any other; the multistart fills
+whatever they miss, so the certificate still counts N accepted solutions.
 """
 
 from __future__ import annotations
@@ -574,7 +580,7 @@ def match_index(table: np.ndarray, vec: np.ndarray, tol: float) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def _grid_key(values) -> tuple[tuple[float, float], ...]:
+def grid_key(values) -> tuple[tuple[float, float], ...]:
     """Sort key of complex values rounded to 9 decimals, far below tol_dedup.
 
     Rounding noise in the last bits cannot reorder two values that differ on
@@ -584,18 +590,7 @@ def _grid_key(values) -> tuple[tuple[float, float], ...]:
 
 
 def _solution(system: SystemSpec, x: np.ndarray, coeffs: np.ndarray, res: float) -> Solution:
-    """The Solution record of a validated point x, its roots grouped by branch.
-
-    Roots of equal multiplicity within a branch are listed by ``_grid_key``,
-    and ``point`` is permuted to match, so the record does not depend on which
-    of the equivalent orderings the solver found.
-    """
-    order = [
-        j
-        for start, end in system.branch_ranges
-        for j in sorted(range(start, end), key=lambda j: (-system.slots[j][1], _grid_key([x[j]])))
-    ]
-    x = x[order]
+    """The Solution record of a validated point x, in ``_Collector.build_set``'s root order."""
     roots = tuple(
         tuple((complex(r), m) for r, m in zip(x[start:end], lam.parts))
         for (start, end), lam in zip(system.branch_ranges, system.spec.profiles)
@@ -697,10 +692,27 @@ class _Collector:
         return bool(self.proven)
 
     def build_set(self, starts_used: int, certificate: str) -> SolutionSet:
-        order = sorted(range(len(self.points)), key=lambda i: _grid_key(self.coeffs[i]))
+        """The accepted solutions in canonical order, with the certificate.
+
+        Solutions are listed by ``grid_key`` of their coefficients, and the
+        roots of equal multiplicity within a branch by ``grid_key`` of the
+        roots, so the set does not depend on the order in which they were
+        found nor on which of a solution's equivalent root orderings was.
+        Each order takes one np.round and one np.lexsort; round on a numpy
+        scalar is np.round, so the keys are ``grid_key``'s.
+        """
+        system = self.system
+        grid = np.round(self.coeffs, 9)
+        keys = np.stack((grid.real, grid.imag), axis=2).reshape(len(grid), 2 * system.d - 2)
+        order = np.lexsort(keys.T[::-1])
+        points = np.array(self.points, dtype=complex).reshape(len(self.points), system.n)
+        grid = np.round(points, 9)
+        branch, mult = np.array(system.slots).T
+        slot_keys = (np.broadcast_to(key, grid.shape) for key in (-mult, branch))
+        columns = np.lexsort((grid.imag, grid.real, *slot_keys), axis=1)
+        points = np.take_along_axis(points, columns, axis=1)
         sols = [
-            _solution(self.system, self.points[i], self.coeffs[i], self.residuals[i])
-            for i in order
+            _solution(system, points[i], self.coeffs[i], self.residuals[i]) for i in order
         ]
         return SolutionSet(
             spec=self.system.spec,
@@ -814,6 +826,14 @@ def _affine_image(source: BranchSpec, spec: BranchSpec, tol: float):
     return None
 
 
+def _permuted_points(source: SolutionSet, order: list[int]) -> np.ndarray:
+    """The points of source's solutions, with branch order[j]'s root block moved to place j."""
+    bounds = np.cumsum([0] + [lam.length for lam in source.spec.profiles])
+    columns = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in order])
+    points = np.array([sol.point for sol in source.solutions], dtype=complex)
+    return points.reshape(len(points), bounds[-1])[:, columns]
+
+
 def _mapped_points(source: SolutionSet, spec: BranchSpec, tol: float) -> np.ndarray | None:
     """The points of source's solutions mapped to spec.
 
@@ -826,10 +846,139 @@ def _mapped_points(source: SolutionSet, spec: BranchSpec, tol: float) -> np.ndar
     if image is None or source.certificate != "COMPLETE":
         return None
     a, order = image
-    bounds = np.cumsum([0] + [lam.length for lam in source.spec.profiles])
-    columns = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in order])
-    points = np.array([sol.point for sol in source.solutions], dtype=complex)
-    return complex(a) ** (1.0 / spec.d) * points.reshape(-1, bounds[-1])[:, columns]
+    return complex(a) ** (1.0 / spec.d) * _permuted_points(source, order)
+
+
+# path tracking in the branch values: the first step, its growth factor and
+# cap, the step below which a path is dropped, and the Newton corrections
+# per step with the size the last of them must reach
+_TRACK_STEP = 0.05
+_TRACK_GROWTH = 1.6
+_TRACK_MAX_STEP = 0.25
+_TRACK_MIN_STEP = 1e-4
+_TRACK_CORRECTIONS = 3
+_TRACK_TOL = 1e-9
+
+
+def _track(system: SystemSpec, points: np.ndarray, u, t) -> tuple[np.ndarray, np.ndarray]:
+    """Carry solutions at branch values u to values t; returns (points, arrived mask).
+
+    The values follow w(s) = (1 - s) u + s t + i s (1 - s) h for s from 0
+    to 1.  When u and t list the branches in the same order, h = 0: every
+    w(s) is then ordered the same way, so the values stay distinct and the
+    fibre keeps exactly N distinct solutions all along the path (Riemann
+    existence), the real ones staying real.  Otherwise h has distinct
+    entries, so w_i(s) != w_j(s) for 0 < s < 1 and the same holds.
+
+    Each w_i enters F linearly, in row i d (i >= 1) with w_0 subtracted, so
+    dF/ds is known in closed form and F(x; w) is the spec's residual with
+    those rows corrected.  Every path takes an Euler step x' = -J^-1 dF/ds,
+    then _TRACK_CORRECTIONS Newton corrections at the new s; the step is
+    accepted when the corrections contract and the last is below
+    _TRACK_TOL (1 + max|x|).  The step grows by _TRACK_GROWTH up to
+    _TRACK_MAX_STEP after an accepted step and halves after a rejected one.
+    A path is dropped on a singular Jacobian or a step below _TRACK_MIN_STEP;
+    all paths advance in one batch.
+    """
+    x = np.array(points, dtype=complex)
+    u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
+    v = np.asarray(system.spec.values, dtype=float)
+    rows = system.d * np.arange(1, system.k)
+    h = np.zeros(system.k)
+    if not np.array_equal(np.argsort(u), np.argsort(t)):
+        # of the scales tried on d <= 6 reorders (1/4, 1/2 and 1 times the
+        # spread of the values), half took the fewest steps
+        h = 0.5 * (np.ptp(u) + np.ptp(t)) * np.arange(system.k)
+
+    def differences(w: np.ndarray) -> np.ndarray:
+        return w[:, 1:] - w[:, :1]
+
+    def equations(y: np.ndarray, s: np.ndarray):
+        w = (1.0 - s)[:, None] * u + s[:, None] * t + 1j * (s * (1.0 - s))[:, None] * h
+        f, jac = residual_and_jacobian_batch(system, y)
+        f[:, rows] += differences(w - v)
+        return f, jac
+
+    def tangents(jac: np.ndarray, s: np.ndarray):
+        rate = np.zeros((len(s), system.n), dtype=complex)
+        rate[:, rows] = -differences(t - u + 1j * (1.0 - 2.0 * s)[:, None] * h)
+        return _solve_linear_batch(jac, rate)
+
+    s = np.zeros(len(x))
+    step = np.full(len(x), _TRACK_STEP)
+    tangent, live = tangents(residual_and_jacobian_batch(system, x)[1], s)
+    while True:
+        active = np.flatnonzero(live & (s < 1.0))
+        if active.size == 0:
+            break
+        s0 = s[active]
+        s1 = np.where(step[active] >= 1.0 - s0, 1.0, s0 + step[active])
+        y = x[active] + (s1 - s0)[:, None] * tangent[active]
+        ok = np.ones(active.size, dtype=bool)
+        sizes = []
+        for _ in range(_TRACK_CORRECTIONS):
+            f, jac = equations(y, s1)
+            delta, solvable = _solve_linear_batch(jac, -f)
+            ok &= solvable
+            y = y + delta
+            sizes.append(np.max(np.abs(delta), axis=1))
+        sizes = np.array(sizes)
+        small = sizes < _TRACK_TOL * (1.0 + np.max(np.abs(y), axis=1))
+        contract = np.all((sizes[1:] < sizes[:-1]) | small[1:], axis=0)
+        accepted = ok & np.isfinite(sizes).all(axis=0) & contract & small[-1]
+        done, failed = active[accepted], active[~accepted]
+        x[done], s[done] = y[accepted], s1[accepted]
+        step[done] = np.minimum(_TRACK_GROWTH * step[done], _TRACK_MAX_STEP)
+        # the next predictor's tangent, from the last correction's Jacobian
+        tangent[done], solvable = tangents(jac[accepted], s1[accepted])
+        step[failed] /= 2.0
+        live[active[~ok]] = False
+        live[done[~solvable]] = False
+        live[failed[step[failed] < _TRACK_MIN_STEP]] = False
+    return x, live
+
+
+def _tracked_points(
+    known: tuple[SolutionSet, ...], system: SystemSpec
+) -> np.ndarray | None:
+    """The first COMPLETE known set with the spec's d, k and profile multiset, tracked to it.
+
+    Each branch of the spec takes the next unused source branch with its
+    profile; the source points' blocks move to those places, as in
+    ``_mapped_points``, and ``_track`` carries them from the source values,
+    so ordered, to the spec's.  Returns the points that arrive, or None when
+    no known set qualifies.
+    """
+    spec = system.spec
+    profiles = sorted(lam.parts for lam in spec.profiles)
+    for source in known:
+        if (
+            source.certificate != "COMPLETE"
+            or (source.spec.d, source.spec.k) != (spec.d, spec.k)
+            or sorted(lam.parts for lam in source.spec.profiles) != profiles
+        ):
+            continue
+        unused = list(range(spec.k))
+        order = []
+        for lam in spec.profiles:
+            i = next(i for i in unused if source.spec.profiles[i] == lam)
+            unused.remove(i)
+            order.append(i)
+        u = np.array(source.spec.values)[order]
+        tracked, arrived = _track(system, _permuted_points(source, order), u, spec.values)
+        return tracked[arrived]
+    return None
+
+
+def _carried_points(
+    known: tuple[SolutionSet, ...], system: SystemSpec, tol: float
+) -> np.ndarray | None:
+    """Known solutions carried to the spec: the first affine image mapped, else one set tracked."""
+    for source in known:
+        mapped = _mapped_points(source, system.spec, tol)
+        if mapped is not None:
+            return mapped
+    return _tracked_points(known, system)
 
 
 def solve_all(
@@ -851,9 +1000,12 @@ def solve_all(
     With ``cache_path``, a matching complete set stored there is reused and
     a new one is written there.  Of the solution sets in ``known``, the
     first COMPLETE one whose spec maps onto this spec by an affine change of
-    value is mapped first: its points are polished in one Newton batch and
-    accepted, and the multistart runs only for the solutions they miss
-    (``starts_used`` is 0 when they reach the target).
+    value is mapped; failing that, the first COMPLETE one with the same d,
+    k and profile multiset is tracked to this spec's values and order.  The
+    carried points are polished in one Newton batch and accepted, and the
+    multistart runs only for the solutions they miss (``starts_used`` is 0
+    when they reach the target).  A one-branch spec takes its one solution,
+    the point 0, with ``starts_used`` 0.
 
     Raises IncompleteEnumeration (carrying the partial set) when the start
     budget runs out first and OvercountDetected if dedup ever exceeds the
@@ -872,13 +1024,16 @@ def solve_all(
             return cached
     system = build_system(spec)
     collector = _Collector(system, target, config)
-    for source in known:
-        mapped = _mapped_points(source, spec, config.tol_dedup)
-        if mapped is not None:
-            points, ok, norms = _newton_batch(system, mapped, config)
+    if spec.k == 1:
+        # P = z^d + w: the one root, 0, is the one solution
+        x = np.zeros(1, dtype=complex)
+        collector.accept(x, np.max(np.abs(residual(system, x))))
+    else:
+        carried = _carried_points(tuple(known), system, config.tol_dedup)
+        if carried is not None:
+            points, ok, norms = _newton_batch(system, carried, config)
             for point, norm in zip(points[ok], norms[ok]):
                 collector.accept(point, norm)
-            break
     rng = np.random.default_rng(config.seed)
     scale = root_bound(spec) / 4.0
     starts_used = 0
@@ -1022,5 +1177,5 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
         if not ok[0]:
             raise AmbiguousRealness("real-restricted polish failed to converge")
         reals.append(_build_real_polynomial(system, basis @ u[0], real_mask, config))
-    reals.sort(key=lambda p: p.coefficients)
+    reals.sort(key=lambda p: grid_key(p.coefficients))
     return reals

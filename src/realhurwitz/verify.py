@@ -10,8 +10,11 @@ An ``InfraLimit`` (budget exhaustion, scale, ambiguous tolerances) marks a
 record FAILED-INFRA, which is kept distinct from a genuine property violation.
 
 A ``Workspace`` memoizes each spec's solve, real solutions and class count,
-and maps each spec whose branch data is an affine image of a solved one
-instead of solving it afresh.
+and carries each spec's solution set over from the first solved spec with
+the same profile multiset, mapped when its branch data is an affine image
+and tracked otherwise, instead of solving it afresh.  So starts are drawn
+once per swept multiset of two or more branches, and the order and
+position invariance checks test the tracker against the closed forms.
 The theorem and the z -> -z pairing are decided in ``coverings`` alone: the
 sweep passes the workspace's real solutions to ``theorem_check``,
 ``real_hurwitz`` and ``reflection_partners``, which read them as they read
@@ -66,7 +69,8 @@ class Workspace:
     ``solset``, ``reals`` and ``hurwitz`` map a spec to its certified solution
     set, its real normalized polynomials and its ``RealHurwitzResult``.  Each
     solve is handed the sets solved so far, so a reordered, reversed or moved
-    spec is mapped from one of them when its branch data is an affine image.
+    spec is mapped from one of them when its branch data is an affine image,
+    and tracked from one with its profile multiset otherwise.
     The closures hold locals, never ``self``, so a dropped workspace is freed
     at once.
     """

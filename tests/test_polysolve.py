@@ -670,12 +670,68 @@ def test_affine_image_is_mapped_not_solved(cfg, case):
     )
 
 
-def test_non_affine_layout_falls_back_to_the_multistart(cfg):
-    profiles = parse_profiles("2,1,1|2,1,1|2,1,1")
-    known = solve_all(validate_branch_spec(profiles), cfg)
-    solset = solve_all(validate_branch_spec(profiles, (1.0, 2.0, 4.0)), cfg, known=(known,))
+def _tracked_cases():
+    simple = validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1"))
+    mixed = validate_branch_spec(parse_profiles("2,2,1|2,1,1,1|2,1,1,1"))
+    return {
+        # a layout segment: the branch order is kept, so the path is real
+        "layout d=4": (simple, validate_branch_spec(simple.profiles, (1.0, 2.0, 4.0))),
+        "layout d=5": (mixed, validate_branch_spec(mixed.profiles, (-5.0, 0.1, 0.2))),
+        # one order swap: the first two values cross through the upper half plane
+        "swap d=5": (mixed, mixed.permuted([1, 0, 2])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_tracked_cases()))
+def test_non_affine_image_is_tracked_not_solved(cfg, case):
+    source, spec = _tracked_cases()[case]
+    known = solve_all(source, cfg)
+    assert polysolve._mapped_points(known, spec, cfg.tol_dedup) is None
+    tracked = solve_all(spec, cfg, known=(known,))
+    assert tracked.certificate == "COMPLETE" and tracked.starts_used == 0
+    assert len(tracked) == tracked.target == count_factorizations(spec.profiles).N
+    fresh = solve_all(spec, cfg)
+    assert fresh.starts_used > 0
+    assert match_coefficient_sets(
+        [s.coefficients for s in tracked.solutions],
+        [s.coefficients for s in fresh.solutions],
+        tol=cfg.tol_dedup,
+    )
+    assert len(classify_real(tracked, cfg)) == len(classify_real(fresh, cfg))
+
+
+def test_track_carries_every_path_to_a_solution(cfg):
+    source, spec = _tracked_cases()["swap d=5"]
+    known = solve_all(source, cfg)
+    system = build_system(spec)
+    # the spec's branch 0 is the source's branch 1 and vice versa
+    order = [1, 0, 2]
+    points = polysolve._permuted_points(known, order)
+    tracked, arrived = polysolve._track(
+        system, points, np.array(source.values)[order], spec.values
+    )
+    assert arrived.all()
+    assert np.max(np.abs(residual_batch(system, tracked))) < 1e-8
+
+
+def test_tracked_set_missing_a_solution_is_filled_by_the_multistart(cfg):
+    source, spec = _tracked_cases()["swap d=5"]
+    known = solve_all(source, cfg)
+    short = dataclasses.replace(known, solutions=known.solutions[1:])
+    solset = solve_all(spec, cfg, known=(short,))
     assert solset.certificate == "COMPLETE" and solset.starts_used > 0
     assert len(solset) == solset.target
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_one_branch_spec_is_solved_in_closed_form(cfg, d):
+    # P = z^d + w has the one preimage root 0 over w
+    spec = validate_branch_spec((Partition((d,)),), (1.5,))
+    solset = solve_all(spec, cfg)
+    assert solset.certificate == "COMPLETE" and solset.starts_used == 0
+    assert len(solset) == solset.target == 1
+    assert solset.solutions[0].point == (0j,)
+    assert solset.solutions[0].residual == 0.0
 
 
 def test_known_set_missing_a_solution_is_filled_by_the_multistart(cfg):

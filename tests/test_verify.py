@@ -119,9 +119,10 @@ def test_empty_sweep_rejected(cfg, dmax, kmax):
         run_sweep(dmax, kmax, cfg)
 
 
-def test_sweep_draws_starts_for_the_swept_specs_and_one_layout(cfg, monkeypatch):
-    # every other solve is an affine image of a solved spec: the reversed
-    # specs, the k <= 2 orders and layouts, and the shifted k = 3 layout
+def test_sweep_draws_starts_only_for_the_swept_specs_with_two_or_more_branches(cfg, monkeypatch):
+    # a one-branch spec is solved in closed form, and every other solve is
+    # mapped or tracked from its swept spec: the reversed specs, every order
+    # and every layout
     drawn = []
     original = verify.solve_all
 
@@ -133,7 +134,7 @@ def test_sweep_draws_starts_for_the_swept_specs_and_one_layout(cfg, monkeypatch)
     monkeypatch.setattr(verify, "solve_all", recording)
     assert run_sweep(4, 3, cfg).passed
     assert len(drawn) == 37
-    assert sum(drawn) == len(enumerate_sweep_specs(4, 3)) + 1 == 8
+    assert sum(drawn) == sum(len(p) >= 2 for p in enumerate_sweep_specs(4, 3)) == 4
 
 
 def test_dropped_workspace_is_freed_without_the_cycle_collector(cfg):
