@@ -47,21 +47,23 @@ x = B u for a fixed complex basis B, and the loop runs on Re F(B u) with
 Jacobian Re(J(B u) B).
 
 A spec whose profile multiset was solved before is carried over, not
-solved.  If its branch data is an affine image of the solved one's, it is
-mapped: if the (profile, value) pairs of B are those of A under
-w -> a w + b (a != 0), then P -> a P(z / c) + b with c^d = a maps A's
-normalized solutions one to one onto B's, each preimage root r going to c r
-in the block of its branch.  Since values increase in both specs, a > 0
-keeps the branch order and a < 0 reverses it; the reversed spec, every
-k <= 2 reordering and layout, and equally spaced k = 3 layouts are such
-images.  Any other layout or order is tracked (``_track``): the branch
-values move from the solved spec's to the new one's along a path on which
-they stay distinct, so by Riemann existence each of the N solutions moves
-along a path of its own, and a predictor-corrector follows all of them in
-one batch.  A one-branch spec needs neither: P = z^d + w, the point 0, is
-its one solution.  ``solve_all(spec, known=...)`` polishes the mapped or
-tracked points and accepts them like any other; the multistart fills
-whatever they miss, so the certificate still counts N accepted solutions.
+solved, by one loop, ``_carried_points``.  If its branch data is an affine
+image of the solved one's, it is mapped: if the (profile, value) pairs of B
+are those of A under w -> a w + b (a != 0), then P -> a P(z / c) + b with
+c^d = a maps A's normalized solutions one to one onto B's, each preimage
+root r going to c r in the block of its branch.  Since values increase in
+both specs, a > 0 keeps the branch order and a < 0 reverses it; the
+reversed spec, every k <= 2 reordering and layout, and equally spaced
+k = 3 layouts are such images.  Any other layout or order is tracked
+(``_track``): the branch values move from the solved spec's to the new
+one's along a path on which they stay distinct, so by Riemann existence
+each of the N solutions moves along a path of its own, and a
+predictor-corrector follows all of them in one batch.  The map is the
+loop's exact case, kept because it costs a fraction of a tracked carry.  A
+one-branch spec's one solution, the point 0 of P = z^d + w, comes from the
+same loop.  ``solve_all(spec, known=...)`` polishes the carried points and
+accepts them like any other; the multistart fills whatever they miss, so
+the certificate still counts N accepted solutions.
 """
 
 from __future__ import annotations
@@ -110,11 +112,12 @@ class SystemSpec:
     # (d, k) column b lists branch b's slots repeated by multiplicity;
     # (d - 1, n) column j is its branch's column less one copy of slot j, so
     # a branch's last slot keeps the first d - 1 factors; (n,) -m_j;
-    # (n,) branch - 1
+    # (n,) branch - 1; two (pairs,) index arrays, every a < b of one branch
     root_index: np.ndarray = field(compare=False, repr=False)
     deriv_index: np.ndarray = field(compare=False, repr=False)
     deriv_factor: np.ndarray = field(compare=False, repr=False)
     slot_block: np.ndarray = field(compare=False, repr=False)
+    same_branch: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -144,6 +147,7 @@ def build_system(spec: BranchSpec) -> SystemSpec:
     dropped = [list(rows[b]) for b, _ in slots]
     for j, row in enumerate(dropped):
         row.remove(j)
+    branch = np.array([b for b, _ in slots])
     sys_spec = SystemSpec(
         spec,
         tuple(slots),
@@ -151,7 +155,8 @@ def build_system(spec: BranchSpec) -> SystemSpec:
         root_index=np.array(rows).T,
         deriv_index=np.array(dropped).T,
         deriv_factor=np.array([-m for _, m in slots], dtype=complex),
-        slot_block=np.array([b - 1 for b, _ in slots]),
+        slot_block=branch - 1,
+        same_branch=np.nonzero(np.triu(branch[:, None] == branch, 1)),
     )
     assert sys_spec.n == (spec.k - 1) * spec.d + 1
     return sys_spec
@@ -239,11 +244,10 @@ def residual(system: SystemSpec, x) -> np.ndarray:
 
 
 def canonical_coefficients(system: SystemSpec, x) -> np.ndarray:
-    """Coefficient vector (a_2, ..., a_d) of the polynomial modeled by x."""
-    x = np.asarray(x, dtype=complex)
-    full = _batch_products(x[system.root_index[:, 0]])
+    """Coefficients (a_2, ..., a_d) of the polynomial modeled by x, or by each row of a batch."""
+    full = _batch_products(np.asarray(x, dtype=complex).T[system.root_index[:, 0]])
     full[-1] += system.spec.values[0]
-    return full[2:]
+    return full[2:].T
 
 
 def rotate_point(x: np.ndarray, d: int, t: int) -> np.ndarray:
@@ -443,8 +447,7 @@ def _box_enclosure(system: SystemSpec, x: np.ndarray, rho: np.ndarray):
     lo_q, lo_dq = _products(system, -np.abs(x) + 0j)
     hi_q, hi_dq = _products(system, -(np.abs(x) + rho) + 0j)
     hi_j, lo_j = (np.abs(_assemble_jacobian(system, dq)) for dq in (hi_dq, lo_dq))
-    coeffs = _batch_products(x.T[system.root_index[:, 0]])[2:].T
-    coeffs[:, -1] += system.spec.values[0]
+    coeffs = canonical_coefficients(system, x)
     hi_c, lo_c = hi_q[2:, 0].real.T, lo_q[2:, 0].real.T
     c_rad = hi_c - lo_c + 3.0 * gamma * (hi_c + lo_c + abs(system.spec.values[0]))
     return hi_j - lo_j + 2.0 * gamma * (hi_j + lo_j), coeffs, c_rad
@@ -476,8 +479,7 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
     """
     points = np.asarray(points, dtype=complex)
     gamma = _rounding_bound(system)
-    branch = np.array([b for b, _ in system.slots])
-    pair_a, pair_b = np.nonzero(np.triu(branch[:, None] == branch, 1))
+    pair_a, pair_b = system.same_branch
     eye = np.eye(system.n)
     coeffs, c_rads = [], []
     for lo in range(0, len(points), _CHUNK_SIZE):
@@ -559,13 +561,8 @@ class SolutionSet:
 
 def _well_separated(system: SystemSpec, x: np.ndarray, tol_cluster: float) -> bool:
     """True when no two preimage roots of one branch lie within tol_cluster of each other."""
-    for start, end in system.branch_ranges:
-        roots = x[start:end]
-        for a in range(len(roots)):
-            for b in range(a + 1, len(roots)):
-                if abs(roots[a] - roots[b]) <= tol_cluster:
-                    return False
-    return True
+    pair_a, pair_b = system.same_branch
+    return not (np.abs(x[pair_a] - x[pair_b]) <= tol_cluster).any()
 
 
 def match_index(table: np.ndarray, vec: np.ndarray, tol: float) -> int | None:
@@ -805,48 +802,12 @@ def load_cache(path: str, spec: BranchSpec, target: int, config: RunConfig) -> S
     return collector.build_set(0, "COMPLETE")
 
 
-def _affine_image(source: BranchSpec, spec: BranchSpec, tol: float):
-    """(a, order) when spec's branch j is source's branch order[j] under w -> a w + b, else None.
-
-    Values increase in both specs, so order is the identity (a > 0) or the
-    reversal (a < 0).  The end values fix a and b (k = 1: a = 1), and every
-    mapped value must match spec's by ``match_index`` at tol.
-    """
-    if source.is_identity or (source.d, source.k) != (spec.d, spec.k):
-        return None
-    k = spec.k
-    target = np.array(spec.values)
-    for order in (list(range(k)), list(range(k - 1, -1, -1))):
-        if [source.profiles[i] for i in order] != list(spec.profiles):
-            continue
-        w = np.array(source.values)[order]
-        a = 1.0 if k == 1 else (target[-1] - target[0]) / (w[-1] - w[0])
-        if match_index(target[None, :], a * (w - w[0]) + target[0], tol) == 0:
-            return a, order
-    return None
-
-
 def _permuted_points(source: SolutionSet, order: list[int]) -> np.ndarray:
     """The points of source's solutions, with branch order[j]'s root block moved to place j."""
     bounds = np.cumsum([0] + [lam.length for lam in source.spec.profiles])
     columns = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in order])
     points = np.array([sol.point for sol in source.solutions], dtype=complex)
     return points.reshape(len(points), bounds[-1])[:, columns]
-
-
-def _mapped_points(source: SolutionSet, spec: BranchSpec, tol: float) -> np.ndarray | None:
-    """The points of source's solutions mapped to spec.
-
-    None when source is not COMPLETE or spec is no affine image of its spec.
-    A root r of P - w maps to c r, a root of the same order of
-    a P(z / c) + b - (a w + b); its branch block moves to the branch's new
-    place.
-    """
-    image = _affine_image(source.spec, spec, tol)
-    if image is None or source.certificate != "COMPLETE":
-        return None
-    a, order = image
-    return complex(a) ** (1.0 / spec.d) * _permuted_points(source, order)
 
 
 # path tracking in the branch values: the first step, its growth factor and
@@ -938,47 +899,66 @@ def _track(system: SystemSpec, points: np.ndarray, u, t) -> tuple[np.ndarray, np
     return x, live
 
 
-def _tracked_points(
-    known: tuple[SolutionSet, ...], system: SystemSpec
-) -> np.ndarray | None:
-    """The first COMPLETE known set with the spec's d, k and profile multiset, tracked to it.
+def _branch_order(source: BranchSpec, spec: BranchSpec, last_first: bool) -> list[int] | None:
+    """Source branch order[j] for each spec branch j, or None when the profile multisets differ.
 
-    Each branch of the spec takes the next unused source branch with its
-    profile; the source points' blocks move to those places, as in
-    ``_mapped_points``, and ``_track`` carries them from the source values,
-    so ordered, to the spec's.  Returns the points that arrive, or None when
-    no known set qualifies.
+    The two specs have the same number of branches.  Each spec branch takes
+    the first unused source branch with its profile, or the last unused one
+    when last_first is set.
     """
-    spec = system.spec
-    profiles = sorted(lam.parts for lam in spec.profiles)
-    for source in known:
-        if (
-            source.certificate != "COMPLETE"
-            or (source.spec.d, source.spec.k) != (spec.d, spec.k)
-            or sorted(lam.parts for lam in source.spec.profiles) != profiles
-        ):
-            continue
-        unused = list(range(spec.k))
-        order = []
-        for lam in spec.profiles:
-            i = next(i for i in unused if source.spec.profiles[i] == lam)
-            unused.remove(i)
-            order.append(i)
-        u = np.array(source.spec.values)[order]
-        tracked, arrived = _track(system, _permuted_points(source, order), u, spec.values)
-        return tracked[arrived]
-    return None
+    unused = sorted(range(source.k), reverse=last_first)
+    order = []
+    for lam in spec.profiles:
+        i = next((i for i in unused if source.profiles[i] == lam), None)
+        if i is None:
+            return None
+        unused.remove(i)
+        order.append(i)
+    return order
 
 
 def _carried_points(
     known: tuple[SolutionSet, ...], system: SystemSpec, tol: float
 ) -> np.ndarray | None:
-    """Known solutions carried to the spec: the first affine image mapped, else one set tracked."""
+    """Known solutions carried to the spec: mapped when an affine image, else tracked.
+
+    A one-branch spec's one solution is the point 0 of z^d + w.  Otherwise
+    every COMPLETE known set with the spec's d and k is tried in both
+    ``_branch_order`` orders, with u its values in that order and t the
+    spec's.  The end values fix a, and when a (u - u_0) + t_0 matches t by
+    ``match_index`` at tol, the spec is the image of the set under
+    w -> a w + b: a root r of P - w goes to c r, c^d = a, a root of the same
+    order of a P(z / c) + b - (a w + b), and its block moves to its branch's
+    new place.  Since both value lists increase, only the identity (a > 0)
+    and the reversal (a < 0) can match, and the first-unused and last-unused
+    orders are those whenever they could.  Failing every image, the first
+    set with the spec's profile multiset is tracked (``_track``) from u, in
+    its first-unused order, to t, and the arrived points are returned.  None
+    when no known set qualifies.
+    """
+    spec = system.spec
+    if spec.k == 1:
+        return np.zeros((1, 1))
+    t = np.array(spec.values)
+    first = None
     for source in known:
-        mapped = _mapped_points(source, system.spec, tol)
-        if mapped is not None:
-            return mapped
-    return _tracked_points(known, system)
+        if (source.spec.d, source.spec.k) != (spec.d, spec.k) or source.certificate != "COMPLETE":
+            continue
+        for last_first in (False, True):
+            order = _branch_order(source.spec, spec, last_first)
+            if order is None:
+                break
+            u = np.array(source.spec.values)[order]
+            a = (t[-1] - t[0]) / (u[-1] - u[0])
+            if match_index(t[None, :], a * (u - u[0]) + t[0], tol) == 0:
+                return complex(a) ** (1.0 / spec.d) * _permuted_points(source, order)
+            if first is None:
+                first = source, order, u
+    if first is None:
+        return None
+    source, order, u = first
+    tracked, arrived = _track(system, _permuted_points(source, order), u, t)
+    return tracked[arrived]
 
 
 def solve_all(
@@ -998,14 +978,14 @@ def solve_all(
     factorization target, and within that chunk as soon as the accepted
     points are proven distinct true solutions (``_Collector.offer_all``).
     With ``cache_path``, a matching complete set stored there is reused and
-    a new one is written there.  Of the solution sets in ``known``, the
-    first COMPLETE one whose spec maps onto this spec by an affine change of
-    value is mapped; failing that, the first COMPLETE one with the same d,
-    k and profile multiset is tracked to this spec's values and order.  The
-    carried points are polished in one Newton batch and accepted, and the
-    multistart runs only for the solutions they miss (``starts_used`` is 0
-    when they reach the target).  A one-branch spec takes its one solution,
-    the point 0, with ``starts_used`` 0.
+    a new one is written there.  ``_carried_points`` carries the solution
+    sets in ``known`` over: the first COMPLETE one whose spec maps onto this
+    spec by an affine change of value is mapped; failing that, the first
+    COMPLETE one with the same d, k and profile multiset is tracked to this
+    spec's values and order; a one-branch spec takes its one solution, the
+    point 0.  The carried points are polished in one Newton batch and
+    accepted, and the multistart runs only for the solutions they miss
+    (``starts_used`` is 0 when they reach the target).
 
     Raises IncompleteEnumeration (carrying the partial set) when the start
     budget runs out first and OvercountDetected if dedup ever exceeds the
@@ -1024,16 +1004,11 @@ def solve_all(
             return cached
     system = build_system(spec)
     collector = _Collector(system, target, config)
-    if spec.k == 1:
-        # P = z^d + w: the one root, 0, is the one solution
-        x = np.zeros(1, dtype=complex)
-        collector.accept(x, np.max(np.abs(residual(system, x))))
-    else:
-        carried = _carried_points(tuple(known), system, config.tol_dedup)
-        if carried is not None:
-            points, ok, norms = _newton_batch(system, carried, config)
-            for point, norm in zip(points[ok], norms[ok]):
-                collector.accept(point, norm)
+    carried = _carried_points(tuple(known), system, config.tol_dedup)
+    if carried is not None:
+        points, ok, norms = _newton_batch(system, carried, config)
+        for point, norm in zip(points[ok], norms[ok]):
+            collector.accept(point, norm)
     rng = np.random.default_rng(config.seed)
     scale = root_bound(spec) / 4.0
     starts_used = 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .config import RunConfig
 from .coverings import real_hurwitz
-from .errors import ScaleExceeded, ValidationError
+from .errors import PropertyFailure, ScaleExceeded, ValidationError
 from .partitions import BranchSpec, Partition, validate_branch_spec
 
 EVEN = "even"
@@ -42,8 +42,9 @@ def one_part_spec(lam: Partition, m: int) -> BranchSpec:
 def h_value(lam: Partition, m: int, config: RunConfig | None = None) -> int:
     """One-part signed count for lam with m extra sheets; always an integer.
 
-    The degree-1 case (lam = (1), m = 0) is the identity covering and
-    contributes 1 by convention.
+    A non-integral class count violates that invariant and raises
+    PropertyFailure.  The degree-1 case (lam = (1), m = 0) is the identity
+    covering and contributes 1 by convention.
     """
     config = config or RunConfig()
     d = lam.d + m
@@ -54,7 +55,7 @@ def h_value(lam: Partition, m: int, config: RunConfig | None = None) -> int:
     spec = one_part_spec(lam, m)
     result = real_hurwitz(spec, config)
     if result.value.denominator != 1:
-        raise ValidationError(f"non-integral one-part value {result.value} for {lam}, m={m}")
+        raise PropertyFailure(f"non-integral one-part value {result.value} for {lam}, m={m}")
     return int(result.value)
 
 

@@ -319,9 +319,14 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
             # failure on any of them marks the record FAILED-INFRA; the spec
             # itself is among them, and its HR is the report's
             s_ok = all([ws.signed_count(m) == record.s for m in specs])
-            hr_ok = report is not None and all(
-                [m == spec or ws.hurwitz(m).value == record.hr for m in specs]
-            )
+            # a moved spec's class count that raises fails the check, not the sweep
+            try:
+                hr_ok = report is not None and all(
+                    [m == spec or ws.hurwitz(m).value == record.hr for m in specs]
+                )
+            except PropertyFailure as exc:
+                hr_ok = False
+                record.error = str(exc)
             record.record(f"{kind}_invariance_s", s_ok)
             record.record(f"{kind}_invariance_hr", hr_ok)
 

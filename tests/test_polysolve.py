@@ -488,6 +488,29 @@ def test_jacobian_call_makes_one_product_call(monkeypatch):
         assert calls == [(system.d - 1, system.n, 8)]
 
 
+@pytest.mark.parametrize("text", ["3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"])
+def test_plan_pairs_and_batches_match_the_per_point_forms(text):
+    # the stored same-branch pairs decide separation as the pairwise loop
+    # does, and a batch's coefficients are each row's, bit for bit
+    system = build_system(validate_branch_spec(parse_profiles(text)))
+    x = np.random.default_rng(5).standard_normal((6, system.n)) + 0j
+    start, end = system.branch_ranges[-1]
+    x[1, end - 1] = x[1, end - 2] + 1e-3
+    x[2, start] = x[2, start + 1] + 1e-2j
+    x[3, end - 1] = np.nan
+    for row in x:
+        for tol in (1e-4, 1e-3, 1e-2, 1.0):
+            looped = not any(
+                abs(row[a] - row[b]) <= tol
+                for lo, hi in system.branch_ranges
+                for a in range(lo, hi)
+                for b in range(a + 1, hi)
+            )
+            assert polysolve._well_separated(system, row, tol) == looped
+    rows = np.array([canonical_coefficients(system, row) for row in x])
+    assert np.array_equal(canonical_coefficients(system, x), rows, equal_nan=True)
+
+
 def test_incomplete_enumeration_raises(cfg):
     tiny = cfg.replace(start_budget=1)
     with pytest.raises(IncompleteEnumeration) as err:
@@ -647,15 +670,33 @@ def _affine_cases():
             validate_branch_spec(simple),
             validate_branch_spec(simple, (-2.5, -0.75, 1.0)),
         ),
+        # equal profiles: only the last-unused branch order, the reversal, maps
+        "reversed k=3": (
+            validate_branch_spec(simple, (1.0, 2.0, 4.0)),
+            validate_branch_spec(simple, (1.0, 2.0, 4.0)).reversed_spec(),
+        ),
     }
 
 
+def _track_calls(monkeypatch) -> list:
+    calls = []
+    original = polysolve._track
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polysolve, "_track", spy)
+    return calls
+
+
 @pytest.mark.parametrize("case", sorted(_affine_cases()))
-def test_affine_image_is_mapped_not_solved(cfg, case):
+def test_affine_image_is_mapped_not_solved(cfg, monkeypatch, case):
     source, spec = _affine_cases()[case]
     known = solve_all(source, cfg)
+    tracks = _track_calls(monkeypatch)
     # the closed-form images solve the spec before any polish
-    images = polysolve._mapped_points(known, spec, cfg.tol_dedup)
+    images = polysolve._carried_points((known,), build_system(spec), cfg.tol_dedup)
     assert images.shape == (len(known), build_system(spec).n)
     assert np.max(np.abs(residual_batch(build_system(spec), images))) < 1e-9
     mapped = solve_all(spec, cfg, known=(known,))
@@ -668,6 +709,7 @@ def test_affine_image_is_mapped_not_solved(cfg, case):
         [s.coefficients for s in fresh.solutions],
         tol=cfg.tol_dedup,
     )
+    assert tracks == []
 
 
 def _tracked_cases():
@@ -683,10 +725,12 @@ def _tracked_cases():
 
 
 @pytest.mark.parametrize("case", sorted(_tracked_cases()))
-def test_non_affine_image_is_tracked_not_solved(cfg, case):
+def test_non_affine_image_is_tracked_not_solved(cfg, monkeypatch, case):
     source, spec = _tracked_cases()[case]
     known = solve_all(source, cfg)
-    assert polysolve._mapped_points(known, spec, cfg.tol_dedup) is None
+    tracks = _track_calls(monkeypatch)
+    polysolve._carried_points((known,), build_system(spec), cfg.tol_dedup)
+    assert len(tracks) == 1
     tracked = solve_all(spec, cfg, known=(known,))
     assert tracked.certificate == "COMPLETE" and tracked.starts_used == 0
     assert len(tracked) == tracked.target == count_factorizations(spec.profiles).N

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
 from realhurwitz import (
     Partition,
+    PropertyFailure,
     ScaleExceeded,
     ValidationError,
     basis_fit,
@@ -14,6 +16,8 @@ from realhurwitz import (
     parse_partition,
     series_table,
 )
+from realhurwitz import series
+from realhurwitz.cli import EXIT_PROPERTY, main
 from realhurwitz.series import SeriesTable, sech_series, tanh_series
 
 
@@ -56,6 +60,17 @@ def test_h_parity_short_circuit_agrees_with_full_computation(cfg):
 def test_h_scale_bound(cfg):
     with pytest.raises(ScaleExceeded):
         h_value(parse_partition("1"), 9, cfg)
+
+
+def test_non_integral_h_is_a_property_failure(cfg, monkeypatch, capsys):
+    # a half-integral one-part value violates an invariant; the input is fine
+    monkeypatch.setattr(
+        series, "real_hurwitz", lambda spec, config: SimpleNamespace(value=Fraction(1, 2))
+    )
+    with pytest.raises(PropertyFailure, match="non-integral one-part value 1/2"):
+        h_value(parse_partition("2"), 0, cfg)
+    assert main(["series", "--lambda", "2", "--mmax", "1"]) == EXIT_PROPERTY
+    assert "non-integral one-part value" in capsys.readouterr().err
 
 
 def test_series_table(cfg):

@@ -6,6 +6,7 @@ import pytest
 
 from realhurwitz import (
     Partition,
+    SignMismatch,
     ValidationError,
     parse_profiles,
     run_sweep,
@@ -14,7 +15,7 @@ from realhurwitz import (
     validate_branch_spec,
 )
 from realhurwitz import coverings, verify
-from realhurwitz.cli import EXIT_OK, main
+from realhurwitz.cli import EXIT_OK, EXIT_PROPERTY, main
 from realhurwitz.verify import Workspace, check_spec, enumerate_sweep_specs
 
 
@@ -148,3 +149,20 @@ def test_dropped_workspace_is_freed_without_the_cycle_collector(cfg):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_property_failure_on_a_moved_spec_fails_its_record(cfg, monkeypatch, capsys):
+    # the class count of every moved spec raises; the sweep records it and goes on
+    def failing(spec, *args):
+        raise SignMismatch(f"class count of {spec.canonical_key()} at {spec.values}")
+
+    monkeypatch.setattr(verify, "real_hurwitz", failing)
+    report = run_sweep(3, 2, cfg)
+    assert report.summary() == {"total": 3, "passed": 0, "failed": 3, "infra": 0}
+    for record in report.records:
+        assert record.properties["position_invariance_hr"] == "FAIL"
+        assert record.properties["position_invariance_s"] == "PASS"
+        assert record.error.startswith("class count of ")
+    assert main(["verify", "--dmax", "3", "--kmax", "2"]) == EXIT_PROPERTY
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"]["summary"]["failed"] == 3
