@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .config import RunConfig, load_config
 from .coverings import real_hurwitz
 from .errors import InfraLimit, PropertyFailure, ValidationError
 from .partitions import parse_partition, parse_profiles, parse_values, validate_branch_spec
-from .polysolve import classify_real, solve_all
+from .polysolve import SolutionSet, classify_real, solve_all
 from .realsigns import signed_sum
 from .series import basis_fit, series_table
 from .verify import run_sweep
@@ -45,8 +46,8 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 # the one-spec commands only: a command that solves many specs would
-# overwrite the one-spec file on every solve and never hit
-_CACHE_HELP = "solution cache file (JSONL) for this one spec"
+# overwrite the one-spec file on every solve
+_CACHE_HELP = "JSON file of a solved set, carried as a known set and rewritten"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,16 +168,44 @@ def _cmd_hurwitz(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _solve_cached(spec, config: RunConfig, path: str | None) -> SolutionSet:
+    """solve_all, carrying the solved set stored at path, which then holds this one.
+
+    The file holds a ``solve`` result block.  Nothing in it is trusted: its
+    points are polished and accepted like any carried point, so a set of the
+    same profile multiset at another layout or order serves too, and the
+    multistart fills whatever it misses.  An unreadable or malformed file is
+    a miss.  A path that names a directory or lies in a missing directory
+    raises ValidationError before any solve.
+    """
+    if path is None:
+        return solve_all(spec, config)
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValidationError(f"cache path {path} is a directory or lies in a missing directory")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            known = (SolutionSet.from_json_dict(json.load(fh)),)
+    except (OSError, KeyError, TypeError, ValueError):
+        known = ()
+    solset = solve_all(spec, config, known=known)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(solset.as_json_dict(), fh, sort_keys=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write cache file {path}: {exc}") from exc
+    return solset
+
+
 def _cmd_solve(args, config: RunConfig) -> int:
     spec = _spec_from_args(args)
-    solset = solve_all(spec, config, cache_path=args.cache)
+    solset = _solve_cached(spec, config, args.cache)
     _emit(_payload("solve", config, solset.as_json_dict()), config)
     return EXIT_OK
 
 
 def _cmd_s_number(args, config: RunConfig) -> int:
     spec = _spec_from_args(args)
-    solset = solve_all(spec, config, cache_path=args.cache)
+    solset = _solve_cached(spec, config, args.cache)
     reals = classify_real(solset, config)
     result = {
         "spec": spec.as_json_dict(),

@@ -41,10 +41,11 @@ one more factor completes it.  The line search evaluates all 12 lengths
 1, 2^-1, ..., 2^-11 of every row in one call; a row takes its first passing
 length, as sequential halving would, since its residual depends on it alone.
 
-Real solutions are re-polished by the same Newton loop, ``_newton_batch``,
-in real coordinates u: pairing each non-real root with its conjugate gives
-x = B u for a fixed complex basis B, and the loop runs on Re F(B u) with
-Jacobian Re(J(B u) B).
+Real solutions are projected, not re-solved.  The real polynomials are the
+conjugation-fixed points of the complete set, so ``_real_projection`` pairs
+each non-real root with its conjugate and returns the exactly
+conjugation-fixed point: a real root keeps its real part and a pair becomes
+r, conj(r).  That point must still have residual within tol_residual.
 
 A spec whose profile multiset was solved before is carried over, not
 solved, by one loop, ``_carried_points``.  If its branch data is an affine
@@ -63,15 +64,13 @@ loop's exact case, kept because it costs a fraction of a tracked carry.  A
 one-branch spec's one solution, the point 0 of P = z^d + w, comes from the
 same loop.  ``solve_all(spec, known=...)`` polishes the carried points and
 accepts them like any other; the multistart fills whatever they miss, so
-the certificate still counts N accepted solutions.
+the certificate still counts N accepted solutions.  The CLI's ``--cache``
+file is a ``solve`` result read back as such a known set.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -87,7 +86,7 @@ from .errors import (
     ValidationError,
 )
 from .factorizations import count_factorizations
-from .partitions import BranchSpec
+from .partitions import BranchSpec, Partition
 from .realsigns import RealPolynomial
 
 _DEGENERACY_LIMIT = 25
@@ -306,47 +305,32 @@ def _newton_batch(
     system: SystemSpec,
     starts: np.ndarray,
     config: RunConfig,
-    basis: np.ndarray | None = None,
     stop: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ):
-    """Damped Newton on a batch of starts; results depend on each row alone.
-
-    Rows are complex points x or, given a basis B from ``_real_structure``,
-    real coordinates u of x = B u with residual Re F(B u) and Jacobian
-    Re(J(B u) B); the escape rule then bounds max|u|, which is at most max|x|.
+    """Damped Newton on a batch of complex starts; results depend on each row alone.
 
     Returns (points, converged_mask, residual_norms), the norms max|F| at
-    the returned points.  A row fails when its Jacobian is
-    singular, when no step length passes the line search, when it
-    escapes (an accepted step leaves max|x| above _ESCAPE_FACTOR times
-    root_bound, where no solution lies), when it stalls (its residual has
-    not fallen by _STALL_FACTOR over the last _STALL_WINDOW iterations), or
-    when the iteration cap is hit.  Retiring a row early changes no other
-    row.
+    the returned points.  A row converges when its damped step falls below
+    _NEWTON_STEP_TOL, its residual below 1e-14, or no step length passes the
+    line search, each with its residual within tol_residual: a row that no
+    length improves sits at its rounding floor, which for large branch
+    values can lie above 1e-14.  A row fails on those same three ends with a
+    larger residual, when its Jacobian is singular, when it escapes (an
+    accepted step leaves max|x| above _ESCAPE_FACTOR times root_bound, where
+    no solution lies), when it stalls (its residual has not fallen by
+    _STALL_FACTOR over the last _STALL_WINDOW iterations), or when the
+    iteration cap is hit.  Retiring a row early changes no other row.
 
     After each iteration that converges rows, ``stop`` receives their points
     and residual norms, in row order; rows converged at the initial check
     count as iteration 0.  Once it returns True the batch ends, and the rows
     still active are reported as not converged.
     """
-    if basis is None:
-        points = np.array(starts, dtype=complex)
-        values, evaluate = residual_batch, residual_and_jacobian_batch
-    else:
-        points = np.array(starts, dtype=float)
-
-        # x = B u as one (1, n) matmul per row, so no row depends on the others
-        def values(system, u):
-            return residual_batch(system, (u[:, None] @ basis.T)[:, 0]).real
-
-        def evaluate(system, u):
-            f, jac = residual_and_jacobian_batch(system, (u[:, None] @ basis.T)[:, 0])
-            return f.real, (jac @ basis).real
-
+    points = np.array(starts, dtype=complex)
     batch = points.shape[0]
     escape = _ESCAPE_FACTOR * root_bound(system.spec)
     status = np.zeros(batch, dtype=np.int8)  # 0 active, 1 converged, -1 failed
-    fnorm = np.max(np.abs(values(system, points)), axis=1)
+    fnorm = np.max(np.abs(residual_batch(system, points)), axis=1)
     bad = ~np.isfinite(fnorm)
     status[bad] = -1
     status[fnorm < 1e-14] = 1
@@ -360,7 +344,7 @@ def _newton_batch(
         active = np.where(status == 0)[0]
         if ended or active.size == 0:
             break
-        f, jac = evaluate(system, points[active])
+        f, jac = residual_and_jacobian_batch(system, points[active])
         delta, solvable = _solve_linear_batch(jac, -f)
         step = np.max(np.abs(delta), axis=1)
         usable = solvable & np.isfinite(step)
@@ -371,19 +355,19 @@ def _newton_batch(
         # line search: every length of every row in one call; a row keeps
         # its first passing length
         trials = points[active, None] + _STEP_LENGTHS[:, None] * delta[:, None]
-        fns = np.max(np.abs(values(system, trials.reshape(-1, points.shape[1]))), axis=1)
+        fns = np.max(np.abs(residual_batch(system, trials.reshape(-1, system.n))), axis=1)
         fns = fns.reshape(active.size, _STEP_LENGTHS.size)
         good = np.isfinite(fns) & (
             (fns <= (1.0 - 0.5 * _STEP_LENGTHS) * fnorm[active, None]) | (fns < 1e-14)
         )
         first = np.argmax(good, axis=1)
-        accepted = good[np.arange(active.size), first]
-        status[active[~accepted]] = -1
-        active, first, step = active[accepted], first[accepted], step[accepted]
-        points[active] = trials[accepted, first]
-        fnorm[active] = fns[accepted, first]
+        moved = good[np.arange(active.size), first]
+        rows, pick = active[moved], first[moved]
+        points[rows] = trials[moved, pick]
+        fnorm[rows] = fns[moved, pick]
+        # a row that no length moves sits at its rounding floor and ends there
         t = _STEP_LENGTHS[first]
-        small = (t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
+        small = ~moved | (t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
         done = active[small]
         status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)
         if stopped(done[status[done] == 1]):
@@ -558,6 +542,44 @@ class SolutionSet:
             "solutions": [s.as_json_dict() for s in self.solutions],
         }
 
+    @classmethod
+    def from_json_dict(cls, data: dict) -> SolutionSet:
+        """The set ``as_json_dict`` wrote; each point is its branches' roots in order.
+
+        Raises ValidationError when the spec is not canonical or a solution's
+        root multiplicities are not the profiles; malformed data raises
+        KeyError, TypeError or ValueError.
+        """
+        raw = data["spec"]
+        spec = BranchSpec(
+            tuple(Partition(parts) for parts in raw["profiles"]), raw["values"], raw["d"]
+        )
+        solutions = []
+        for sol in data["solutions"]:
+            roots = tuple(
+                tuple((complex(re, im), m) for (re, im), m in branch) for branch in sol["roots"]
+            )
+            if [[m for _, m in branch] for branch in roots] != [
+                list(lam.parts) for lam in spec.profiles
+            ]:
+                raise ValidationError("solution root multiplicities differ from the profiles")
+            solutions.append(
+                Solution(
+                    coefficients=tuple(complex(re, im) for re, im in sol["coefficients"]),
+                    roots=roots,
+                    residual=float(sol["residual"]),
+                    point=tuple(r for branch in roots for r, _ in branch),
+                )
+            )
+        return cls(
+            spec,
+            tuple(solutions),
+            data["target"],
+            data["certificate"],
+            data["starts_used"],
+            data["seed"],
+        )
+
 
 def _well_separated(system: SystemSpec, x: np.ndarray, tol_cluster: float) -> bool:
     """True when no two preimage roots of one branch lie within tol_cluster of each other."""
@@ -623,7 +645,7 @@ class _Collector:
     def accept(self, cand: np.ndarray, res: float) -> np.ndarray | None:
         """Keep cand, whose residual norm is res, as a new solution and return its coefficients.
 
-        Every solution, solved, mapped or reloaded, passes here: residual within
+        Every solution, solved or carried, passes here: residual within
         tol_residual, each branch's roots more than tol_cluster apart (repeated
         collapses raise DegenerateConfiguration), coefficients new up to
         tol_dedup.  A new solution beyond the target raises OvercountDetected.
@@ -719,87 +741,6 @@ class _Collector:
             starts_used=starts_used,
             seed=self.config.seed,
         )
-
-
-def spec_hash(spec: BranchSpec) -> str:
-    payload = json.dumps(spec.as_json_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def save_cache(path: str, solset: SolutionSet, config: RunConfig):
-    """Write one header line plus one line per solution (line-delimited JSON).
-
-    Raises ValidationError when the path cannot be written.
-    """
-    digest = spec_hash(solset.spec)
-    header = {
-        "kind": "header",
-        "spec": solset.spec.as_json_dict(),
-        "spec_hash": digest,
-        "target": solset.target,
-        "tol_residual": config.tol_residual,
-        "tol_dedup": config.tol_dedup,
-        "tol_cluster": config.tol_cluster,
-    }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for sol in solset.solutions:
-                record = {
-                    "kind": "solution",
-                    "spec_hash": digest,
-                    "point": [[v.real, v.imag] for v in sol.point],
-                    "coefficients": [[c.real, c.imag] for c in sol.coefficients],
-                }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write cache file {path}: {exc}") from exc
-
-
-def load_cache(path: str, spec: BranchSpec, target: int, config: RunConfig) -> SolutionSet | None:
-    """Reload a complete cached solution set if it matches spec, target and tolerances.
-
-    Nothing stored is trusted: each point must have the system's shape and
-    pass ``_Collector.accept``, the acceptance check every solved point
-    passes (residual, root separation, dedup), and its stored coefficients
-    must be its canonical coefficients within tol_dedup.  A file that fails
-    any check, or cannot be parsed, is a miss.  A path that names a
-    directory or lies in a missing directory raises ValidationError, before
-    any solve is spent.
-    """
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-        raise ValidationError(f"cache path {path} is a directory or lies in a missing directory")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read cache file {path}: {exc}") from exc
-    tolerances = ("tol_residual", "tol_dedup", "tol_cluster")
-    try:
-        header, *rest = [json.loads(line) for line in text.splitlines() if line.strip()]
-        records = [r for r in rest if r["kind"] == "solution"]
-        if not (
-            header["kind"] == "header"
-            and header["spec_hash"] == spec_hash(spec)
-            and header["target"] == target == len(records)
-            and all(header[key] == getattr(config, key) for key in tolerances)
-        ):
-            return None
-        points = [np.array([complex(re, im) for re, im in r["point"]]) for r in records]
-        stored = [np.array([complex(re, im) for re, im in r["coefficients"]]) for r in records]
-    except (KeyError, TypeError, ValueError):
-        return None
-    system = build_system(spec)
-    collector = _Collector(system, target, config)
-    for x, kept in zip(points, stored):
-        if x.shape != (system.n,) or kept.shape != (system.d - 1,):
-            return None
-        coeffs = collector.accept(x, np.max(np.abs(residual(system, x))))
-        if coeffs is None or match_index(coeffs[None, :], kept, config.tol_dedup) != 0:
-            return None
-    return collector.build_set(0, "COMPLETE")
 
 
 def _permuted_points(source: SolutionSet, order: list[int]) -> np.ndarray:
@@ -965,7 +906,6 @@ def solve_all(
     spec: BranchSpec,
     config: RunConfig | None = None,
     *,
-    cache_path: str | None = None,
     known: Iterable[SolutionSet] = (),
 ) -> SolutionSet:
     """Find every normalized complex polynomial for the spec, with a certificate.
@@ -977,15 +917,14 @@ def solve_all(
     The run stops after the chunk in which the count matches the
     factorization target, and within that chunk as soon as the accepted
     points are proven distinct true solutions (``_Collector.offer_all``).
-    With ``cache_path``, a matching complete set stored there is reused and
-    a new one is written there.  ``_carried_points`` carries the solution
-    sets in ``known`` over: the first COMPLETE one whose spec maps onto this
-    spec by an affine change of value is mapped; failing that, the first
-    COMPLETE one with the same d, k and profile multiset is tracked to this
-    spec's values and order; a one-branch spec takes its one solution, the
-    point 0.  The carried points are polished in one Newton batch and
-    accepted, and the multistart runs only for the solutions they miss
-    (``starts_used`` is 0 when they reach the target).
+    ``_carried_points`` carries the solution sets in ``known`` over: the
+    first COMPLETE one whose spec maps onto this spec by an affine change of
+    value is mapped; failing that, the first COMPLETE one with the same d, k
+    and profile multiset is tracked to this spec's values and order; a
+    one-branch spec takes its one solution, the point 0.  The carried points
+    are polished in one Newton batch and accepted, and the multistart runs
+    only for the solutions they miss (``starts_used`` is 0 when they reach
+    the target).
 
     Raises IncompleteEnumeration (carrying the partial set) when the start
     budget runs out first and OvercountDetected if dedup ever exceeds the
@@ -998,10 +937,6 @@ def solve_all(
     if spec.d > _MAX_SOLVER_DEGREE:
         raise ScaleExceeded(f"degree {spec.d} exceeds the solver bound {_MAX_SOLVER_DEGREE}")
     target = count_factorizations(spec.profiles).N
-    if cache_path:
-        cached = load_cache(cache_path, spec, target, config)
-        if cached is not None:
-            return cached
     system = build_system(spec)
     collector = _Collector(system, target, config)
     carried = _carried_points(tuple(known), system, config.tol_dedup)
@@ -1026,67 +961,64 @@ def solve_all(
     if not collector.complete:
         partial = collector.build_set(starts_used, "INCOMPLETE")
         raise IncompleteEnumeration(len(collector), target, partial)
-    solset = collector.build_set(starts_used, "COMPLETE")
-    if cache_path:
-        save_cache(cache_path, solset, config)
-    return solset
+    return collector.build_set(starts_used, "COMPLETE")
 
 
 # --- real classification ----------------------------------------------------
 
 
-def _real_structure(system: SystemSpec, point: np.ndarray, config: RunConfig):
-    """Real coordinates u of a nearly-real point, x = B u: the basis B, a real-root mask and u0.
+def _real_projection(system: SystemSpec, point: np.ndarray, config: RunConfig):
+    """The conjugation-fixed point at a nearly-real point, and its real-root mask.
 
-    A root within tol_cluster/2 of the real axis is real and takes one
-    coordinate (column entry 1).  Any other root is paired with the nearest
-    later root of the same branch and multiplicity near its conjugate; the
-    pair a +- ib takes the two coordinates (a, b), columns (1, 1) and (i, -i).
-    u0 holds the real part of each real root and of the first root of each
-    pair, and that root's imaginary part.
+    A root within tol_cluster/2 of the real axis is real and keeps its real
+    part.  Any other root is paired with the nearest later root of the same
+    branch and multiplicity near its conjugate, and that mate becomes its
+    exact conjugate; a root without such a mate raises AmbiguousRealness.
     """
-    n = system.n
-    basis = np.zeros((n, n), dtype=complex)
-    real_mask = np.zeros(n, dtype=bool)
-    u0 = np.zeros(n)
-    col = 0
+    x = np.array(point, dtype=complex)
+    real_mask = np.zeros(system.n, dtype=bool)
+    seen = np.zeros(system.n, dtype=bool)
     for start, end in system.branch_ranges:
         for j in range(start, end):
-            if basis[j].any():
+            if seen[j]:
                 continue
-            basis[j, col] = 1.0
-            u0[col] = point[j].real
-            if abs(point[j].imag) < config.tol_cluster / 2.0:
+            seen[j] = True
+            if abs(x[j].imag) < config.tol_cluster / 2.0:
                 real_mask[j] = True
-                col += 1
+                x[j] = x[j].real
                 continue
             mates = [
                 m
                 for m in range(j + 1, end)
-                if not basis[m].any() and system.slots[m][1] == system.slots[j][1]
+                if not seen[m] and system.slots[m][1] == system.slots[j][1]
             ]
-            dists = [abs(point[m] - np.conj(point[j])) for m in mates]
+            dists = [abs(x[m] - np.conj(x[j])) for m in mates]
             if not mates or min(dists) > config.tol_cluster:
                 raise AmbiguousRealness(
                     "a non-real preimage root has no conjugate partner within "
                     "tolerance; rerun with tighter tolerances"
                 )
             mate = mates[int(np.argmin(dists))]
-            basis[mate, col] = 1.0
-            basis[j, col + 1], basis[mate, col + 1] = 1j, -1j
-            u0[col + 1] = point[j].imag
-            col += 2
-    return basis, real_mask, u0
+            x[mate] = np.conj(x[j])
+            seen[mate] = True
+    return x, real_mask
 
 
 def _build_real_polynomial(
     system: SystemSpec, x: np.ndarray, real_mask: np.ndarray, config: RunConfig
 ) -> RealPolynomial:
-    """The real polynomial at the polished point x = B u, with its preimage data."""
+    """The real polynomial at the conjugation-fixed point x, with its preimage data."""
     spec = system.spec
     if not _well_separated(system, x, config.tol_cluster):
         raise DegenerateConfiguration(
-            "real polish collapsed two preimage roots of one branch value"
+            "real projection collapsed two preimage roots of one branch value"
+        )
+    # F is real at a conjugation-fixed point up to rounding, so its real part
+    # is the real polynomial's residual, the bound a real Newton step enforces
+    f = np.max(np.abs(residual_batch(system, x[None, :])[0].real))
+    if f > config.tol_residual:
+        raise AmbiguousRealness(
+            f"the conjugation-fixed point has residual {f:.3e} above tol_residual"
         )
     preimages = []
     nonreal = []
@@ -1094,9 +1026,6 @@ def _build_real_polynomial(
         roots = [(x[j].real, system.slots[j][1], real_mask[j]) for j in range(start, end)]
         preimages.append(tuple(sorted((float(r), m) for r, m, real in roots if real)))
         nonreal.append(tuple(sorted((m for _, m, real in roots if not real), reverse=True)))
-    f = residual_batch(system, x[None, :])[0].real
-    if abs(f[0]) > config.tol_residual:
-        raise AmbiguousRealness("normalization coefficient did not vanish after real polish")
     return RealPolynomial(
         d=spec.d,
         coefficients=tuple(float(c) for c in canonical_coefficients(system, x).real),
@@ -1104,7 +1033,7 @@ def _build_real_polynomial(
         values=spec.values,
         real_preimages=tuple(preimages),
         nonreal_orders=tuple(nonreal),
-        residual=float(np.max(np.abs(f))),
+        residual=float(f),
     )
 
 
@@ -1112,13 +1041,13 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     """Extract the real polynomials from a complete complex solution set.
 
     A solution counts as real when every coefficient has imaginary part
-    below the realness tolerance; it is then re-polished by ``_newton_batch``
-    in real coordinates u (one per real root, the real and imaginary part
-    per conjugate pair) of x = B u.
+    below the realness tolerance; its point is then replaced by the exactly
+    conjugation-fixed one of ``_real_projection``, so no Newton step runs.
     Solutions within a factor 10 of the threshold raise AmbiguousRealness
     instead of being classified either way, as do a non-real root without
-    a conjugate partner, a failed polish and an a_1 that does not vanish;
-    roots that collapse under the polish raise DegenerateConfiguration.
+    a conjugate partner and a projected point whose residual max|Re F|
+    exceeds tol_residual; roots that collapse under the projection raise
+    DegenerateConfiguration.
     """
     config = config or RunConfig()
     if solset.certificate != "COMPLETE":
@@ -1146,11 +1075,7 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
                     f"the realness tolerance {config.tol_real:.1e}"
                 )
             continue
-        point = np.array(sol.point, dtype=complex)
-        basis, real_mask, u0 = _real_structure(system, point, config)
-        u, ok, _ = _newton_batch(system, u0[None, :], config, basis)
-        if not ok[0]:
-            raise AmbiguousRealness("real-restricted polish failed to converge")
-        reals.append(_build_real_polynomial(system, basis @ u[0], real_mask, config))
+        x, real_mask = _real_projection(system, sol.point, config)
+        reals.append(_build_real_polynomial(system, x, real_mask, config))
     reals.sort(key=lambda p: grid_key(p.coefficients))
     return reals

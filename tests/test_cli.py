@@ -179,25 +179,30 @@ def test_cache_flag_roundtrip(tmp_path, capsys):
 def test_s_number_cache_hits_on_second_run(tmp_path, capsys, monkeypatch):
     from realhurwitz import polysolve
 
-    # Newton on complex points (multistart and symmetry polish) is the solve;
-    # Newton in real coordinates (a basis given) refines the reals afterwards
+    # the second run polishes the N stored points in one batch and draws no
+    # start chunk; the real classification runs no Newton at all
     newton = polysolve._newton_batch
-    complex_rows = []
+    rows = []
 
-    def spy(system, starts, config, basis=None, stop=None):
-        if basis is None:
-            complex_rows.append(len(starts))
-        return newton(system, starts, config, basis, stop)
+    def spy(system, starts, config, stop=None):
+        rows.append((len(starts), stop is not None))
+        return newton(system, starts, config, stop)
 
     monkeypatch.setattr(polysolve, "_newton_batch", spy)
-    cache = str(tmp_path / "c.jsonl")
+    cache = str(tmp_path / "c.json")
     args = ("s-number", "--profiles", "2,1|2,1", "--values=-2,2", "--cache", cache)
     first = run_json(capsys, *args)
-    assert complex_rows
-    complex_rows.clear()
+    assert (64, True) in rows
+    rows.clear()
     again = run_json(capsys, *args)
     assert again["result"] == first["result"]
-    assert complex_rows == []  # the second run reads the cache and solves nothing
+    assert rows == [(3, False)]
+
+
+def test_s_number_at_large_values(capsys):
+    # the real solution is projected, so no real-coordinate polish can fail
+    payload = run_json(capsys, "s-number", "--profiles", "2,1|2,1", "--values=-100,100")
+    assert payload["result"]["s"] == -1
 
 
 @pytest.mark.parametrize(

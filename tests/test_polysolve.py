@@ -6,9 +6,11 @@ import pytest
 
 from realhurwitz import (
     AmbiguousRealness,
+    DegenerateConfiguration,
     IncompleteEnumeration,
     OvercountDetected,
     Partition,
+    ValidationError,
     build_system,
     classify_real,
     count_factorizations,
@@ -18,17 +20,17 @@ from realhurwitz import (
     validate_branch_spec,
 )
 from realhurwitz import polysolve
+from realhurwitz.cli import _solve_cached, main
 from realhurwitz.polysolve import (
+    SolutionSet,
     _newton_batch,
-    _real_structure,
+    _real_projection,
     canonical_coefficients,
     residual_and_jacobian_batch,
     residual_batch,
-    load_cache,
     match_index,
     root_bound,
     rotate_coefficients,
-    spec_hash,
 )
 from realhurwitz.verify import enumerate_sweep_specs
 
@@ -124,11 +126,15 @@ def test_kernel_matches_factor_by_factor_reference(cfg):
                 coeffs, ref = canonical_coefficients(system, x), kernel_canonical(system, x)
                 assert np.array_equal(coeffs, ref) and _same_bits(coeffs, ref)
 
-    # real coordinates: each branch of 3,1,1|3,1,1 has one real root and a conjugate pair
+    # conjugation-fixed points: each branch of 3,1,1|3,1,1 has one real root
+    # and a conjugate pair
     system = build_system(validate_branch_spec(parse_profiles("3,1,1|3,1,1")))
-    point = np.array([0.3, 1 + 0.5j, 1 - 0.5j, -0.2, -1 + 2j, -1 - 2j])
-    basis, _, _ = _real_structure(system, point, cfg)
-    x = rng.standard_normal((64, system.n)) @ basis.T
+    u = rng.standard_normal((64, system.n))
+    pairs = u[:, [1, 4]] + 1j * u[:, [2, 5]]
+    x = np.stack(
+        (u[:, 0], pairs[:, 0], pairs[:, 0].conj(), u[:, 3], pairs[:, 1], pairs[:, 1].conj()),
+        axis=1,
+    )
     f, jac = residual_and_jacobian_batch(system, x)
     ref_f, ref_jac = kernel_residual_and_jacobian(system, x)
     assert _same_bits(f, ref_f) and _same_bits(jac, ref_jac)
@@ -183,8 +189,8 @@ def test_classify_real_counts(cfg, monkeypatch):
     reals = classify_real(solve_all(swapped, cfg), cfg)
     assert reals == []
 
-    # the real polish keeps every real solution where the complex solve put
-    # it; those arrive converged, so the polish builds no Jacobian
+    # the real solutions are projected, not polished: classification builds
+    # no Jacobian
     jacobians = []
     original = polysolve.residual_and_jacobian_batch
 
@@ -215,38 +221,27 @@ def _real_solution(solset, coefficients):
     )
 
 
-@pytest.mark.parametrize(
-    "spec, coefficients",
-    [
-        (QUARTIC_DOUBLE, (2.0, 0.0, 2.0)),  # (z^2+1)^2 + 1: conjugate pairs in both branches
-        (CUBIC, (-3.0, 0.0)),  # z^3 - 3z: every preimage root real
-    ],
-)
-def test_real_jacobian_matches_finite_differences(cfg, spec, coefficients):
-    # the real polish runs Newton on Re F(B u) with Jacobian Re(J(B u) B)
-    system = build_system(spec)
-    sol = _real_solution(solve_all(spec, cfg), coefficients)
-    basis, real_mask, u0 = _real_structure(system, np.array(sol.point), cfg)
-    assert real_mask.all() == (spec is CUBIC)
-    rng = np.random.default_rng(5)
-    h = 1e-6
-    for u in (u0, u0 + 0.1 * rng.standard_normal(system.n)):
-        (f,), (jac,) = residual_and_jacobian_batch(system, (basis @ u)[None])
-        jac_b = jac @ basis
-        # F(B u) and its u-derivative are real for real u
-        assert np.max(np.abs(f.imag)) < 1e-12 and np.max(np.abs(jac_b.imag)) < 1e-12
-        approx = np.empty((system.n, system.n))
-        for k in range(system.n):
-            bump = np.zeros(system.n)
-            bump[k] = h
-            plus = residual(system, basis @ (u + bump)).real
-            minus = residual(system, basis @ (u - bump)).real
-            approx[:, k] = (plus - minus) / (2 * h)
-        assert np.max(np.abs(jac_b.real - approx) / (1.0 + np.abs(approx))) < 1e-6
-    # solutions arrive polished, so only a perturbed start makes the real Newton step
-    start = u0 + 1e-3 * rng.standard_normal(system.n)
-    u, ok, _ = _newton_batch(system, start[None, :], cfg, basis)
-    assert ok[0] and np.max(np.abs(u[0] - u0)) < 1e-9
+def test_real_points_are_conjugation_fixed(cfg):
+    # the projected point of every real solution is exactly closed under
+    # conjugation, branch by branch and multiplicity by multiplicity
+    projected = paired = 0
+    specs = [validate_branch_spec(profiles) for profiles in enumerate_sweep_specs(5, 3)]
+    for spec in specs + [spec.reversed_spec() for spec in specs]:
+        system = build_system(spec)
+        for sol in solve_all(spec, cfg).solutions:
+            if np.max(np.abs(np.imag(sol.coefficients))) >= cfg.tol_real:
+                continue
+            x, real_mask = _real_projection(system, sol.point, cfg)
+            assert np.all(x[real_mask].imag == 0.0)
+            for start, end in system.branch_ranges:
+                for m in set(system.slots[j][1] for j in range(start, end)):
+                    roots = x[start:end][[system.slots[j][1] == m for j in range(start, end)]]
+                    assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj()))
+            assert np.max(np.abs(x - np.array(sol.point))) < cfg.tol_real
+            assert np.max(np.abs(residual(system, x))) <= cfg.tol_residual
+            projected += 1
+            paired += int(not real_mask.all())
+    assert projected > 30 and paired > 10
 
 
 def test_classify_real_rejects_unpaired_root(cfg):
@@ -537,8 +532,6 @@ def test_ambiguous_realness_raises(cfg):
 def test_degenerate_configuration_raises(cfg):
     # a cluster tolerance wider than the actual root separations makes every
     # converged point look collapsed; the persistence counter must trip
-    from realhurwitz import DegenerateConfiguration
-
     coarse = cfg.replace(tol_cluster=10.0)
     with pytest.raises(DegenerateConfiguration):
         solve_all(CUBIC, coarse)
@@ -552,94 +545,131 @@ def test_identity_spec_solution(cfg):
     assert len(reals) == 1 and reals[0].sign == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        validate_branch_spec([Partition([1])]),
+        CUBIC,
+        validate_branch_spec(parse_profiles("3,2,1|3,1,1,1")),
+    ],
+    ids=["identity", "cubic", "d6"],
+)
+def test_solution_set_json_roundtrip(cfg, spec):
+    solset = solve_all(spec, cfg)
+    data = json.loads(json.dumps(solset.as_json_dict()))
+    assert SolutionSet.from_json_dict(data) == solset
+
+
+def test_solution_set_json_rejects_foreign_multiplicities(cfg):
+    data = solve_all(CUBIC, cfg).as_json_dict()
+    data["solutions"][0]["roots"][1].reverse()  # (1, 2) in a (2, 1) branch
+    with pytest.raises(ValidationError, match="multiplicities"):
+        SolutionSet.from_json_dict(data)
+
+
+def _assert_same_set(got, want, cfg):
+    assert got.certificate == "COMPLETE" and len(got) == got.target == want.target
+    assert match_coefficient_sets(
+        [s.coefficients for s in got.solutions],
+        [s.coefficients for s in want.solutions],
+        tol=cfg.tol_dedup,
+    )
+
+
 def test_cache_roundtrip(tmp_path, cfg):
-    path = str(tmp_path / "cubic.jsonl")
-    first = solve_all(CUBIC, cfg, cache_path=path)
-    reloaded = load_cache(path, CUBIC, first.target, cfg)
-    assert reloaded is not None
-    assert reloaded.solutions == first.solutions
-    # solve_all should reuse the cache rather than resolving
-    again = solve_all(CUBIC, cfg, cache_path=path)
+    path = str(tmp_path / "cubic.json")
+    first = _solve_cached(CUBIC, cfg, path)
+    assert first.starts_used > 0
+    # the second run carries the stored set and draws no start
+    again = _solve_cached(CUBIC, cfg, path)
     assert again.starts_used == 0
-    assert again.solutions == first.solutions
-
-    def add_retired_fields(lines):
-        # records once also carried the roots and residual of each solution
-        for line, sol in zip(lines[1:], first.solutions):
-            line.update(sol.as_json_dict())
-
-    _rewrite_cache(path, add_retired_fields)
-    assert load_cache(path, CUBIC, first.target, cfg).solutions == first.solutions
+    _assert_same_set(again, first, cfg)
+    assert _solve_cached(CUBIC, cfg, path).solutions == again.solutions
 
 
 def _rewrite_cache(path, edit):
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh]
-    edit(lines)
+        data = json.load(fh)
+    edit(data)
     with open(path, "w") as fh:
-        fh.writelines(json.dumps(line) + "\n" for line in lines)
+        json.dump(data, fh)
 
 
 def test_tampered_cache_is_resolved(tmp_path, cfg):
-    path = str(tmp_path / "cubic.jsonl")
-    fresh = solve_all(CUBIC, cfg, cache_path=path)
+    path = str(tmp_path / "cubic.json")
+    fresh = _solve_cached(CUBIC, cfg, path)
 
-    def shift_point(lines):
-        # a root of the last branch: the coefficients, read off branch 0, still match
-        lines[1]["point"][-1][0] += 0.5
+    def move_point(data):
+        # a root of the last branch, far beyond what a polish brings back
+        data["solutions"][0]["roots"][-1][-1][0][0] += 0.5
 
-    _rewrite_cache(path, shift_point)
-    assert load_cache(path, CUBIC, fresh.target, cfg) is None
-    again = solve_all(CUBIC, cfg, cache_path=path)
-    assert again.starts_used > 0
-    assert again.solutions == fresh.solutions
-    assert load_cache(path, CUBIC, fresh.target, cfg).solutions == fresh.solutions
+    _rewrite_cache(path, move_point)
+    again = _solve_cached(CUBIC, cfg, path)
+    _assert_same_set(again, fresh, cfg)
 
 
-def _shift_coefficient(lines):
-    lines[2]["coefficients"][0][0] += 0.5
+def _shift_coefficient(data):
+    # stored coefficients are not read: each point's own are recomputed
+    data["solutions"][1]["coefficients"][0][0] += 0.5
 
 
-def _duplicate_point(lines):
-    lines[2] = dict(lines[1])
+def _duplicate_point(data):
+    data["solutions"][1] = data["solutions"][0]
 
 
-def _widen_cluster_tolerance(lines):
-    lines[0]["tol_cluster"] = 10.0  # every stored point now collapses its roots
+def _widen_cluster_tolerance(data):
+    pass  # the run's tol_cluster below is wider than every stored root gap
 
 
-def _drop_point_entry(lines):
-    lines[1]["point"].pop()  # a point of the wrong shape is a miss, not an exception
+def _drop_point_entry(data):
+    data["solutions"][1]["roots"][1].pop()  # a point of the wrong shape
 
 
 @pytest.mark.parametrize(
     "edit", [_shift_coefficient, _duplicate_point, _widen_cluster_tolerance, _drop_point_entry]
 )
 def test_cache_revalidates_points(tmp_path, cfg, edit):
-    path = str(tmp_path / "cubic.jsonl")
-    solset = solve_all(CUBIC, cfg, cache_path=path)
+    # every stored point is polished and accepted under the run's tolerances,
+    # and the multistart fills what the file misses
+    path = str(tmp_path / "cubic.json")
+    fresh = _solve_cached(CUBIC, cfg, path)
     _rewrite_cache(path, edit)
-    loaded_cfg = cfg.replace(tol_cluster=10.0) if edit is _widen_cluster_tolerance else cfg
-    assert load_cache(path, CUBIC, solset.target, loaded_cfg) is None
+    if edit is _widen_cluster_tolerance:
+        with pytest.raises(DegenerateConfiguration):
+            _solve_cached(CUBIC, cfg.replace(tol_cluster=10.0), path)
+        return
+    again = _solve_cached(CUBIC, cfg, path)
+    _assert_same_set(again, fresh, cfg)
+    assert (again.starts_used == 0) == (edit is _shift_coefficient)
 
 
-def test_cache_rejects_mismatched_tolerances(tmp_path, cfg):
-    path = str(tmp_path / "cubic.jsonl")
-    solset = solve_all(CUBIC, cfg, cache_path=path)
-    other = cfg.replace(tol_dedup=1e-7)
-    assert load_cache(path, CUBIC, solset.target, other) is None
+@pytest.mark.parametrize("garbage", ["", "{not json", "[1, 2]", '{"spec": 3}', "null"])
+def test_garbage_cache_is_a_miss(tmp_path, cfg, garbage):
+    path = tmp_path / "cubic.json"
+    path.write_text(garbage)
+    solset = _solve_cached(CUBIC, cfg, str(path))
+    assert solset.starts_used > 0
+    assert json.loads(path.read_text()) == solset.as_json_dict()
 
 
-def test_cache_file_is_line_delimited_json(tmp_path, cfg):
-    path = str(tmp_path / "cubic.jsonl")
-    solve_all(CUBIC, cfg, cache_path=path)
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh]
-    assert lines[0]["kind"] == "header"
-    assert lines[0]["spec_hash"] == spec_hash(CUBIC)
-    assert len([l for l in lines if l["kind"] == "solution"]) == 3
-    for record in lines[1:]:
-        assert set(record) == {"kind", "spec_hash", "point", "coefficients"}
+def test_cache_of_another_layout_or_order_is_carried(tmp_path, cfg):
+    path = str(tmp_path / "set.json")
+    source = validate_branch_spec(parse_profiles("2,2,1|2,1,1,1|2,1,1,1"))
+    _solve_cached(source, cfg, path)
+    for spec in (
+        validate_branch_spec(source.profiles, (-5.0, 0.1, 0.2)),
+        source.permuted([1, 0, 2]),
+    ):
+        carried = _solve_cached(spec, cfg, path)
+        assert carried.starts_used == 0
+        _assert_same_set(carried, solve_all(spec, cfg), cfg)
+
+
+def test_cache_file_is_the_solve_result(tmp_path, capsys, cfg):
+    path = tmp_path / "cubic.json"
+    assert main(["solve", "--profiles", "2,1|2,1", "--values=-2,2", "--cache", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert json.loads(path.read_text()) == result
 
 
 def test_solution_count_matches_factorizations(cfg):
@@ -997,3 +1027,18 @@ def test_newton_stop_sees_rows_in_convergence_order(cfg):
     )
     assert calls == [len(seen[0][0]), len(seen[1][0])]
     assert stopped_ok.sum() == sum(calls) < ok.sum()
+
+
+@pytest.mark.parametrize("text, scale", [("3,2,1|3,1,1,1", 1000.0), ("2,1,1|2,1,1|2,1,1", 100.0)])
+def test_newton_converges_at_its_rounding_floor(cfg, text, scale):
+    # at large branch values F cannot be computed below about 1e-13, so no
+    # step length passes the line search; a row whose residual is already
+    # within tol_residual there is converged, and every scaled point is kept
+    spec = validate_branch_spec(parse_profiles(text))
+    known = solve_all(spec, cfg)
+    big = validate_branch_spec(spec.profiles, [scale * w for w in spec.values])
+    system = build_system(big)
+    starts = polysolve._carried_points((known,), system, cfg.tol_dedup)
+    points, ok, norms = _newton_batch(system, starts, cfg)
+    assert ok.all() and np.max(norms) <= cfg.tol_residual
+    assert solve_all(big, cfg, known=(known,)).starts_used == 0
