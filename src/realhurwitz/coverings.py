@@ -70,7 +70,8 @@ class CoveringClass:
 def reflection_partners(reals: Sequence[RealPolynomial], tol: float) -> list[int | None]:
     """For each real, the first row whose coefficients match its z -> -z mirror, or None."""
     table = np.array([p.coefficients for p in reals], dtype=float)
-    return [match_index(table, np.array(p.reflected().coefficients), tol) for p in reals]
+    mirrors = np.array([p.reflected().coefficients for p in reals], dtype=float)
+    return match_index(table, mirrors, tol) if reals else []
 
 
 def _orbit_classes(

@@ -45,7 +45,7 @@ Real solutions are projected, not re-solved.  The real polynomials are the
 conjugation-fixed points of the complete set, so ``_real_projection`` pairs
 each non-real root with its conjugate and returns the exactly
 conjugation-fixed point: a real root keeps its real part and a pair becomes
-r, conj(r).  That point must still have residual within tol_residual.
+r, conj(r).  That point must still have residual within ``residual_bound``.
 
 A spec whose profile multiset was solved before is carried over, not
 solved, by one loop, ``_carried_points``.  If its branch data is an affine
@@ -312,8 +312,8 @@ def _newton_batch(
     Returns (points, converged_mask, residual_norms), the norms max|F| at
     the returned points.  A row converges when its damped step falls below
     _NEWTON_STEP_TOL, its residual below 1e-14, or no step length passes the
-    line search, each with its residual within tol_residual: a row that no
-    length improves sits at its rounding floor, which for large branch
+    line search, each with its residual within ``residual_bound``: a row that
+    no length improves sits at its rounding floor, which for large branch
     values can lie above 1e-14.  A row fails on those same three ends with a
     larger residual, when its Jacobian is singular, when it escapes (an
     accepted step leaves max|x| above _ESCAPE_FACTOR times root_bound, where
@@ -329,6 +329,7 @@ def _newton_batch(
     points = np.array(starts, dtype=complex)
     batch = points.shape[0]
     escape = _ESCAPE_FACTOR * root_bound(system.spec)
+    bound = residual_bound(system.spec, config)
     status = np.zeros(batch, dtype=np.int8)  # 0 active, 1 converged, -1 failed
     fnorm = np.max(np.abs(residual_batch(system, points)), axis=1)
     bad = ~np.isfinite(fnorm)
@@ -369,7 +370,7 @@ def _newton_batch(
         t = _STEP_LENGTHS[first]
         small = ~moved | (t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
         done = active[small]
-        status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)
+        status[done] = np.where(fnorm[done] <= bound, 1, -1)
         if stopped(done[status[done] == 1]):
             break
         live = active[~small]
@@ -385,7 +386,7 @@ def _newton_batch(
 _BOX_FACTOR = 16.0
 
 
-def _rounding_bound(system: SystemSpec) -> float:
+def _rounding_bound(spec: BranchSpec) -> float:
     """gamma_m = m u / (1 - m u) with u = 2^-53 and m = 8 (n + d): the certifier's rounding bound.
 
     A complex addition errs by at most u and a complex multiplication by at
@@ -400,8 +401,19 @@ def _rounding_bound(system: SystemSpec) -> float:
     are widened by this bound times their values at |x^| and |w|, and every
     comparison by a factor 1 + gamma.
     """
-    m = 8 * (system.n + system.d)
+    m = 8 * (spec.k * spec.d + 1)  # n + d, with n = (k - 1) d + 1 unknowns
     return m * 2.0**-53 / (1.0 - m * 2.0**-53)
+
+
+def residual_bound(spec: BranchSpec, config: RunConfig) -> float:
+    """The largest max|F| a solution may keep: max(tol_residual, gamma (1 + max|w_i|)).
+
+    gamma is ``_rounding_bound``: F's rounding floor grows with the branch
+    values, so at large ones no point gets within tol_residual alone.  For
+    |w_i| <= 10 at d <= 6 the floor is below 1e-12.
+    """
+    floor = _rounding_bound(spec) * (1.0 + max(abs(w) for w in spec.values))
+    return max(config.tol_residual, floor)
 
 
 def _point_enclosure(system: SystemSpec, x: np.ndarray):
@@ -413,7 +425,7 @@ def _point_enclosure(system: SystemSpec, x: np.ndarray):
     blocks = f_abs[1:].reshape(system.k - 1, system.d, len(x))
     np.add(abs_q[1:, 1:].swapaxes(0, 1), abs_q[1:, :1].swapaxes(0, 1), out=blocks)
     blocks[:, -1] += np.add(np.abs(system.spec.values[1:]), abs(system.spec.values[0]))[:, None]
-    f_rad = _rounding_bound(system) * f_abs.T
+    f_rad = _rounding_bound(system.spec) * f_abs.T
     return _assemble_residual(system, qs), f_rad, _assemble_jacobian(system, dq)
 
 
@@ -427,7 +439,7 @@ def _box_enclosure(system: SystemSpec, x: np.ndarray, rho: np.ndarray):
     of the computed ones at x^; both radii include the rounding of those
     computed values.
     """
-    gamma = _rounding_bound(system)
+    gamma = _rounding_bound(system.spec)
     lo_q, lo_dq = _products(system, -np.abs(x) + 0j)
     hi_q, hi_dq = _products(system, -(np.abs(x) + rho) + 0j)
     hi_j, lo_j = (np.abs(_assemble_jacobian(system, dq)) for dq in (hi_dq, lo_dq))
@@ -462,7 +474,7 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
     Newton batch.
     """
     points = np.asarray(points, dtype=complex)
-    gamma = _rounding_bound(system)
+    gamma = _rounding_bound(system.spec)
     pair_a, pair_b = system.same_branch
     eye = np.eye(system.n)
     coeffs, c_rads = [], []
@@ -587,16 +599,16 @@ def _well_separated(system: SystemSpec, x: np.ndarray, tol_cluster: float) -> bo
     return not (np.abs(x[pair_a] - x[pair_b]) <= tol_cluster).any()
 
 
-def match_index(table: np.ndarray, vec: np.ndarray, tol: float) -> int | None:
-    """First row i of table with max|vec - table[i]| <= tol (1 + max|table[i]|), or None.
+def match_index(table: np.ndarray, queries: np.ndarray, tol: float) -> list[int | None]:
+    """Per query row q, the first row i with max|q - table[i]| <= tol (1 + max|table[i]|), or None.
 
     The scale is taken from the known row, not from the query; an empty row
-    matches anything.
+    matches anything and an empty table nothing.  A symmetry check passes
+    all its images in one call; a single point is a one-row query table.
     """
-    gap = np.max(np.abs(table - vec), axis=1, initial=0.0)
-    scale = 1.0 + np.max(np.abs(table), axis=1, initial=0.0)
-    hits = np.flatnonzero(gap <= tol * scale)
-    return int(hits[0]) if hits.size else None
+    gap = np.abs(queries[:, None] - table).max(axis=2, initial=0.0)
+    scale = 1.0 + np.abs(table).max(axis=1, initial=0.0)
+    return [int(row.argmax()) if row.any() else None for row in gap <= tol * scale]
 
 
 def grid_key(values) -> tuple[tuple[float, float], ...]:
@@ -629,6 +641,7 @@ class _Collector:
         self.system = system
         self.target = target
         self.config = config
+        self.tol_residual = residual_bound(system.spec, config)
         self.points: list[np.ndarray] = []
         self.coeffs = np.empty((0, system.d - 1), dtype=complex)  # one row per point
         self.residuals: list[float] = []
@@ -646,13 +659,13 @@ class _Collector:
         """Keep cand, whose residual norm is res, as a new solution and return its coefficients.
 
         Every solution, solved or carried, passes here: residual within
-        tol_residual, each branch's roots more than tol_cluster apart (repeated
-        collapses raise DegenerateConfiguration), coefficients new up to
-        tol_dedup.  A new solution beyond the target raises OvercountDetected.
+        ``residual_bound``, each branch's roots more than tol_cluster apart
+        (repeated collapses raise DegenerateConfiguration), coefficients new up
+        to tol_dedup.  A new solution beyond the target raises OvercountDetected.
         Returns None for a rejected point.
         """
         res = float(res)
-        if not (res <= self.config.tol_residual):
+        if not (res <= self.tol_residual):
             return None
         if not _well_separated(self.system, cand, self.config.tol_cluster):
             key = tuple(np.round(canonical_coefficients(self.system, cand), 6).tolist())
@@ -664,7 +677,7 @@ class _Collector:
                 )
             return None
         coeffs = canonical_coefficients(self.system, cand)
-        if match_index(self.coeffs, coeffs, self.config.tol_dedup) is not None:
+        if match_index(self.coeffs, coeffs[None], self.config.tol_dedup)[0] is not None:
             return None
         self.points.append(cand)
         self.coeffs = np.vstack((self.coeffs, coeffs))
@@ -891,7 +904,7 @@ def _carried_points(
                 break
             u = np.array(source.spec.values)[order]
             a = (t[-1] - t[0]) / (u[-1] - u[0])
-            if match_index(t[None, :], a * (u - u[0]) + t[0], tol) == 0:
+            if match_index(t[None, :], (a * (u - u[0]) + t[0])[None, :], tol) == [0]:
                 return complex(a) ** (1.0 / spec.d) * _permuted_points(source, order)
             if first is None:
                 first = source, order, u
@@ -1005,9 +1018,9 @@ def _real_projection(system: SystemSpec, point: np.ndarray, config: RunConfig):
 
 
 def _build_real_polynomial(
-    system: SystemSpec, x: np.ndarray, real_mask: np.ndarray, config: RunConfig
+    system: SystemSpec, x: np.ndarray, real_mask: np.ndarray, config: RunConfig, bound: float
 ) -> RealPolynomial:
-    """The real polynomial at the conjugation-fixed point x, with its preimage data."""
+    """The real polynomial at the conjugation-fixed point x, with residual within bound."""
     spec = system.spec
     if not _well_separated(system, x, config.tol_cluster):
         raise DegenerateConfiguration(
@@ -1016,9 +1029,9 @@ def _build_real_polynomial(
     # F is real at a conjugation-fixed point up to rounding, so its real part
     # is the real polynomial's residual, the bound a real Newton step enforces
     f = np.max(np.abs(residual_batch(system, x[None, :])[0].real))
-    if f > config.tol_residual:
+    if f > bound:
         raise AmbiguousRealness(
-            f"the conjugation-fixed point has residual {f:.3e} above tol_residual"
+            f"the conjugation-fixed point has residual {f:.3e} above the bound {bound:.1e}"
         )
     preimages = []
     nonreal = []
@@ -1046,8 +1059,8 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     Solutions within a factor 10 of the threshold raise AmbiguousRealness
     instead of being classified either way, as do a non-real root without
     a conjugate partner and a projected point whose residual max|Re F|
-    exceeds tol_residual; roots that collapse under the projection raise
-    DegenerateConfiguration.
+    exceeds ``residual_bound``; roots that collapse under the projection
+    raise DegenerateConfiguration.
     """
     config = config or RunConfig()
     if solset.certificate != "COMPLETE":
@@ -1064,6 +1077,7 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
             )
         ]
     system = build_system(solset.spec)
+    bound = residual_bound(system.spec, config)
     reals = []
     for sol in solset.solutions:
         coeffs = np.array(sol.coefficients, dtype=complex)
@@ -1076,6 +1090,6 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
                 )
             continue
         x, real_mask = _real_projection(system, sol.point, config)
-        reals.append(_build_real_polynomial(system, x, real_mask, config))
+        reals.append(_build_real_polynomial(system, x, real_mask, config, bound))
     reals.sort(key=lambda p: grid_key(p.coefficients))
     return reals

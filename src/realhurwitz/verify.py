@@ -18,7 +18,9 @@ position invariance checks test the tracker against the closed forms.
 The theorem and the z -> -z pairing are decided in ``coverings`` alone: the
 sweep passes the workspace's real solutions to ``theorem_check``,
 ``real_hurwitz`` and ``reflection_partners``, which read them as they read
-the solver's.
+the solver's.  The number R of real solutions whose parity is checked is
+the length of ``classify_real``'s list, the reals s sums over, and each
+closure check is one ``match_index`` call per symmetry.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from .partitions import (
     partitions_of,
     validate_branch_spec,
 )
-from .polysolve import SolutionSet, classify_real, match_index, rotate_coefficients, solve_all
+from .polysolve import (
+    SolutionSet, classify_real, match_index, residual_bound, rotate_coefficients, solve_all
+)
 from .realsigns import disorders_by_branch, ordered_pairs_by_branch, signed_sum
 
 PASS = "PASS"
@@ -185,46 +189,25 @@ def _value_configs(config: RunConfig, profiles: tuple[Partition, ...]) -> list[t
     return [base, tuple(random_spaced), shifted]
 
 
-def _closure_checks(record: SpecRecord, solset, config: RunConfig):
-    spec = record.spec
-    d = spec.d
-    coeffs = np.array(
-        [s.coefficients for s in solset.solutions], dtype=complex
-    ).reshape(len(solset.solutions), d - 1)
+def _closure_checks(record: SpecRecord, solset: SolutionSet, ws: Workspace):
+    """Residual, conjugation and rotation checks, then the parity of R.
 
-    def find(vec: np.ndarray) -> int | None:
-        return match_index(coeffs, vec, config.tol_dedup)
-
-    record.record("residuals_ok", all(s.residual < config.tol_residual for s in solset.solutions))
-
-    conj_ok = True
-    n_real = 0
-    for idx, vec in enumerate(coeffs):
-        mate = find(np.conj(vec))
-        if mate is None:
-            conj_ok = False
-            break
-        if mate == idx:
-            n_real += 1
-    record.record("conjugation_closure", conj_ok)
-    record.record("real_count_parity", conj_ok and n_real % 2 == record.N % 2)
-
-    rot_ok = True
-    orbit_sizes_ok = True
-    for vec in coeffs:
-        orbit = set()
-        for t in range(d):
-            mate = find(rotate_coefficients(vec, d, t))
-            if mate is None:
-                rot_ok = False
-                break
-            orbit.add(mate)
-        if not rot_ok:
-            break
-        if d % len(orbit) != 0:
-            orbit_sizes_ok = False
+    Each closure is one ``match_index`` call per symmetry.  R is the number
+    of ``classify_real``'s reals, the ones s sums over.
+    """
+    spec, d, tol = record.spec, record.spec.d, ws.config.tol_dedup
+    sols = solset.solutions
+    coeffs = np.array([s.coefficients for s in sols], dtype=complex).reshape(len(sols), d - 1)
+    bound = residual_bound(spec, ws.config)
+    record.record("residuals_ok", all(s.residual < bound for s in sols))
+    record.record("conjugation_closure", None not in match_index(coeffs, coeffs.conj(), tol))
+    # rotations[t][i]: the solution that rotating solution i by t gives
+    rotations = [match_index(coeffs, rotate_coefficients(coeffs, d, t), tol) for t in range(d)]
+    rot_ok = all(None not in mates for mates in rotations)
     record.record("rotation_closure", rot_ok)
-    record.record("rotation_orbits_divide_d", rot_ok and orbit_sizes_ok)
+    orbits_ok = all(d % len(set(orbit)) == 0 for orbit in zip(*rotations))
+    record.record("rotation_orbits_divide_d", rot_ok and orbits_ok)
+    record.record("real_count_parity", len(ws.reals(spec)) % 2 == record.N % 2)
 
 
 def _branch_parities(poly) -> list[bool]:
@@ -282,7 +265,7 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
     try:
         solset = ws.solset(spec)
         record.record("certificate_complete", solset.certificate == "COMPLETE" and len(solset) == count.N)
-        _closure_checks(record, solset, config)
+        _closure_checks(record, solset, ws)
 
         record.s = ws.signed_count(spec)
         try:

@@ -206,6 +206,19 @@ def test_s_number_at_large_values(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (("s-number", "--profiles", "2,1|2,1", "--values=-1e6,1e6"), "s", -1),
+        (("solve", "--profiles", "3,2,1|3,1,1,1", "--values=-1e7,1e7"), "found", 12),
+    ],
+)
+def test_large_values_accept_residuals_at_the_rounding_floor(capsys, argv, key, expected):
+    # F cannot be computed below gamma (1 + max|w|) here, far above tol_residual;
+    # an incomplete solve would exit 3
+    assert run_json(capsys, *argv)["result"][key] == expected
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("verify", "--dmax", "3", "--kmax", "2"),

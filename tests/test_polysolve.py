@@ -23,12 +23,16 @@ from realhurwitz import polysolve
 from realhurwitz.cli import _solve_cached, main
 from realhurwitz.polysolve import (
     SolutionSet,
+    _build_real_polynomial,
     _newton_batch,
     _real_projection,
+    _rounding_bound,
+    _solve_linear_batch,
     canonical_coefficients,
     residual_and_jacobian_batch,
     residual_batch,
     match_index,
+    residual_bound,
     root_bound,
     rotate_coefficients,
 )
@@ -211,7 +215,7 @@ def test_classify_real_counts(cfg, monkeypatch):
             for poly in reals:
                 assert poly.residual <= cfg.tol_residual
                 vec = np.array(poly.coefficients)
-                assert match_index(table.real, vec, cfg.tol_dedup) is not None
+                assert match_index(table.real, vec[None], cfg.tol_dedup) != [None]
     assert jacobians == []
 
 
@@ -253,6 +257,52 @@ def test_classify_real_rejects_unpaired_root(cfg):
     broken = dataclasses.replace(sol, point=tuple(point))
     with pytest.raises(AmbiguousRealness, match="no conjugate partner"):
         classify_real(dataclasses.replace(solset, solutions=(broken,)), cfg)
+
+
+def _projected_real(cfg):
+    system = build_system(CUBIC)
+    sol = _real_solution(solve_all(CUBIC, cfg), (-3.0, 0.0))  # z^3 - 3z
+    return system, *_real_projection(system, sol.point, cfg)
+
+
+def test_build_real_polynomial_rejects_collapsed_projection(cfg):
+    system, x, real_mask = _projected_real(cfg)
+    bound = residual_bound(CUBIC, cfg)
+    poly = _build_real_polynomial(system, x, real_mask, cfg, bound)
+    assert poly.coefficients == pytest.approx((-3.0, 0.0))
+    x[1] = x[0]  # the double and the simple root over the first value meet
+    with pytest.raises(DegenerateConfiguration, match="collapsed"):
+        _build_real_polynomial(system, x, real_mask, cfg, bound)
+
+
+def test_build_real_polynomial_rejects_residual_above_bound(cfg):
+    system, x, real_mask = _projected_real(cfg)
+    x[0] += 1e-9  # still real and separated, but max|Re F| is 4e-9, 40 times the bound
+    with pytest.raises(AmbiguousRealness, match="above the bound"):
+        _build_real_polynomial(system, x, real_mask, cfg, residual_bound(CUBIC, cfg))
+
+
+def test_residual_bound_is_tol_residual_at_small_values(cfg):
+    # the sweep's and the benchmark's layouts keep |w| near 10 or below,
+    # where the rounding floor lies far below tol_residual
+    for profiles in enumerate_sweep_specs(6, 5):
+        spec = validate_branch_spec(profiles, tuple(10.0 - i for i in range(len(profiles))))
+        assert residual_bound(spec, cfg) == cfg.tol_residual
+    # at large values the bound is the floor gamma (1 + max|w|)
+    large = validate_branch_spec(CUBIC.profiles, (-1e6, 1e6))
+    assert residual_bound(large, cfg) == _rounding_bound(large) * (1.0 + 1e6) > cfg.tol_residual
+
+
+def test_solve_linear_batch_flags_only_the_singular_row():
+    rng = np.random.default_rng(3)
+    jac = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    jac[1, :, 0] = 0.0  # the middle Jacobian is singular
+    rhs = rng.standard_normal((3, 4)) + 0j
+    out, ok = _solve_linear_batch(jac, rhs)
+    assert ok.tolist() == [True, False, True]
+    for i in (0, 2):
+        assert np.array_equal(out[i], np.linalg.solve(jac[i], rhs[i]))
+    assert np.all(out[1] == 0.0)
 
 
 def test_classify_real_preimage_data(cfg):
@@ -304,12 +354,16 @@ def test_match_index_matches_loop_scan():
     rng = np.random.default_rng(2)
     table = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     table[7] *= 100.0  # the scale comes from the known row, not the query
-    for row in (0, 7, 39):
-        for bump in (0.0, 0.9e-6, 0.9e-4, 1.1e-4, 1.0):
-            vec = table[row] + bump
-            assert match_index(table, vec, 1e-6) == loop_scan(table, vec, 1e-6)
-    assert match_index(table[:0], table[0], 1e-6) is None
-    assert match_index(np.empty((2, 0), dtype=complex), np.empty(0), 1e-6) == 0
+    for bump in (0.0, 0.9e-6, 0.9e-4, 1.1e-4, 1.0):
+        queries = table + bump  # the whole bumped table is one batch of queries
+        expected = [loop_scan(table, vec, 1e-6) for vec in queries]
+        assert match_index(table, queries, 1e-6) == expected
+        if bump == 0.0:
+            assert expected == list(range(40))
+    # the first matching row wins
+    assert match_index(np.vstack((table, table)), table[[5, 0]], 1e-6) == [5, 0]
+    assert match_index(table[:0], table[:2], 1e-6) == [None, None]
+    assert match_index(np.empty((2, 0), dtype=complex), np.empty((3, 0)), 1e-6) == [0, 0, 0]
 
 
 def test_determinism_same_seed(cfg):
@@ -385,7 +439,7 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
         for t in range(d):
             rotated = rotate_coefficients(coeffs[i], d, t)
             for mate in (rotated, np.conj(rotated)):
-                j = match_index(coeffs, mate, cfg.tol_dedup)
+                (j,) = match_index(coeffs, mate[None], cfg.tol_dedup)
                 assert j is not None  # a complete set is closed under the group
                 orbit[j] = orbits
         orbits += 1

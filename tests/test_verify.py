@@ -73,6 +73,21 @@ def test_odd_degree_parity_diagnostic_reported(cfg):
     assert 0 <= diag["holds"] <= diag["of"]
 
 
+def test_real_count_parity_counts_classify_real(cfg, monkeypatch):
+    # R is the number of reals s sums over; one real fewer breaks R = N mod 2
+    spec = validate_branch_spec(parse_profiles("2,1|2,1"))
+    original = verify.classify_real
+
+    def dropping(solset, config):
+        reals = original(solset, config)
+        return reals[1:] if solset.spec == spec else reals
+
+    monkeypatch.setattr(verify, "classify_real", dropping)
+    record = check_spec(spec.profiles, cfg, Workspace(cfg))
+    assert record.properties["real_count_parity"] == "FAIL"
+    assert record.properties["conjugation_closure"] == "PASS"
+
+
 def test_corrupt_signs_negative_control(cfg):
     bad = cfg.replace(debug_corrupt_signs=True)
     for text in ("2,1|2,1", "2,2|2,1,1"):
