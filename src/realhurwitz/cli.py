@@ -37,7 +37,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="multistart start budget")
     parser.add_argument("--tol-residual", type=float, default=None)
     parser.add_argument("--tol-dedup", type=float, default=None)
-    parser.add_argument("--tol-real", type=float, default=None)
     parser.add_argument("--tol-cluster", type=float, default=None)
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file (default: $REALHURWITZ_CONFIG)")

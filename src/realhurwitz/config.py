@@ -34,7 +34,6 @@ class RunConfig:
 
     tol_residual: float = 1e-10
     tol_dedup: float = 1e-6
-    tol_real: float = 1e-8
     tol_cluster: float = 1e-5
     start_budget: int = 4000
     seed: int = 0

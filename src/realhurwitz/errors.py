@@ -56,7 +56,7 @@ class DegenerateConfiguration(InfraLimit):
 
 
 class AmbiguousRealness(InfraLimit):
-    """A solution sits too close to the realness threshold to classify safely."""
+    """The conjugation pairing is not an involution, or a real point's projection fails."""
 
 
 class SignMismatch(PropertyFailure):

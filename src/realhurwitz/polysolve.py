@@ -41,11 +41,14 @@ one more factor completes it.  The line search evaluates all 12 lengths
 1, 2^-1, ..., 2^-11 of every row in one call; a row takes its first passing
 length, as sequential halving would, since its residual depends on it alone.
 
-Real solutions are projected, not re-solved.  The real polynomials are the
-conjugation-fixed points of the complete set, so ``_real_projection`` pairs
-each non-real root with its conjugate and returns the exactly
-conjugation-fixed point: a real root keeps its real part and a pair becomes
-r, conj(r).  That point must still have residual within ``residual_bound``.
+Real solutions are read off the conjugation pairing and projected, not
+re-solved.  A solution is real when ``conjugation_partners`` pairs it with
+itself; under the count = N certificate a non-real P cannot (dedup would
+have merged P and conj(P)), and a real P must (else conj(P) is an extra
+solution).  ``_real_projection`` pairs each non-real root with its conjugate
+and returns the exactly conjugation-fixed point: a real root keeps its real
+part and a pair becomes r, conj(r).  Its residual must stay within
+``residual_bound``.
 
 A spec whose profile multiset was solved before is carried over, not
 solved, by one loop, ``_carried_points``.  If its branch data is an affine
@@ -1050,46 +1053,41 @@ def _build_real_polynomial(
     )
 
 
+def conjugation_partners(solset: SolutionSet, tol: float) -> list[int | None]:
+    """Per solution, the solution its conjugate matches under ``match_index``, or None."""
+    coeffs = np.array([s.coefficients for s in solset.solutions], dtype=complex)
+    coeffs = coeffs.reshape(len(solset), solset.spec.d - 1)
+    return match_index(coeffs, coeffs.conj(), tol)
+
+
 def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[RealPolynomial]:
     """Extract the real polynomials from a complete complex solution set.
 
-    A solution counts as real when every coefficient has imaginary part
-    below the realness tolerance; its point is then replaced by the exactly
+    A solution is real when it is its own ``conjugation_partners`` entry
+    under tol_dedup; its point is then replaced by the exactly
     conjugation-fixed one of ``_real_projection``, so no Newton step runs.
-    Solutions within a factor 10 of the threshold raise AmbiguousRealness
-    instead of being classified either way, as do a non-real root without
-    a conjugate partner and a projected point whose residual max|Re F|
-    exceeds ``residual_bound``; roots that collapse under the projection
-    raise DegenerateConfiguration.
+    A pairing that is not an involution raises AmbiguousRealness, as do a
+    non-real root without a conjugate partner and a projected point whose
+    residual max|Re F| exceeds ``residual_bound``; roots that collapse under
+    the projection raise DegenerateConfiguration.
     """
     config = config or RunConfig()
     if solset.certificate != "COMPLETE":
         raise ValidationError("real classification requires a COMPLETE certificate")
     if solset.spec.is_identity:
-        return [
-            RealPolynomial(
-                d=1,
-                coefficients=(),
-                profiles=(),
-                values=(),
-                real_preimages=(),
-                nonreal_orders=(),
-            )
-        ]
+        return [RealPolynomial(1, (), (), (), (), ())]  # P(z) = z, with no branch data
     system = build_system(solset.spec)
     bound = residual_bound(system.spec, config)
+    partners = conjugation_partners(solset, config.tol_dedup)
     reals = []
-    for sol in solset.solutions:
-        coeffs = np.array(sol.coefficients, dtype=complex)
-        imag = float(np.max(np.abs(coeffs.imag))) if coeffs.size else 0.0
-        if imag >= config.tol_real:
-            if imag <= 10.0 * config.tol_real:
-                raise AmbiguousRealness(
-                    f"solution with max imaginary part {imag:.3e} sits within 10x of "
-                    f"the realness tolerance {config.tol_real:.1e}"
-                )
-            continue
-        x, real_mask = _real_projection(system, sol.point, config)
-        reals.append(_build_real_polynomial(system, x, real_mask, config, bound))
+    for i, (sol, j) in enumerate(zip(solset.solutions, partners)):
+        if j is not None and partners[j] != i:
+            raise AmbiguousRealness(
+                f"the conjugation pairing is not an involution: solution {i} "
+                f"pairs with {j}, which pairs with {partners[j]}"
+            )
+        if j == i:
+            x, real_mask = _real_projection(system, sol.point, config)
+            reals.append(_build_real_polynomial(system, x, real_mask, config, bound))
     reals.sort(key=lambda p: grid_key(p.coefficients))
     return reals

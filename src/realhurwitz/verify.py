@@ -19,8 +19,9 @@ The theorem and the z -> -z pairing are decided in ``coverings`` alone: the
 sweep passes the workspace's real solutions to ``theorem_check``,
 ``real_hurwitz`` and ``reflection_partners``, which read them as they read
 the solver's.  The number R of real solutions whose parity is checked is
-the length of ``classify_real``'s list, the reals s sums over, and each
-closure check is one ``match_index`` call per symmetry.
+the length of ``classify_real``'s list, the reals s sums over.  Each
+closure check is one ``match_index`` call per symmetry; the conjugation
+check reads ``conjugation_partners``, the map that decides realness.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .partitions import (
     validate_branch_spec,
 )
 from .polysolve import (
-    SolutionSet, classify_real, match_index, residual_bound, rotate_coefficients, solve_all
+    SolutionSet, classify_real, conjugation_partners, match_index, residual_bound,
+    rotate_coefficients, solve_all,
 )
 from .realsigns import disorders_by_branch, ordered_pairs_by_branch, signed_sum
 
@@ -200,7 +202,7 @@ def _closure_checks(record: SpecRecord, solset: SolutionSet, ws: Workspace):
     coeffs = np.array([s.coefficients for s in sols], dtype=complex).reshape(len(sols), d - 1)
     bound = residual_bound(spec, ws.config)
     record.record("residuals_ok", all(s.residual < bound for s in sols))
-    record.record("conjugation_closure", None not in match_index(coeffs, coeffs.conj(), tol))
+    record.record("conjugation_closure", None not in conjugation_partners(solset, tol))
     # rotations[t][i]: the solution that rotating solution i by t gives
     rotations = [match_index(coeffs, rotate_coefficients(coeffs, d, t), tol) for t in range(d)]
     rot_ok = all(None not in mates for mates in rotations)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from realhurwitz import RunConfig
+from realhurwitz import RunConfig, count_factorizations, parse_profiles
 from realhurwitz.cli import (
     EXIT_INFRA,
     EXIT_OK,
@@ -210,12 +210,21 @@ def test_s_number_at_large_values(capsys):
     [
         (("s-number", "--profiles", "2,1|2,1", "--values=-1e6,1e6"), "s", -1),
         (("solve", "--profiles", "3,2,1|3,1,1,1", "--values=-1e7,1e7"), "found", 12),
+        (("s-number", "--profiles", "2,2|2,1,1", "--values=-1e9,1e9"), "s", 0),
+        (("s-number", "--profiles", "2,2|2,1,1", "--values=-1e9,1e9"), "R", 2),
+        (("s-number", "--profiles", "4,1|2,1,1,1", "--values=-1e9,1e9"), "s", -1),
+        (("s-number", "--profiles", "4,1|2,1,1,1", "--values=-1e10,1e10"), "s", -1),
     ],
 )
 def test_large_values_accept_residuals_at_the_rounding_floor(capsys, argv, key, expected):
     # F cannot be computed below gamma (1 + max|w|) here, far above tol_residual;
     # an incomplete solve would exit 3
-    assert run_json(capsys, *argv)["result"][key] == expected
+    result = run_json(capsys, *argv)["result"]
+    if argv[0] == "s-number":
+        # non-real solutions pair off under conjugation, so R has the parity of N
+        result["R"] = len(result["real_polynomials"])
+        assert result["R"] % 2 == count_factorizations(parse_profiles(argv[2])).N % 2
+    assert result[key] == expected
 
 
 @pytest.mark.parametrize(
@@ -296,7 +305,7 @@ def test_bad_config_file_rejected(tmp_path, capsys):
         ({"newton_step_tol": 1e-3}, "newton_step_tol"),
         ({"max_solver_degree": 7}, "max_solver_degree"),
         ({"tol_dedup": math.inf}, "tol_dedup"),
-        (["--tol-real", "inf"], "tol_real"),
+        ({"tol_real": 1e-8}, "tol_real"),
         ({"cache": "x.jsonl"}, "cache"),
     ],
 )
@@ -309,6 +318,14 @@ def test_bad_config_values_rejected(tmp_path, capsys, values, field):
     code, out, err = run_cli(capsys, "solve", "--profiles", "2,1|2,1", *values)
     assert code == EXIT_VALIDATION
     assert field in err and out == ""
+
+
+def test_retired_tol_real_flag_rejected(capsys):
+    # realness is read off the conjugation pairing under tol_dedup
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--profiles", "2,1|2,1", "--tol-real", "1e-8"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "--tol-real" in capsys.readouterr().err
 
 
 def test_config_block_records_result_changing_flags(capsys):

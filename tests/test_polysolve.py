@@ -202,20 +202,25 @@ def test_classify_real_counts(cfg, monkeypatch):
         jacobians.append(points.shape[0])
         return original(system, points)
 
-    for profiles in enumerate_sweep_specs(4, 3):
+    # a literal oracle: every solution is real to rounding or far from real,
+    # and classify_real returns exactly the first kind
+    for profiles in enumerate_sweep_specs(5, 3):
         spec = validate_branch_spec(profiles)
         for side in (spec, spec.reversed_spec()):
             solset = solve_all(side, cfg)
             table = np.array([s.coefficients for s in solset.solutions])
-            nearly_real = np.max(np.abs(table.imag), axis=1) < cfg.tol_real
+            imag = np.max(np.abs(table.imag), axis=1)
+            nearly_real = imag < 1e-12
+            assert np.all(nearly_real | (imag > 1e-2))
             with monkeypatch.context() as patch:
                 patch.setattr(polysolve, "residual_and_jacobian_batch", counting)
                 reals = classify_real(solset, cfg)
-            assert len(reals) == int(nearly_real.sum())
-            for poly in reals:
-                assert poly.residual <= cfg.tol_residual
-                vec = np.array(poly.coefficients)
-                assert match_index(table.real, vec[None], cfg.tol_dedup) != [None]
+            rows = [
+                match_index(table.real, np.array([poly.coefficients]), cfg.tol_dedup)[0]
+                for poly in reals
+            ]
+            assert sorted(rows) == list(np.flatnonzero(nearly_real))
+            assert all(poly.residual <= cfg.tol_residual for poly in reals)
     assert jacobians == []
 
 
@@ -233,7 +238,7 @@ def test_real_points_are_conjugation_fixed(cfg):
     for spec in specs + [spec.reversed_spec() for spec in specs]:
         system = build_system(spec)
         for sol in solve_all(spec, cfg).solutions:
-            if np.max(np.abs(np.imag(sol.coefficients))) >= cfg.tol_real:
+            if np.max(np.abs(np.imag(sol.coefficients))) > 1e-2:
                 continue
             x, real_mask = _real_projection(system, sol.point, cfg)
             assert np.all(x[real_mask].imag == 0.0)
@@ -241,7 +246,7 @@ def test_real_points_are_conjugation_fixed(cfg):
                 for m in set(system.slots[j][1] for j in range(start, end)):
                     roots = x[start:end][[system.slots[j][1] == m for j in range(start, end)]]
                     assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj()))
-            assert np.max(np.abs(x - np.array(sol.point))) < cfg.tol_real
+            assert np.max(np.abs(x - np.array(sol.point))) < 1e-8
             assert np.max(np.abs(residual(system, x))) <= cfg.tol_residual
             projected += 1
             paired += int(not real_mask.all())
@@ -577,10 +582,15 @@ def test_overcount_detected_with_misconfigured_tolerances(cfg):
 
 
 def test_ambiguous_realness_raises(cfg):
-    # the non-real cubic solutions have imaginary parts ~2.6, inside 10x of 0.3
-    awkward = cfg.replace(tol_real=0.3)
-    with pytest.raises(AmbiguousRealness):
-        classify_real(solve_all(CUBIC, cfg), awkward)
+    # a planted near-copy R + eta of the real solution R pairs with R, while R
+    # pairs with itself: the conjugation pairing is not an involution
+    solset = solve_all(CUBIC, cfg)
+    real = _real_solution(solset, (-3.0, 0.0))  # z^3 - 3z
+    eta = 0.6 * cfg.tol_dedup * (1.0 + np.max(np.abs(real.coefficients)))
+    shifted = dataclasses.replace(real, coefficients=tuple(c + eta for c in real.coefficients))
+    planted = dataclasses.replace(solset, solutions=(real, shifted))
+    with pytest.raises(AmbiguousRealness, match="not an involution"):
+        classify_real(planted, cfg)
 
 
 def test_degenerate_configuration_raises(cfg):
