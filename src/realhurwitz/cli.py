@@ -19,6 +19,7 @@ import sys
 from .config import RunConfig, load_config
 from .coverings import real_hurwitz
 from .errors import InfraLimit, PropertyFailure, ValidationError
+from .factorizations import count_factorizations
 from .partitions import parse_partition, parse_profiles, parse_values, validate_branch_spec
 from .polysolve import SolutionSet, classify_real, solve_all
 from .realsigns import signed_sum
@@ -159,8 +160,6 @@ def _payload(command: str, config: RunConfig, result: dict) -> dict:
 
 
 def _cmd_hurwitz(args, config: RunConfig) -> int:
-    from .factorizations import count_factorizations
-
     profiles = parse_profiles(args.profiles)
     count = count_factorizations(profiles)
     _emit(_payload("hurwitz", config, count.as_json_dict()), config)

@@ -12,13 +12,15 @@ long as the roots within one branch stay separated.
 Completeness is certified against the exact factorization count: the solver
 keeps drawing seeded random starts for damped Newton until the deduplicated
 solution count reaches that target, harvesting the conjugation and
-root-of-unity symmetry orbits of every solution found along the way.  Newton
-hands converged rows over as they converge.  The first time the count
-reaches the target, a Krawczyk test (``_krawczyk_certified``) tries to prove
-that the accepted points lie near that many distinct true solutions with the
-exact profiles; if it does, no other solution exists and the rest of the
-chunk is skipped.  If it does not, it is not tried again and the chunk runs
-to its end, so a duplicate that dedup missed still raises OvercountDetected.
+root-of-unity symmetry orbits of every solution found along the way.  Those
+images solve the system exactly, so they are accepted with no Newton polish
+(``_Collector.offer``).  Newton hands converged rows over as they converge.
+The first time the count reaches the target, a Krawczyk test
+(``_krawczyk_certified``) tries to prove that the accepted points lie near
+that many distinct true solutions with the exact profiles; if it does, no
+other solution exists and the rest of the chunk is skipped.  If it does not,
+it is not tried again and the chunk runs to its end, so a duplicate that
+dedup missed still raises OvercountDetected.
 
 Most random starts never reach a solution, so Newton retires a row early
 by two rules.  Escape: every root of every solution has modulus at most
@@ -45,9 +47,9 @@ Real solutions are read off the conjugation pairing and projected, not
 re-solved.  A solution is real when ``conjugation_partners`` pairs it with
 itself; under the count = N certificate a non-real P cannot (dedup would
 have merged P and conj(P)), and a real P must (else conj(P) is an extra
-solution).  ``_real_projection`` pairs each non-real root with its conjugate
-and returns the exactly conjugation-fixed point: a real root keeps its real
-part and a pair becomes r, conj(r).  Its residual must stay within
+solution).  ``_real_projection`` pairs the roots by the same rule and
+returns the exactly conjugation-fixed point: a self-paired root keeps its
+real part and a pair becomes r, conj(r).  Its residual must stay within
 ``residual_bound``.
 
 A spec whose profile multiset was solved before is carried over, not
@@ -419,10 +421,12 @@ def residual_bound(spec: BranchSpec, config: RunConfig) -> float:
     return max(config.tol_residual, floor)
 
 
-def _point_enclosure(system: SystemSpec, x: np.ndarray):
-    """(F, radius, J) at the rows of x: the exact F(x^) lies within radius of the computed F."""
+def _point_enclosure(system: SystemSpec, x: np.ndarray, at_abs):
+    """(F, radius, J) at x: the exact F(x^) lies within radius of the computed F.
+
+    at_abs is ``_products`` at -|x|, shared with ``_box_enclosure``."""
     qs, dq = _products(system, x)
-    abs_q = _products(system, -np.abs(x) + 0j)[0].real  # coefficients at |r|, all >= 0
+    abs_q = at_abs[0].real  # coefficients at |r|, all >= 0
     f_abs = np.empty((system.n, len(x)))
     f_abs[0] = abs_q[1, 0]
     blocks = f_abs[1:].reshape(system.k - 1, system.d, len(x))
@@ -432,18 +436,18 @@ def _point_enclosure(system: SystemSpec, x: np.ndarray):
     return _assemble_residual(system, qs), f_rad, _assemble_jacobian(system, dq)
 
 
-def _box_enclosure(system: SystemSpec, x: np.ndarray, rho: np.ndarray):
+def _box_enclosure(system: SystemSpec, x: np.ndarray, rho: np.ndarray, at_abs):
     """(J radius, coefficients, coefficient radius) over the polydiscs of radius rho (batch, 1).
 
     Moving each root r by at most rho moves a coefficient of prod(z - r) by
     at most that coefficient of prod(z + |r| + rho) minus that of
-    prod(z + |r|), so J(x) for x in the box lies within the radius of the
-    computed J(x^), and the coefficients (a_2, ..., a_d) of x within theirs
-    of the computed ones at x^; both radii include the rounding of those
-    computed values.
+    prod(z + |r|) (at_abs, ``_products`` at -|x|), so J(x) for x in the box
+    lies within the radius of the computed J(x^), and the coefficients
+    (a_2, ..., a_d) of x within theirs of the computed ones at x^; both
+    radii include the rounding of those computed values.
     """
     gamma = _rounding_bound(system.spec)
-    lo_q, lo_dq = _products(system, -np.abs(x) + 0j)
+    lo_q, lo_dq = at_abs
     hi_q, hi_dq = _products(system, -(np.abs(x) + rho) + 0j)
     hi_j, lo_j = (np.abs(_assemble_jacobian(system, dq)) for dq in (hi_dq, lo_dq))
     coeffs = canonical_coefficients(system, x)
@@ -483,7 +487,8 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
     coeffs, c_rads = [], []
     for lo in range(0, len(points), _CHUNK_SIZE):
         x = points[lo : lo + _CHUNK_SIZE]
-        f, f_rad, jac = _point_enclosure(system, x)
+        at_abs = _products(system, -np.abs(x) + 0j)
+        f, f_rad, jac = _point_enclosure(system, x, at_abs)
         try:
             y = np.linalg.inv(jac)
         except np.linalg.LinAlgError:
@@ -494,7 +499,7 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
         rho = np.maximum(_BOX_FACTOR * beta.max(axis=1, keepdims=True), 2.0**-52 * scale)
         if np.any(rho > tol * scale):
             return False
-        j_rad, c, c_rad = _box_enclosure(system, x, rho)
+        j_rad, c, c_rad = _box_enclosure(system, x, rho, at_abs)
         spread = np.abs(eye - y @ jac) + gamma * (eye + ay @ np.abs(jac)) + ay @ j_rad
         inside = (1.0 + gamma) * (beta + rho * spread.sum(axis=2)) < rho
         apart = np.abs(x[:, pair_a] - x[:, pair_b]) > 2.0 * (1.0 + gamma) * rho
@@ -693,21 +698,19 @@ class _Collector:
         """Accept a converged point of residual norm res; if it is new, harvest its orbit once.
 
         The orbit of x under z -> zeta z and conjugation (dihedral, order 2d)
-        is {rot_t(x), conj(rot_t(x))}: its 2d - 1 mates are polished in one
-        batch and accepted in order, and a mate whose polish fails is left to
-        the multistart.  Mates are accepted after the target too, so a new
-        solution beyond it surfaces as OvercountDetected, never dropped.
+        is {rot_t(x), conj(rot_t(x))}.  Rotation multiplies each equation row
+        by a unit zeta^(tj) and conjugation conjugates it (the values are
+        real), so the 2d - 1 mates are exact: one ``residual_batch`` call
+        scores them and ``accept`` checks each in order, after the target
+        too, so a new solution beyond it surfaces as OvercountDetected.
         """
         if self.accept(x, res) is None:
             return
         d = self.system.d
-        mates = [
-            np.conj(mate) if conj else mate
-            for mate in (rotate_point(x, d, t) for t in range(d))
-            for conj in (False, True)
-        ][1:]
-        polished, ok, norms = _newton_batch(self.system, np.array(mates), self.config)
-        for mate, norm in zip(polished[ok], norms[ok]):
+        rotated = np.array([rotate_point(x, d, t) for t in range(d)])
+        mates = np.stack((rotated, rotated.conj()), axis=1).reshape(2 * d, -1)[1:]
+        norms = np.max(np.abs(residual_batch(self.system, mates)), axis=1)
+        for mate, norm in zip(mates, norms):
             self.accept(mate, norm)
 
     def offer_all(self, points: np.ndarray, norms: np.ndarray) -> bool:
@@ -983,45 +986,36 @@ def solve_all(
 # --- real classification ----------------------------------------------------
 
 
-def _real_projection(system: SystemSpec, point: np.ndarray, config: RunConfig):
-    """The conjugation-fixed point at a nearly-real point, and its real-root mask.
+def _real_projection(system: SystemSpec, point: np.ndarray, config: RunConfig) -> np.ndarray:
+    """The conjugation-fixed point at a nearly-real point.
 
-    A root within tol_cluster/2 of the real axis is real and keeps its real
-    part.  Any other root is paired with the nearest later root of the same
-    branch and multiplicity near its conjugate, and that mate becomes its
-    exact conjugate; a root without such a mate raises AmbiguousRealness.
+    Each root pairs with the root of its branch and multiplicity nearest its
+    conjugate, itself included, in one masked argmin: the rule
+    ``classify_real`` applies to solutions.  A pairing that is not an
+    involution, or a pair farther apart than tol_cluster, raises
+    AmbiguousRealness.  A self-paired root keeps its real part (imaginary
+    part exactly 0) and for a pair j < m root m becomes conj(x[j]).
     """
     x = np.array(point, dtype=complex)
-    real_mask = np.zeros(system.n, dtype=bool)
-    seen = np.zeros(system.n, dtype=bool)
-    for start, end in system.branch_ranges:
-        for j in range(start, end):
-            if seen[j]:
-                continue
-            seen[j] = True
-            if abs(x[j].imag) < config.tol_cluster / 2.0:
-                real_mask[j] = True
-                x[j] = x[j].real
-                continue
-            mates = [
-                m
-                for m in range(j + 1, end)
-                if not seen[m] and system.slots[m][1] == system.slots[j][1]
-            ]
-            dists = [abs(x[m] - np.conj(x[j])) for m in mates]
-            if not mates or min(dists) > config.tol_cluster:
-                raise AmbiguousRealness(
-                    "a non-real preimage root has no conjugate partner within "
-                    "tolerance; rerun with tighter tolerances"
-                )
-            mate = mates[int(np.argmin(dists))]
-            x[mate] = np.conj(x[j])
-            seen[mate] = True
-    return x, real_mask
+    slots = np.array(system.slots)
+    gap = np.abs(x - x[:, None].conj())  # gap[j, m] = |x[m] - conj(x[j])|
+    gap[(slots[:, None] != slots).any(axis=2)] = np.inf
+    partner = gap.argmin(axis=1)
+    rows = np.arange(system.n)
+    if (partner[partner] != rows).any() or (gap[rows, partner] > config.tol_cluster).any():
+        raise AmbiguousRealness(
+            "a preimage root has no conjugate partner within tolerance; "
+            "rerun with tighter tolerances"
+        )
+    fixed = partner == rows
+    x[fixed] = x[fixed].real
+    first = partner > rows
+    x[partner[first]] = x[first].conj()
+    return x
 
 
 def _build_real_polynomial(
-    system: SystemSpec, x: np.ndarray, real_mask: np.ndarray, config: RunConfig, bound: float
+    system: SystemSpec, x: np.ndarray, config: RunConfig, bound: float
 ) -> RealPolynomial:
     """The real polynomial at the conjugation-fixed point x, with residual within bound."""
     spec = system.spec
@@ -1039,9 +1033,9 @@ def _build_real_polynomial(
     preimages = []
     nonreal = []
     for start, end in system.branch_ranges:
-        roots = [(x[j].real, system.slots[j][1], real_mask[j]) for j in range(start, end)]
-        preimages.append(tuple(sorted((float(r), m) for r, m, real in roots if real)))
-        nonreal.append(tuple(sorted((m for _, m, real in roots if not real), reverse=True)))
+        roots = [(x[j], system.slots[j][1]) for j in range(start, end)]
+        preimages.append(tuple(sorted((float(r.real), m) for r, m in roots if r.imag == 0)))
+        nonreal.append(tuple(sorted((m for r, m in roots if r.imag != 0), reverse=True)))
     return RealPolynomial(
         d=spec.d,
         coefficients=tuple(float(c) for c in canonical_coefficients(system, x).real),
@@ -1066,10 +1060,11 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     A solution is real when it is its own ``conjugation_partners`` entry
     under tol_dedup; its point is then replaced by the exactly
     conjugation-fixed one of ``_real_projection``, so no Newton step runs.
-    A pairing that is not an involution raises AmbiguousRealness, as do a
-    non-real root without a conjugate partner and a projected point whose
-    residual max|Re F| exceeds ``residual_bound``; roots that collapse under
-    the projection raise DegenerateConfiguration.
+    It pairs the roots by the same rule.  A pairing of solutions or roots
+    that is not an involution raises AmbiguousRealness, as do a root pair
+    farther apart than tol_cluster and a projected point whose residual
+    max|Re F| exceeds ``residual_bound``; roots that collapse under the
+    projection raise DegenerateConfiguration.
     """
     config = config or RunConfig()
     if solset.certificate != "COMPLETE":
@@ -1087,7 +1082,7 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
                 f"pairs with {j}, which pairs with {partners[j]}"
             )
         if j == i:
-            x, real_mask = _real_projection(system, sol.point, config)
-            reals.append(_build_real_polynomial(system, x, real_mask, config, bound))
+            x = _real_projection(system, sol.point, config)
+            reals.append(_build_real_polynomial(system, x, config, bound))
     reals.sort(key=lambda p: grid_key(p.coefficients))
     return reals

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from realhurwitz import (
+    IncompleteEnumeration,
     Partition,
     build_system,
     classify_real,
@@ -292,3 +293,16 @@ def test_criterion_8_stretch_degree_5(session_cfg):
         f"ACCEPTANCE 8-stretch [degree 5 specs]: PASS "
         f"(h_(1)(4) = {value}, h_(4,1)(0) = {report.s})"
     )
+
+
+@pytest.mark.skipif(not RUN_STRETCH, reason="stretch scale; set REALHURWITZ_STRETCH=1")
+@pytest.mark.xfail(
+    strict=True,
+    raises=IncompleteEnumeration,
+    reason="the default start budget stops at 318 of 324 solutions (ROADMAP item 1)",
+)
+def test_stretch_d6_n324_certifies_at_default_budget(session_cfg):
+    spec = validate_branch_spec(parse_profiles("2,2,1,1|2,1,1,1,1|2,1,1,1,1|2,1,1,1,1"))
+    assert session_cfg.seed == 0
+    solset = solve_all(spec, session_cfg)
+    assert solset.certificate == "COMPLETE" and len(solset) == solset.target == 324

@@ -232,7 +232,8 @@ def _real_solution(solset, coefficients):
 
 def test_real_points_are_conjugation_fixed(cfg):
     # the projected point of every real solution is exactly closed under
-    # conjugation, branch by branch and multiplicity by multiplicity
+    # conjugation, branch by branch and multiplicity by multiplicity, and
+    # its real roots have imaginary part exactly 0
     projected = paired = 0
     specs = [validate_branch_spec(profiles) for profiles in enumerate_sweep_specs(5, 3)]
     for spec in specs + [spec.reversed_spec() for spec in specs]:
@@ -240,51 +241,58 @@ def test_real_points_are_conjugation_fixed(cfg):
         for sol in solve_all(spec, cfg).solutions:
             if np.max(np.abs(np.imag(sol.coefficients))) > 1e-2:
                 continue
-            x, real_mask = _real_projection(system, sol.point, cfg)
-            assert np.all(x[real_mask].imag == 0.0)
+            x = _real_projection(system, sol.point, cfg)
             for start, end in system.branch_ranges:
                 for m in set(system.slots[j][1] for j in range(start, end)):
                     roots = x[start:end][[system.slots[j][1] == m for j in range(start, end)]]
                     assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj()))
+            assert np.all(x[np.abs(np.imag(sol.point)) < 1e-9].imag == 0.0)
             assert np.max(np.abs(x - np.array(sol.point))) < 1e-8
             assert np.max(np.abs(residual(system, x))) <= cfg.tol_residual
             projected += 1
-            paired += int(not real_mask.all())
+            paired += int(np.any(x.imag != 0.0))
     assert projected > 30 and paired > 10
 
 
 def test_classify_real_rejects_unpaired_root(cfg):
-    # real coefficients, but one root of a conjugate pair moved away from its mate
+    # real coefficients, but one root of a conjugate pair moved away from its
+    # mate, or the real root moved 10 tol_cluster off the axis
     solset = solve_all(QUARTIC_DOUBLE, cfg)
     sol = _real_solution(solset, (2.0, 0.0, 2.0))
-    point = np.array(sol.point)
-    point[-1] += 0.1
-    broken = dataclasses.replace(sol, point=tuple(point))
-    with pytest.raises(AmbiguousRealness, match="no conjugate partner"):
-        classify_real(dataclasses.replace(solset, solutions=(broken,)), cfg)
+    real = int(np.argmin(np.abs(np.imag(sol.point))))
+    assert abs(sol.point[real].imag) < 1e-12 and abs(sol.point[-1].imag) > 1.0
+    for j, shift in ((-1, 0.1), (real, 10j * cfg.tol_cluster)):
+        point = np.array(sol.point)
+        point[j] += shift
+        broken = dataclasses.replace(sol, point=tuple(point))
+        with pytest.raises(AmbiguousRealness, match="no conjugate partner"):
+            classify_real(dataclasses.replace(solset, solutions=(broken,)), cfg)
 
 
 def _projected_real(cfg):
     system = build_system(CUBIC)
     sol = _real_solution(solve_all(CUBIC, cfg), (-3.0, 0.0))  # z^3 - 3z
-    return system, *_real_projection(system, sol.point, cfg)
+    return system, _real_projection(system, sol.point, cfg)
 
 
 def test_build_real_polynomial_rejects_collapsed_projection(cfg):
-    system, x, real_mask = _projected_real(cfg)
+    system, x = _projected_real(cfg)
     bound = residual_bound(CUBIC, cfg)
-    poly = _build_real_polynomial(system, x, real_mask, cfg, bound)
+    poly = _build_real_polynomial(system, x, cfg, bound)
     assert poly.coefficients == pytest.approx((-3.0, 0.0))
+    assert np.all(x.imag == 0.0)  # every root of z^3 - 3z over -2 and 2 is real
+    assert poly.nonreal_orders == ((), ())
+    assert [m for branch in poly.real_preimages for _, m in branch] == [1, 2, 2, 1]
     x[1] = x[0]  # the double and the simple root over the first value meet
     with pytest.raises(DegenerateConfiguration, match="collapsed"):
-        _build_real_polynomial(system, x, real_mask, cfg, bound)
+        _build_real_polynomial(system, x, cfg, bound)
 
 
 def test_build_real_polynomial_rejects_residual_above_bound(cfg):
-    system, x, real_mask = _projected_real(cfg)
+    system, x = _projected_real(cfg)
     x[0] += 1e-9  # still real and separated, but max|Re F| is 4e-9, 40 times the bound
     with pytest.raises(AmbiguousRealness, match="above the bound"):
-        _build_real_polynomial(system, x, real_mask, cfg, residual_bound(CUBIC, cfg))
+        _build_real_polynomial(system, x, cfg, residual_bound(CUBIC, cfg))
 
 
 def test_residual_bound_is_tol_residual_at_small_values(cfg):
@@ -411,19 +419,27 @@ def test_solutions_lie_in_the_root_ball(cfg):
 
 @pytest.mark.parametrize("text", ["3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"])
 def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
-    # the dihedral orbit {rot_t(x), conj(rot_t(x))} of a new solution is polished
-    # in one batch of its 2d - 1 mates; accepted mates start no harvest of their own
+    # the dihedral orbit {rot_t(x), conj(rot_t(x))} of a new solution is taken
+    # exactly: no Newton runs inside offer, one residual call scores its 2d - 1
+    # mates, and accepted mates start no harvest of their own
     spec = validate_branch_spec(parse_profiles(text))
     d = spec.d
-    batches = []
+    newton_calls = []
+    residual_rows = []
     inside_offer = []
     original_newton = polysolve._newton_batch
+    original_residual = polysolve.residual_batch
     original_offer = polysolve._Collector.offer
 
     def newton(system, starts, *args, **kwargs):
         if inside_offer:
-            batches.append(starts.shape[0])
+            newton_calls.append(starts.shape[0])
         return original_newton(system, starts, *args, **kwargs)
+
+    def residuals(system, points):
+        if inside_offer:
+            residual_rows.append(points.shape[0])
+        return original_residual(system, points)
 
     def offer(self, x, res):
         inside_offer.append(True)
@@ -433,6 +449,7 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
             inside_offer.pop()
 
     monkeypatch.setattr(polysolve, "_newton_batch", newton)
+    monkeypatch.setattr(polysolve, "residual_batch", residuals)
     monkeypatch.setattr(polysolve._Collector, "offer", offer)
     solset = solve_all(spec, cfg)
     coeffs = np.array([sol.coefficients for sol in solset.solutions])
@@ -450,7 +467,8 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
         orbits += 1
     assert solset.certificate == "COMPLETE"
     assert orbits < len(coeffs)
-    assert batches == [2 * d - 1] * orbits
+    assert newton_calls == []
+    assert residual_rows == [2 * d - 1] * orbits
 
 
 def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
@@ -1008,8 +1026,9 @@ def test_enclosures_hold_interval_evaluations(cfg, box):
         centre = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
         rho = 0.05
     x = centre[None, :]
-    f, f_rad, jac = polysolve._point_enclosure(system, x)
-    j_rad, coeffs, c_rad = polysolve._box_enclosure(system, x, np.array([[rho]]))
+    at_abs = polysolve._products(system, -np.abs(x) + 0j)
+    f, f_rad, jac = polysolve._point_enclosure(system, x, at_abs)
+    j_rad, coeffs, c_rad = polysolve._box_enclosure(system, x, np.array([[rho]]), at_abs)
     exact_f, _, _ = _iv_system(iv, system, centre)
     for i in range(system.n):
         assert _disc_holds(mp, f[0, i], f_rad[0, i], exact_f[i])
