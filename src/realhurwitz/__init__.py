@@ -46,7 +46,6 @@ from .partitions import (
     validate_branch_spec,
 )
 from .polysolve import (
-    Solution,
     SolutionSet,
     SystemSpec,
     build_system,
@@ -86,7 +85,6 @@ __all__ = [
     "ScaleExceeded",
     "SeriesTable",
     "SignMismatch",
-    "Solution",
     "SolutionSet",
     "SystemSpec",
     "TheoremReport",

@@ -248,22 +248,6 @@ class TheoremReport:
             checks.append(self.half_sum_ok)
         return all(checks)
 
-    def as_json_dict(self) -> dict:
-        out = {
-            "spec": self.spec.as_json_dict(),
-            "HR": str(self.hr),
-            "s": self.s,
-            "pass": self.passed,
-            "hr_equals_s": self.hr_equals_s,
-            "hr_integral": self.hr_integral,
-        }
-        if self.s_reversed is not None:
-            out["s_reversed"] = self.s_reversed
-            out["half_sum_ok"] = self.half_sum_ok
-        if self.classes is not None:
-            out["classes"] = [c.as_json_dict() for c in self.classes]
-        return out
-
 
 def theorem_check(
     spec: BranchSpec, config: RunConfig | None = None, reals: RealsProvider | None = None

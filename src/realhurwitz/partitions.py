@@ -168,6 +168,8 @@ class BranchSpec:
                 raise ValidationError(f"profile {lam} does not partition d={d}")
             if lam.is_trivial:
                 raise ValidationError("canonical BranchSpec may not contain trivial profiles")
+        if not all(math.isfinite(v) for v in values):
+            raise ValidationError("branch values must be finite")
         for a, b in zip(values, values[1:]):
             if not a < b:
                 raise ValidationError("branch values must be strictly increasing")
@@ -278,9 +280,6 @@ def validate_branch_spec(
         raise ValidationError(
             f"{len(profiles)} profiles but {len(values)} branch values"
         )
-    for v in values:
-        if not math.isfinite(v):
-            raise ValidationError("branch values must be finite")
     if len(set(values)) != len(values):
         raise ValidationError("branch values must be pairwise distinct")
     pairs = sorted(zip(values, profiles), key=lambda wv: wv[0])

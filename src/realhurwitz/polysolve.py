@@ -43,6 +43,13 @@ one more factor completes it.  The line search evaluates all 12 lengths
 1, 2^-1, ..., 2^-11 of every row in one call; a row takes its first passing
 length, as sequential halving would, since its residual depends on it alone.
 
+A solved set (``SolutionSet``) is three read-only arrays with one row per
+solution, sorted by ``grid_key`` of the coefficients: ``coefficients``
+(N, d - 1), ``solutions`` (N, n), the preimage roots in ``build_system``
+slot order, and ``residuals`` (N,).  Carrying, real classification and
+verify's closure checks index these arrays; only the JSON form splits a row
+into per-branch (root, multiplicity) lists.
+
 Real solutions are read off the conjugation pairing and projected, not
 re-solved.  A solution is real when ``conjugation_partners`` pairs it with
 itself; under the count = N certificate a non-real P cannot (dedup would
@@ -518,86 +525,93 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
     return True
 
 
-@dataclass(frozen=True)
-class Solution:
-    """One normalized complex polynomial with its per-branch root assignment."""
-
-    coefficients: tuple[complex, ...]
-    roots: tuple[tuple[tuple[complex, int], ...], ...]
-    residual: float
-    point: tuple[complex, ...]
-
-    def as_json_dict(self) -> dict:
-        return {
-            "coefficients": [[c.real, c.imag] for c in self.coefficients],
-            "roots": [
-                [[[r.real, r.imag], m] for r, m in branch] for branch in self.roots
-            ],
-            "residual": self.residual,
-        }
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionSet:
-    """Deduplicated solutions plus the completeness certificate."""
+    """Deduplicated solutions, one row per solution, plus the completeness certificate.
+
+    ``coefficients`` (N, d - 1) holds each polynomial's (a_2, ..., a_d),
+    ``solutions`` (N, n) its preimage roots in ``build_system`` slot order
+    (branch by branch, parts non-increasing within a branch) and
+    ``residuals`` (N,) the max|F| it was accepted with.  The identity
+    covering's one solution is a row of width 0 in both complex arrays.  The
+    arrays are read-only, so a set may be shared; two sets are compared by
+    their arrays, not by ``==``.
+    """
 
     spec: BranchSpec
-    solutions: tuple[Solution, ...]
+    coefficients: np.ndarray
+    solutions: np.ndarray
+    residuals: np.ndarray
     target: int
     certificate: str  # "COMPLETE" or "INCOMPLETE"
     starts_used: int
     seed: int
 
+    def __post_init__(self):
+        for array in (self.coefficients, self.solutions, self.residuals):
+            array.setflags(write=False)
+
     def __len__(self) -> int:
         return len(self.solutions)
 
     def as_json_dict(self) -> dict:
+        """The set as JSON; each point is split into its branches' (root, multiplicity) lists."""
+        def pairs(z: np.ndarray) -> list:
+            return np.stack((z.real, z.imag), axis=-1).tolist()
+
+        solutions = []
+        for coeffs, point, res in zip(
+            pairs(self.coefficients), pairs(self.solutions), self.residuals.tolist()
+        ):
+            roots, start = [], 0
+            for lam in self.spec.profiles:
+                roots.append([[z, m] for z, m in zip(point[start:], lam.parts)])
+                start += lam.length
+            solutions.append({"coefficients": coeffs, "roots": roots, "residual": res})
         return {
             "spec": self.spec.as_json_dict(),
             "target": self.target,
             "certificate": self.certificate,
-            "found": len(self.solutions),
+            "found": len(self),
             "starts_used": self.starts_used,
             "seed": self.seed,
-            "solutions": [s.as_json_dict() for s in self.solutions],
+            "solutions": solutions,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> SolutionSet:
         """The set ``as_json_dict`` wrote; each point is its branches' roots in order.
 
-        Raises ValidationError when the spec is not canonical or a solution's
-        root multiplicities are not the profiles; malformed data raises
+        Raises ValidationError when the spec is not canonical, a solution's
+        root multiplicities are not the profiles or a number is not finite
+        (``json.load`` reads Infinity and NaN); malformed data raises
         KeyError, TypeError or ValueError.
         """
         raw = data["spec"]
         spec = BranchSpec(
             tuple(Partition(parts) for parts in raw["profiles"]), raw["values"], raw["d"]
         )
-        solutions = []
-        for sol in data["solutions"]:
-            roots = tuple(
-                tuple((complex(re, im), m) for (re, im), m in branch) for branch in sol["roots"]
-            )
-            if [[m for _, m in branch] for branch in roots] != [
-                list(lam.parts) for lam in spec.profiles
-            ]:
-                raise ValidationError("solution root multiplicities differ from the profiles")
-            solutions.append(
-                Solution(
-                    coefficients=tuple(complex(re, im) for re, im in sol["coefficients"]),
-                    roots=roots,
-                    residual=float(sol["residual"]),
-                    point=tuple(r for branch in roots for r, _ in branch),
-                )
-            )
+        sols = data["solutions"]
+        parts = [list(lam.parts) for lam in spec.profiles]
+        if any([[m for _, m in branch] for branch in sol["roots"]] != parts for sol in sols):
+            raise ValidationError("solution root multiplicities differ from the profiles")
+
+        def complex_rows(rows: list, width: int) -> np.ndarray:
+            # (re, im) float pairs viewed as complex keep every bit, -0.0 included
+            return np.array(rows, dtype=float).reshape(len(rows), width, 2).view(complex)[..., 0]
+
+        arrays = (
+            complex_rows([sol["coefficients"] for sol in sols], spec.d - 1),
+            complex_rows(
+                [[z for branch in sol["roots"] for z, _ in branch] for sol in sols],
+                sum(map(len, parts)),
+            ),
+            np.array([float(sol["residual"]) for sol in sols]),
+        )
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValidationError("solution coefficients, roots and residuals must be finite")
         return cls(
-            spec,
-            tuple(solutions),
-            data["target"],
-            data["certificate"],
-            data["starts_used"],
-            data["seed"],
+            spec, *arrays, data["target"], data["certificate"], data["starts_used"], data["seed"]
         )
 
 
@@ -628,20 +642,6 @@ def grid_key(values) -> tuple[tuple[float, float], ...]:
     return tuple((round(v.real, 9), round(v.imag, 9)) for v in values)
 
 
-def _solution(system: SystemSpec, x: np.ndarray, coeffs: np.ndarray, res: float) -> Solution:
-    """The Solution record of a validated point x, in ``_Collector.build_set``'s root order."""
-    roots = tuple(
-        tuple((complex(r), m) for r, m in zip(x[start:end], lam.parts))
-        for (start, end), lam in zip(system.branch_ranges, system.spec.profiles)
-    )
-    return Solution(
-        coefficients=tuple(complex(c) for c in coeffs),
-        roots=roots,
-        residual=res,
-        point=tuple(complex(v) for v in x),
-    )
-
-
 class _Collector:
     """The one acceptance path: validates, deduplicates and symmetry-expands points."""
 
@@ -650,9 +650,10 @@ class _Collector:
         self.target = target
         self.config = config
         self.tol_residual = residual_bound(system.spec, config)
-        self.points: list[np.ndarray] = []
-        self.coeffs = np.empty((0, system.d - 1), dtype=complex)  # one row per point
-        self.residuals: list[float] = []
+        # one row per accepted point, in acceptance order
+        self.points = np.empty((0, system.n), dtype=complex)
+        self.coeffs = np.empty((0, system.d - 1), dtype=complex)
+        self.residuals = np.empty(0)
         self.collapse_counts: dict[tuple, int] = {}
         self.proven: bool | None = None  # the one certification, once the target is reached
 
@@ -687,9 +688,9 @@ class _Collector:
         coeffs = canonical_coefficients(self.system, cand)
         if match_index(self.coeffs, coeffs[None], self.config.tol_dedup)[0] is not None:
             return None
-        self.points.append(cand)
+        self.points = np.vstack((self.points, cand))
         self.coeffs = np.vstack((self.coeffs, coeffs))
-        self.residuals.append(res)
+        self.residuals = np.append(self.residuals, res)
         if len(self.points) > self.target:
             raise OvercountDetected(len(self.points), self.target)
         return coeffs
@@ -724,9 +725,7 @@ class _Collector:
         for x, res in zip(points, norms):
             self.offer(x, res)
         if self.complete and self.proven is None:
-            self.proven = _krawczyk_certified(
-                self.system, np.array(self.points), self.config.tol_dedup
-            )
+            self.proven = _krawczyk_certified(self.system, self.points, self.config.tol_dedup)
         return bool(self.proven)
 
     def build_set(self, starts_used: int, certificate: str) -> SolutionSet:
@@ -743,18 +742,16 @@ class _Collector:
         grid = np.round(self.coeffs, 9)
         keys = np.stack((grid.real, grid.imag), axis=2).reshape(len(grid), 2 * system.d - 2)
         order = np.lexsort(keys.T[::-1])
-        points = np.array(self.points, dtype=complex).reshape(len(self.points), system.n)
+        points = self.points[order]
         grid = np.round(points, 9)
         branch, mult = np.array(system.slots).T
         slot_keys = (np.broadcast_to(key, grid.shape) for key in (-mult, branch))
         columns = np.lexsort((grid.imag, grid.real, *slot_keys), axis=1)
-        points = np.take_along_axis(points, columns, axis=1)
-        sols = [
-            _solution(system, points[i], self.coeffs[i], self.residuals[i]) for i in order
-        ]
         return SolutionSet(
-            spec=self.system.spec,
-            solutions=tuple(sols),
+            spec=system.spec,
+            coefficients=self.coeffs[order],
+            solutions=np.take_along_axis(points, columns, axis=1),
+            residuals=self.residuals[order],
             target=self.target,
             certificate=certificate,
             starts_used=starts_used,
@@ -766,8 +763,7 @@ def _permuted_points(source: SolutionSet, order: list[int]) -> np.ndarray:
     """The points of source's solutions, with branch order[j]'s root block moved to place j."""
     bounds = np.cumsum([0] + [lam.length for lam in source.spec.profiles])
     columns = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in order])
-    points = np.array([sol.point for sol in source.solutions], dtype=complex)
-    return points.reshape(len(points), bounds[-1])[:, columns]
+    return source.solutions[:, columns]
 
 
 # path tracking in the branch values: the first step, its growth factor and
@@ -951,8 +947,8 @@ def solve_all(
     """
     config = config or RunConfig()
     if spec.is_identity:
-        sol = Solution(coefficients=(), roots=(), residual=0.0, point=())
-        return SolutionSet(spec, (sol,), 1, "COMPLETE", 0, config.seed)
+        empty = np.empty((1, 0), dtype=complex)
+        return SolutionSet(spec, empty, empty, np.zeros(1), 1, "COMPLETE", 0, config.seed)
     if spec.d > _MAX_SOLVER_DEGREE:
         raise ScaleExceeded(f"degree {spec.d} exceeds the solver bound {_MAX_SOLVER_DEGREE}")
     target = count_factorizations(spec.profiles).N
@@ -1049,9 +1045,7 @@ def _build_real_polynomial(
 
 def conjugation_partners(solset: SolutionSet, tol: float) -> list[int | None]:
     """Per solution, the solution its conjugate matches under ``match_index``, or None."""
-    coeffs = np.array([s.coefficients for s in solset.solutions], dtype=complex)
-    coeffs = coeffs.reshape(len(solset), solset.spec.d - 1)
-    return match_index(coeffs, coeffs.conj(), tol)
+    return match_index(solset.coefficients, solset.coefficients.conj(), tol)
 
 
 def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[RealPolynomial]:
@@ -1075,14 +1069,14 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     bound = residual_bound(system.spec, config)
     partners = conjugation_partners(solset, config.tol_dedup)
     reals = []
-    for i, (sol, j) in enumerate(zip(solset.solutions, partners)):
+    for i, (point, j) in enumerate(zip(solset.solutions, partners)):
         if j is not None and partners[j] != i:
             raise AmbiguousRealness(
                 f"the conjugation pairing is not an involution: solution {i} "
                 f"pairs with {j}, which pairs with {partners[j]}"
             )
         if j == i:
-            x = _real_projection(system, sol.point, config)
+            x = _real_projection(system, point, config)
             reals.append(_build_real_polynomial(system, x, config, bound))
     reals.sort(key=lambda p: grid_key(p.coefficients))
     return reals

@@ -198,10 +198,9 @@ def _closure_checks(record: SpecRecord, solset: SolutionSet, ws: Workspace):
     of ``classify_real``'s reals, the ones s sums over.
     """
     spec, d, tol = record.spec, record.spec.d, ws.config.tol_dedup
-    sols = solset.solutions
-    coeffs = np.array([s.coefficients for s in sols], dtype=complex).reshape(len(sols), d - 1)
+    coeffs = solset.coefficients
     bound = residual_bound(spec, ws.config)
-    record.record("residuals_ok", all(s.residual < bound for s in sols))
+    record.record("residuals_ok", (solset.residuals < bound).all())
     record.record("conjugation_closure", None not in conjugation_partners(solset, tol))
     # rotations[t][i]: the solution that rotating solution i by t gives
     rotations = [match_index(coeffs, rotate_coefficients(coeffs, d, t), tol) for t in range(d)]

@@ -113,6 +113,18 @@ def test_verify_command_small(capsys):
     assert summary["passed"] == 3
 
 
+def test_verify_csv_format(capsys):
+    records = run_json(capsys, "verify", "--dmax", "3", "--kmax", "2")["result"]["records"]
+    code, out, _ = run_cli(capsys, "verify", "--dmax", "3", "--kmax", "2", "--format", "csv")
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert lines[0] == "key,status,N,s,HR"
+    assert lines[1:] == [
+        f'"{r["key"]}",{r["status"]},{r["N"]},{r["s"]},{r["HR"]}' for r in records
+    ]
+    assert '"d3:2,1|2,1@1.0,2.0",PASS,3,-1,-1' in lines
+
+
 def test_verify_negative_control(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--dmax", "3", "--kmax", "2", "--debug-corrupt-signs"

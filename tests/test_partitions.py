@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -160,6 +161,31 @@ def test_branch_spec_constructor_rejects_non_canonical():
     with pytest.raises(ValidationError):
         count_factorizations([Partition([2.7, 1]), Partition([2, 1.2])])
     assert Partition([np.int64(2), np.int32(1)]).parts == (2, 1)
+
+
+P21, P111 = Partition([2, 1]), Partition([1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "profiles, values, d, message",
+    [
+        ((P21,), (1.0, 2.0), 3, "equal length"),
+        ((), (), 0, "at least 1"),
+        ((P21,), (1.0,), 4, "does not partition"),
+        ((P111,), (1.0,), 3, "trivial"),
+        ((P21, P21), (1.0, math.inf), 3, "finite"),
+        ((P21, P21), (math.nan, 1.0), 3, "finite"),
+        ((P21, P21), (2.0, -2.0), 3, "strictly increasing"),
+        ((), (), 3, "no ramification"),
+        ((P21,), (1.0,), 3, "lengths sum"),
+    ],
+    ids=[
+        "lengths", "degree", "partition", "trivial", "inf", "nan", "order", "empty", "genus",
+    ],
+)
+def test_branch_spec_constructor_rejections(profiles, values, d, message):
+    with pytest.raises(ValidationError, match=message):
+        BranchSpec(profiles, values, d)
 
 
 def test_empty_partition_rejected():
