@@ -195,6 +195,51 @@ def test_empty_partition_rejected():
             Partition(parts)
 
 
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        (1.5, "must be integers"),
+        (2.0, "must be integers"),
+        (True, "must be integers"),
+        ("2", "must be integers"),
+        (0, "must be positive"),
+        (-1, "must be positive"),
+    ],
+)
+def test_partition_part_rejections(part, message):
+    with pytest.raises(ValidationError, match=message):
+        Partition([2, part])
+    # numpy integers are integers, and are stored as plain ints
+    parts = Partition([np.int64(1), np.int32(3), np.uint8(2)]).parts
+    assert parts == (3, 2, 1) and all(type(p) is int for p in parts)
+
+
+def test_value_type_semantics():
+    """Equal branch data is one memo key, whatever form it was given in."""
+    lam = Partition([1, 2])
+    assert lam == Partition([2, 1]) and hash(lam) == hash(Partition((2, 1)))
+    assert lam != (2, 1) and lam != Partition([2, 1, 1])
+    assert (lam.d, lam.length) == (3, 2)
+    assert str(lam) == "2,1" and repr(lam) == "Partition(2, 1)"
+
+    from_ints = validate_branch_spec([Partition([1, 2]), Partition([2, 1])], (2, -2))
+    from_floats = BranchSpec((Partition([2, 1]), Partition([2, 1])), (-2.0, 2.0), 3)
+    assert from_ints == from_floats and hash(from_ints) == hash(from_floats)
+    assert len({from_ints, from_floats}) == 1
+    assert from_ints != BranchSpec(from_ints.profiles, (-2.0, 3.0), 3)
+    assert from_floats.values == (-2.0, 2.0) and all(type(v) is float for v in from_ints.values)
+    assert from_ints.canonical_key() == "d3:2,1|2,1@-2.0,2.0"
+
+    for obj, name in ((lam, "parts"), (lam, "d"), (from_ints, "values"), (from_ints, "d")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+    # a new name is refused too; a frozen slotted dataclass raises TypeError
+    # for it on CPython 3.10 and 3.11, where its __setattr__ calls super()
+    # with the class that slots=True replaced
+    with pytest.raises((AttributeError, TypeError)):
+        lam.extra = 1
+
+
 def test_partitions_of():
     assert [p.parts for p in partitions_of(4)] == [
         (4,),
