@@ -17,24 +17,30 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Partition:
     """An integer partition, stored with parts in non-increasing order.
 
     Parts are positive integers; a float, a bool or any other non-integer
     part raises ValidationError instead of being truncated, and so does an
-    empty list of parts: every degree is positive.
+    empty list of parts: every degree is positive.  ``d`` is the integer
+    being partitioned (the sum of the parts) and ``length`` the number of
+    parts.
     """
 
-    __slots__ = ("_parts",)
+    parts: tuple[int, ...]
+    d: int = field(init=False, compare=False)
+    length: int = field(init=False, compare=False)
 
-    def __init__(self, parts: Iterable[int]):
+    def __post_init__(self):
         checked = []
-        for p in parts:
+        for p in self.parts:
             if isinstance(p, bool) or not isinstance(p, numbers.Integral):
                 raise ValidationError(f"partition parts must be integers, got {p!r}")
             if p <= 0:
@@ -42,49 +48,24 @@ class Partition:
             checked.append(int(p))
         if not checked:
             raise ValidationError("a partition needs at least one part")
-        self._parts = tuple(sorted(checked, reverse=True))
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
-
-    @property
-    def d(self) -> int:
-        """The integer being partitioned (sum of parts)."""
-        return sum(self._parts)
-
-    @property
-    def length(self) -> int:
-        return len(self._parts)
+        object.__setattr__(self, "parts", tuple(sorted(checked, reverse=True)))
+        object.__setattr__(self, "d", sum(checked))
+        object.__setattr__(self, "length", len(checked))
 
     @property
     def is_trivial(self) -> bool:
         """True when every part equals 1 (imposes no ramification condition)."""
-        return all(p == 1 for p in self._parts)
+        return self.d == self.length
 
     def multiplicities(self) -> dict[int, int]:
         """Map each part value to the number of times it occurs."""
-        return dict(Counter(self._parts))
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self._parts == other._parts
-
-    def __hash__(self) -> int:
-        return hash(("Partition", self._parts))
+        return dict(Counter(self.parts))
 
     def __repr__(self) -> str:
-        return f"Partition({', '.join(map(str, self._parts))})"
+        return f"Partition({', '.join(map(str, self.parts))})"
 
     def __str__(self) -> str:
-        return ",".join(map(str, self._parts))
+        return ",".join(map(str, self.parts))
 
 
 def parse_partition(text: str) -> Partition:
@@ -145,6 +126,7 @@ def floor_sum_parity(profiles: Sequence[Partition]) -> int:
     return sum(o_count(lam) // 2 for lam in profiles) % 2
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BranchSpec:
     """Canonical branch data: profiles attached to strictly increasing real values.
 
@@ -154,11 +136,14 @@ class BranchSpec:
     representable with an empty profile tuple.
     """
 
-    __slots__ = ("_profiles", "_values", "_d")
+    profiles: tuple[Partition, ...]
+    values: tuple[float, ...]
+    d: int
 
-    def __init__(self, profiles: Sequence[Partition], values: Sequence[float], d: int):
-        profiles = tuple(profiles)
-        values = tuple(float(v) for v in values)
+    def __post_init__(self):
+        profiles = tuple(self.profiles)
+        values = tuple(float(v) for v in self.values)
+        d = self.d
         if len(profiles) != len(values):
             raise ValidationError("profiles and values must have equal length")
         if d < 1:
@@ -183,30 +168,17 @@ class BranchSpec:
             )
         # the length constraint with nontrivial profiles already forces k < d
         assert k < d or not profiles
-        self._profiles = profiles
-        self._values = values
-        self._d = d
-
-    @property
-    def profiles(self) -> tuple[Partition, ...]:
-        return self._profiles
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return self._values
-
-    @property
-    def d(self) -> int:
-        return self._d
+        object.__setattr__(self, "profiles", profiles)
+        object.__setattr__(self, "values", values)
 
     @property
     def k(self) -> int:
-        return len(self._profiles)
+        return len(self.profiles)
 
     @property
     def is_identity(self) -> bool:
         """True for the degree-1 covering with no branch conditions."""
-        return not self._profiles
+        return not self.profiles
 
     def reversed_spec(self) -> "BranchSpec":
         """The spec with profiles reversed and values negated and reversed.
@@ -215,40 +187,28 @@ class BranchSpec:
         models have negative leading coefficient.
         """
         return BranchSpec(
-            tuple(reversed(self._profiles)),
-            tuple(-v for v in reversed(self._values)),
-            self._d,
+            tuple(reversed(self.profiles)),
+            tuple(-v for v in reversed(self.values)),
+            self.d,
         )
 
     def permuted(self, order: Sequence[int]) -> "BranchSpec":
         """Reattach profiles to the same increasing values in a new order."""
         if sorted(order) != list(range(self.k)):
             raise ValidationError(f"not a permutation of range({self.k}): {order}")
-        return BranchSpec(tuple(self._profiles[i] for i in order), self._values, self._d)
+        return BranchSpec(tuple(self.profiles[i] for i in order), self.values, self.d)
 
     def canonical_key(self) -> str:
-        profs = "|".join(str(p) for p in self._profiles)
-        vals = ",".join(repr(v) for v in self._values)
-        return f"d{self._d}:{profs}@{vals}"
+        profs = "|".join(str(p) for p in self.profiles)
+        vals = ",".join(repr(v) for v in self.values)
+        return f"d{self.d}:{profs}@{vals}"
 
     def as_json_dict(self) -> dict:
         return {
-            "d": self._d,
-            "profiles": [list(p.parts) for p in self._profiles],
-            "values": list(self._values),
+            "d": self.d,
+            "profiles": [list(p.parts) for p in self.profiles],
+            "values": list(self.values),
         }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BranchSpec):
-            return NotImplemented
-        return (
-            self._profiles == other._profiles
-            and self._values == other._values
-            and self._d == other._d
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._profiles, self._values, self._d))
 
     def __repr__(self) -> str:
         return f"BranchSpec({self.canonical_key()})"
