@@ -14,6 +14,7 @@ from .coverings import (
     RealHurwitzResult,
     TheoremReport,
     real_hurwitz,
+    s_number,
     theorem_check,
 )
 from .errors import (
@@ -53,13 +54,7 @@ from .polysolve import (
     residual,
     solve_all,
 )
-from .realsigns import (
-    RealPolynomial,
-    disorder_count,
-    ordered_pair_count,
-    polynomial_sign,
-    s_number,
-)
+from .realsigns import RealPolynomial
 from .series import BasisFit, SeriesTable, basis_fit, h_value, one_part_spec, series_table
 from .verify import VerifyReport, run_sweep
 
@@ -95,18 +90,15 @@ __all__ = [
     "classify_real",
     "count_factorizations",
     "cycle_type",
-    "disorder_count",
     "floor_sum_parity",
     "h_value",
     "load_config",
     "o_count",
     "one_part_spec",
-    "ordered_pair_count",
     "parse_partition",
     "parse_profiles",
     "parse_values",
     "partitions_of",
-    "polynomial_sign",
     "real_hurwitz",
     "residual",
     "run_sweep",

@@ -17,9 +17,9 @@ the main identity this package verifies, equals the plain signed count of
 normalized real polynomials.
 
 Both counts come from the same real solutions, read from a ``RealsProvider``
-(by default the solver's, one solve per spec).  ``real_hurwitz`` turns a
-spec and a provider into the class count and alone decides the parity-odd
-shortcut; ``_assemble_classes`` alone pairs an even-degree spec with its
+(by default the solver's, one solve per spec).  ``s_number`` turns a spec
+and a provider into the signed polynomial count; ``real_hurwitz`` into the
+class count, and it alone decides the parity-odd shortcut; ``_assemble_classes`` alone pairs an even-degree spec with its
 reversed spec; ``reflection_partners`` alone pairs P with P(-z).
 ``theorem_check`` alone decides the theorem HR = s (and the half-sum for
 even degree) from one provider, so each side is solved once.
@@ -228,6 +228,21 @@ def real_hurwitz(
     return RealHurwitzResult(spec, total, False, tuple(classes))
 
 
+def s_number(
+    spec: BranchSpec, config: RunConfig | None = None, reals: RealsProvider | None = None
+) -> int:
+    """Sum of signs over all real normalized polynomials with the given branch data.
+
+    The real solutions are read from ``reals``, by default the solver's,
+    whose complete solution set is certified against the exact
+    factorization count.  The degree-1 identity covering has the one
+    identity polynomial, so it counts 1.
+    """
+    config = config or RunConfig()
+    reals = reals or _solved_reals(config)
+    return signed_sum(reals(spec), config)
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     """Comparison of the class route and the polynomial route for one spec."""
@@ -262,11 +277,11 @@ def theorem_check(
     config = config or RunConfig()
     reals = reals or _solved_reals(config)
     hr_result = real_hurwitz(spec, config, reals)
-    s = signed_sum(reals(spec), config)
+    s = s_number(spec, config, reals)
     s_reversed = None
     half_sum_ok = None
     if spec.d % 2 == 0:
-        s_reversed = signed_sum(reals(spec.reversed_spec()), config)
+        s_reversed = s_number(spec.reversed_spec(), config, reals)
         half_sum_ok = hr_result.value == Fraction(s + s_reversed, 2)
     return TheoremReport(
         spec=spec,

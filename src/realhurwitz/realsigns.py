@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .config import RunConfig
 from .errors import ValidationError
-from .partitions import BranchSpec, Partition
+from .partitions import Partition
 
 # ordered (preimage, ramification order) pairs for one branch value
 PreimageSeq = tuple[tuple[float, int], ...]
@@ -73,15 +73,18 @@ class RealPolynomial:
 
     @property
     def t(self) -> int:
-        return disorder_count(self)
+        """Total disorder count over the branch values."""
+        return sum(disorders_by_branch(self))
 
     @property
     def ord_count(self) -> int:
-        return ordered_pair_count(self)
+        """Total ordered-pair count over the branch values."""
+        return sum(ordered_pairs_by_branch(self))
 
     @property
     def sign(self) -> int:
-        return polynomial_sign(self)
+        """(-1) to the total disorder count."""
+        return -1 if self.t % 2 else 1
 
     def reflected(self) -> "RealPolynomial":
         """The polynomial P(-z), which is normalized again when d is even.
@@ -134,19 +137,6 @@ def ordered_pairs_by_branch(poly: RealPolynomial) -> tuple[int, ...]:
     return tuple(_disorders([r for _, r in reversed(seq)]) for seq in poly.real_preimages)
 
 
-def disorder_count(poly: RealPolynomial) -> int:
-    return sum(disorders_by_branch(poly))
-
-
-def ordered_pair_count(poly: RealPolynomial) -> int:
-    return sum(ordered_pairs_by_branch(poly))
-
-
-def polynomial_sign(poly: RealPolynomial) -> int:
-    """(-1) to the total disorder count."""
-    return -1 if disorder_count(poly) % 2 else 1
-
-
 def signed_sum(reals: Sequence[RealPolynomial], config: RunConfig) -> int:
     """Sum of signs over the real normalized polynomials of a spec.
 
@@ -157,17 +147,3 @@ def signed_sum(reals: Sequence[RealPolynomial], config: RunConfig) -> int:
     if config.debug_corrupt_signs and reals:
         total -= 2 * reals[0].sign
     return total
-
-
-def s_number(spec: BranchSpec, config: RunConfig | None = None) -> int:
-    """Sum of signs over all real normalized polynomials with the given branch data.
-
-    Requires a complete complex solution set (the solver certificate ties
-    the number of complex solutions to the exact factorization count); the
-    real locus is then carved out and summed with signs.  The degree-1
-    identity covering has the one identity polynomial, so it counts 1.
-    """
-    from .polysolve import classify_real, solve_all
-
-    config = config or RunConfig()
-    return signed_sum(classify_real(solve_all(spec, config), config), config)

@@ -17,8 +17,8 @@ once per swept multiset of two or more branches, and the order and
 position invariance checks test the tracker against the closed forms.
 The theorem and the z -> -z pairing are decided in ``coverings`` alone: the
 sweep passes the workspace's real solutions to ``theorem_check``,
-``real_hurwitz`` and ``reflection_partners``, which read them as they read
-the solver's.  The number R of real solutions whose parity is checked is
+``s_number``, ``real_hurwitz`` and ``reflection_partners``, which read them
+as they read the solver's.  The number R of real solutions whose parity is checked is
 the length of ``classify_real``'s list, the reals s sums over.  Each
 closure check is one ``match_index`` call per symmetry; the conjugation
 check reads ``conjugation_partners``, the map that decides realness.
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .coverings import real_hurwitz, reflection_partners, theorem_check
+from .coverings import real_hurwitz, reflection_partners, s_number, theorem_check
 from .errors import InfraLimit, PropertyFailure, ValidationError
 from .factorizations import count_factorizations
 from .partitions import (
@@ -50,7 +50,7 @@ from .polysolve import (
     SolutionSet, classify_real, conjugation_partners, match_index, residual_bound,
     rotate_coefficients, solve_all,
 )
-from .realsigns import disorders_by_branch, ordered_pairs_by_branch, signed_sum
+from .realsigns import disorders_by_branch, ordered_pairs_by_branch
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -94,9 +94,6 @@ class Workspace:
         self.solset = solset
         self.reals = reals
         self.hurwitz = functools.cache(lambda spec: real_hurwitz(spec, config, reals))
-
-    def signed_count(self, spec: BranchSpec) -> int:
-        return signed_sum(self.reals(spec), self.config)
 
 
 @dataclass
@@ -268,7 +265,7 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
         record.record("certificate_complete", solset.certificate == "COMPLETE" and len(solset) == count.N)
         _closure_checks(record, solset, ws)
 
-        record.s = ws.signed_count(spec)
+        record.s = s_number(spec, config, ws.reals)
         try:
             report = theorem_check(spec, config, ws.reals)
         except PropertyFailure as exc:
@@ -302,7 +299,7 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
             # lists, not generators: every moved spec is solved, so a solver
             # failure on any of them marks the record FAILED-INFRA; the spec
             # itself is among them, and its HR is the report's
-            s_ok = all([ws.signed_count(m) == record.s for m in specs])
+            s_ok = all([s_number(m, config, ws.reals) == record.s for m in specs])
             # a moved spec's class count that raises fails the check, not the sweep
             try:
                 hr_ok = report is not None and all(

@@ -30,8 +30,8 @@ def sweep_report(session_cfg):
 def solves(monkeypatch):
     """Records the spec of every solve_all call made through the library.
 
-    Patches each module binding of solve_all; realsigns imports it from
-    polysolve at call time, so the polysolve binding covers it.
+    Patches each module binding of solve_all; the package imports nothing
+    at call time, so these bindings cover every solve.
     """
     calls = []
     original = polysolve.solve_all

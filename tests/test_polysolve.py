@@ -1171,3 +1171,20 @@ def test_newton_converges_at_its_rounding_floor(cfg, text, scale):
     points, ok, norms = _newton_batch(system, starts, cfg)
     assert ok.all() and np.max(norms) <= cfg.tol_residual
     assert solve_all(big, cfg, known=(known,)).starts_used == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=IncompleteEnumeration,
+    reason="match_index scales tol_dedup by 1 + max|row|, so at values near 1e9 the "
+    "three solutions, which differ only in a_2 by about 1e2, dedup to one",
+)
+def test_translated_values_keep_every_solution(cfg):
+    # moving every branch value by b shifts only a_d by b; the dedup tolerance
+    # then grows to about tol_dedup * 1e9 and swallows the spread in a_2
+    near = validate_branch_spec(parse_profiles("2,1|2,1"), (0.0, 1e3))
+    known = solve_all(near, cfg)
+    assert len(known) == 3
+    far = validate_branch_spec(near.profiles, (1e9, 1e9 + 1e3))
+    solset = solve_all(far, cfg.replace(start_budget=64), known=(known,))
+    assert solset.certificate == "COMPLETE" and len(solset) == 3

@@ -6,10 +6,7 @@ from realhurwitz import (
     RealPolynomial,
     ValidationError,
     classify_real,
-    disorder_count,
-    ordered_pair_count,
     parse_profiles,
-    polynomial_sign,
     s_number,
     solve_all,
     validate_branch_spec,
@@ -65,12 +62,11 @@ def test_empty_preimage_sequence():
 
 def test_disorder_and_ordered_pair_counts_cubic():
     poly = cubic_poly()
-    assert disorder_count(poly) == 1  # the pair (-1, 2-fold) before (2, simple)
-    assert ordered_pair_count(poly) == 1  # the pair (-2, simple) before (1, 2-fold)
+    assert poly.t == 1  # the pair (-1, 2-fold) before (2, simple)
+    assert poly.ord_count == 1  # the pair (-2, simple) before (1, 2-fold)
     assert disorders_by_branch(poly) == (0, 1)
     assert ordered_pairs_by_branch(poly) == (1, 0)
-    assert polynomial_sign(poly) == -1
-    assert poly.sign == -1 and poly.t == 1 and poly.ord_count == 1
+    assert poly.sign == -1
 
 
 def _biquadratic(v, w2):
@@ -102,10 +98,10 @@ def _biquadratic(v, w2):
 
 
 def test_biquadratic_family_disorders():
-    assert disorder_count(_biquadratic(1.0, 1.0)) == 0
+    assert _biquadratic(1.0, 1.0).t == 0
     poly = _biquadratic(-1.0, 1.0)
-    assert disorder_count(poly) == 1  # orders (1, 2, 1) over the upper value
-    assert polynomial_sign(poly) == -1
+    assert poly.t == 1  # orders (1, 2, 1) over the upper value
+    assert poly.sign == -1
 
 
 def test_single_full_branch_point_is_positive(cfg):
@@ -122,8 +118,8 @@ def test_cusp_quartic_ordered_pairs(cfg):
     spec = validate_branch_spec(parse_profiles("3,1|2,1,1"), (28, 1))
     reals = classify_real(solve_all(spec, cfg), cfg)
     plus = next(p for p in reals if p.coefficients[1] > 0)  # a = 1 representative
-    assert ordered_pair_count(plus) == 1
-    assert disorder_count(plus) == 0
+    assert plus.ord_count == 1
+    assert plus.t == 0
 
 
 def test_s_number_examples(cfg):
