@@ -18,9 +18,10 @@ normalized real polynomials.
 
 Both counts come from the same real solutions, read from a ``RealsProvider``
 (by default the solver's, one solve per spec).  ``s_number`` turns a spec
-and a provider into the signed polynomial count; ``real_hurwitz`` into the
-class count, and it alone decides the parity-odd shortcut; ``_assemble_classes`` alone pairs an even-degree spec with its
-reversed spec; ``reflection_partners`` alone pairs P with P(-z).
+and a provider into the signed polynomial count, and ``real_hurwitz`` into
+the class count; ``real_hurwitz`` alone decides the parity-odd shortcut;
+``_assemble_classes`` alone pairs an even-degree spec with its reversed
+spec; ``reflection_partners`` alone pairs P with P(-z).
 ``theorem_check`` alone decides the theorem HR = s (and the half-sum for
 even degree) from one provider, so each side is solved once.
 """

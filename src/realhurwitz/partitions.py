@@ -18,7 +18,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 

@@ -155,12 +155,8 @@ def test_branch_spec_constructor_rejects_non_canonical():
     with pytest.raises(ValidationError):
         BranchSpec((Partition([1, 1, 1]),), (1.0,), 3)
     # parts are never truncated to integers: 2.7 is not a part of 3
-    for parts in ([2.5, 1.9], [2.0, 1], [True, 1], [2, False], [np.float64(2)], ["2"]):
-        with pytest.raises(ValidationError):
-            Partition(parts)
     with pytest.raises(ValidationError):
         count_factorizations([Partition([2.7, 1]), Partition([2, 1.2])])
-    assert Partition([np.int64(2), np.int32(1)]).parts == (2, 1)
 
 
 P21, P111 = Partition([2, 1]), Partition([1, 1, 1])
@@ -200,7 +196,9 @@ def test_empty_partition_rejected():
     [
         (1.5, "must be integers"),
         (2.0, "must be integers"),
+        (np.float64(2), "must be integers"),
         (True, "must be integers"),
+        (False, "must be integers"),
         ("2", "must be integers"),
         (0, "must be positive"),
         (-1, "must be positive"),
