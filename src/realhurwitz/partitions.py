@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -58,8 +57,8 @@ class Partition:
         return self.d == self.length
 
     def multiplicities(self) -> dict[int, int]:
-        """Map each part value to the number of times it occurs."""
-        return dict(Counter(self.parts))
+        """Map each part value, largest first, to the number of times it occurs."""
+        return {p: self.parts.count(p) for p in dict.fromkeys(self.parts)}
 
     def __repr__(self) -> str:
         return f"Partition({', '.join(map(str, self.parts))})"
@@ -113,7 +112,7 @@ def parse_values(text: str) -> tuple[float, ...]:
 
 def o_count(lam: Partition) -> int:
     """Number of distinct part values occurring an odd number of times."""
-    return sum(1 for m in Counter(lam.parts).values() if m % 2 == 1)
+    return sum(lam.parts.count(p) % 2 for p in dict.fromkeys(lam.parts))
 
 
 def floor_sum_parity(profiles: Sequence[Partition]) -> int:

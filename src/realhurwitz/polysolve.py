@@ -22,6 +22,17 @@ other solution exists and the rest of the chunk is skipped.  If it does not,
 it is not tried again and the chunk runs to its end, so a duplicate that
 dedup missed still raises OvercountDetected.
 
+Acceptance (``_Collector.accept``) takes a table of candidate rows and
+their residual norms, the way ``match_index`` takes a table of queries: a
+new solution's 2d - 1 orbit mates are one table, the polished carried
+points of a known set another, and a single point is a one-row table.  The
+residual filter, the root separation check, the coefficients and the match
+against the accepted set are one call each for the table; the rows are then
+decided in order, each against the accepted set and the rows of the table
+kept before it (compared _CHUNK_SIZE rows at a time), so a table keeps
+exactly the rows, and raises at the same row, that its rows accepted one by
+one would.
+
 Most random starts never reach a solution, so Newton retires a row early
 by two rules.  Escape: every root of every solution has modulus at most
 root_bound(spec) = 4 (1 + max|w_i|)^(1/d) (the preimage of the disk holding
@@ -123,10 +134,16 @@ class SystemSpec:
     # (d, k) column b lists branch b's slots repeated by multiplicity;
     # (d - 1, n) column j is its branch's column less one copy of slot j, so
     # a branch's last slot keeps the first d - 1 factors; (n,) -m_j;
-    # (n,) branch - 1; two (pairs,) index arrays, every a < b of one branch
+    # (k,) each branch's last slot; (k - 1,) w_i - w_0 for i >= 1;
+    # the slots past branch 0 and, for each, its branch - 1, the Jacobian
+    # block its column fills; two (pairs,) index arrays, every a < b of one
+    # branch
     root_index: np.ndarray = field(compare=False, repr=False)
     deriv_index: np.ndarray = field(compare=False, repr=False)
     deriv_factor: np.ndarray = field(compare=False, repr=False)
+    last_slots: np.ndarray = field(compare=False, repr=False)
+    value_gaps: np.ndarray = field(compare=False, repr=False)
+    free_columns: np.ndarray = field(compare=False, repr=False)
     slot_block: np.ndarray = field(compare=False, repr=False)
     same_branch: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
@@ -159,6 +176,7 @@ def build_system(spec: BranchSpec) -> SystemSpec:
     for j, row in enumerate(dropped):
         row.remove(j)
     branch = np.array([b for b, _ in slots])
+    end0 = ranges[0][1]
     sys_spec = SystemSpec(
         spec,
         tuple(slots),
@@ -166,7 +184,10 @@ def build_system(spec: BranchSpec) -> SystemSpec:
         root_index=np.array(rows).T,
         deriv_index=np.array(dropped).T,
         deriv_factor=np.array([-m for _, m in slots], dtype=complex),
-        slot_block=branch - 1,
+        last_slots=np.array([end - 1 for _, end in ranges]),
+        value_gaps=np.subtract(spec.values[1:], spec.values[0]),
+        free_columns=np.arange(end0, len(slots)),
+        slot_block=branch[end0:] - 1,
         same_branch=np.nonzero(np.triu(branch[:, None] == branch, 1)),
     )
     assert sys_spec.n == (spec.k - 1) * spec.d + 1
@@ -199,7 +220,7 @@ def _assemble_residual(system: SystemSpec, qs: np.ndarray) -> np.ndarray:
     out[0] = qs[1, 0]
     blocks = out[1:].reshape(system.k - 1, system.d, qs.shape[2])
     np.subtract(qs[1:, 1:].swapaxes(0, 1), qs[1:, :1].swapaxes(0, 1), out=blocks)
-    blocks[:, -1] += np.subtract(system.spec.values[1:], system.spec.values[0])[:, None]
+    blocks[:, -1] += system.value_gaps[:, None]
     return out.T
 
 
@@ -218,7 +239,7 @@ def _products(system: SystemSpec, points: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     roots = points.T
     prods = _batch_products(roots[system.deriv_index])  # (d, n, batch)
-    last = [end - 1 for _, end in system.branch_ranges]
+    last = system.last_slots
     qs = np.zeros((system.d + 1, system.k, points.shape[0]), dtype=complex)
     qs[:-1] = prods[:, last]
     qs[1:] -= roots[last] * qs[:-1]
@@ -236,7 +257,7 @@ def _assemble_jacobian(system: SystemSpec, dq: np.ndarray) -> np.ndarray:
     jac[:, 0, :end0] = dq[:, :end0, 0]
     blocks = jac[:, 1:].reshape(batch, system.k - 1, system.d, n)
     blocks[..., :end0] = -dq[:, None, :end0].swapaxes(2, 3)
-    blocks[:, system.slot_block[end0:], :, np.arange(end0, n)] = dq[:, end0:].swapaxes(0, 1)
+    blocks[:, system.slot_block, :, system.free_columns] = dq[:, end0:].swapaxes(0, 1)
     return jac
 
 
@@ -615,10 +636,16 @@ class SolutionSet:
         )
 
 
-def _well_separated(system: SystemSpec, x: np.ndarray, tol_cluster: float) -> bool:
-    """True when no two preimage roots of one branch lie within tol_cluster of each other."""
+def _well_separated(system: SystemSpec, x: np.ndarray, tol_cluster: float):
+    """Per row of x (or for the point x): no two roots of one branch lie within tol_cluster."""
     pair_a, pair_b = system.same_branch
-    return not (np.abs(x[pair_a] - x[pair_b]) <= tol_cluster).any()
+    return ~(np.abs(x[..., pair_a] - x[..., pair_b]) <= tol_cluster).any(axis=-1)
+
+
+def _near(table: np.ndarray, queries: np.ndarray, tol: float) -> np.ndarray:
+    """The (queries, table rows) mask of ``match_index``'s rule, scaled by the table row."""
+    gap = np.abs(queries[:, None] - table).max(axis=2, initial=0.0)
+    return gap <= tol * (1.0 + np.abs(table).max(axis=1, initial=0.0))
 
 
 def match_index(table: np.ndarray, queries: np.ndarray, tol: float) -> list[int | None]:
@@ -628,9 +655,7 @@ def match_index(table: np.ndarray, queries: np.ndarray, tol: float) -> list[int 
     matches anything and an empty table nothing.  A symmetry check passes
     all its images in one call; a single point is a one-row query table.
     """
-    gap = np.abs(queries[:, None] - table).max(axis=2, initial=0.0)
-    scale = 1.0 + np.abs(table).max(axis=1, initial=0.0)
-    return [int(row.argmax()) if row.any() else None for row in gap <= tol * scale]
+    return [int(row.argmax()) if row.any() else None for row in _near(table, queries, tol)]
 
 
 def grid_key(values) -> tuple[tuple[float, float], ...]:
@@ -643,7 +668,7 @@ def grid_key(values) -> tuple[tuple[float, float], ...]:
 
 
 class _Collector:
-    """The one acceptance path: validates, deduplicates and symmetry-expands points."""
+    """The one acceptance path: validates, deduplicates and symmetry-expands tables of points."""
 
     def __init__(self, system: SystemSpec, target: int, config: RunConfig):
         self.system = system
@@ -664,36 +689,61 @@ class _Collector:
     def complete(self) -> bool:
         return len(self.points) >= self.target
 
-    def accept(self, cand: np.ndarray, res: float) -> np.ndarray | None:
-        """Keep cand, whose residual norm is res, as a new solution and return its coefficients.
+    def accept(self, cands: np.ndarray, norms) -> np.ndarray:
+        """Keep the new solutions among the rows of cands (m, n), of residual norms (m,).
 
-        Every solution, solved or carried, passes here: residual within
-        ``residual_bound``, each branch's roots more than tol_cluster apart
-        (repeated collapses raise DegenerateConfiguration), coefficients new up
-        to tol_dedup.  A new solution beyond the target raises OvercountDetected.
-        Returns None for a rejected point.
+        Every solution, solved or carried, passes here; a single point is a
+        one-row table.  A row is kept when its residual is within
+        ``residual_bound``, each branch's roots are more than tol_cluster
+        apart (repeated collapses raise DegenerateConfiguration) and its
+        coefficients are new up to tol_dedup, against the accepted set and
+        the rows kept before it; a new solution beyond the target raises
+        OvercountDetected.  The accepted arrays grow once, by the rows kept
+        up to a raising one.  Returns the mask of rows kept.
         """
-        res = float(res)
-        if not (res <= self.tol_residual):
-            return None
-        if not _well_separated(self.system, cand, self.config.tol_cluster):
-            key = tuple(np.round(canonical_coefficients(self.system, cand), 6).tolist())
-            self.collapse_counts[key] = self.collapse_counts.get(key, 0) + 1
-            if self.collapse_counts[key] >= _DEGENERACY_LIMIT:
-                raise DegenerateConfiguration(
-                    "converged points persistently collapse preimage roots; "
-                    "the branch values look non-generic for these profiles"
-                )
-            return None
-        coeffs = canonical_coefficients(self.system, cand)
-        if match_index(self.coeffs, coeffs[None], self.config.tol_dedup)[0] is not None:
-            return None
-        self.points = np.vstack((self.points, cand))
-        self.coeffs = np.vstack((self.coeffs, coeffs))
-        self.residuals = np.append(self.residuals, res)
-        if len(self.points) > self.target:
-            raise OvercountDetected(len(self.points), self.target)
-        return coeffs
+        system, config = self.system, self.config
+        norms = np.asarray(norms, dtype=float)
+        rows = np.flatnonzero(norms <= self.tol_residual)
+        x = cands[rows]
+        collapsed = ~_well_separated(system, x, config.tol_cluster)
+        coeffs = canonical_coefficients(system, x)
+        # the accepted set's coefficients, then the table's; taken marks the
+        # rows accepted so far
+        table = np.vstack((self.coeffs, coeffs))
+        start = found = len(self.coeffs)
+        taken = np.arange(len(table)) < start
+        error = None
+        for r in range(len(rows)):
+            i = r % _CHUNK_SIZE
+            if i == 0:
+                near = _near(table, coeffs[r : r + _CHUNK_SIZE], config.tol_dedup)
+                dup = near[:, taken].any(axis=1)
+            if collapsed[r]:
+                key = tuple(np.round(coeffs[r], 6).tolist())
+                self.collapse_counts[key] = self.collapse_counts.get(key, 0) + 1
+                if self.collapse_counts[key] >= _DEGENERACY_LIMIT:
+                    error = DegenerateConfiguration(
+                        "converged points persistently collapse preimage roots; "
+                        "the branch values look non-generic for these profiles"
+                    )
+                    break
+            elif not dup[i]:
+                taken[start + r] = True
+                dup |= near[:, start + r]
+                found += 1
+                if found > self.target:
+                    error = OvercountDetected(found, self.target)
+                    break
+        new = rows[taken[start:]]
+        if new.size:
+            self.points = np.vstack((self.points, cands[new]))
+            self.coeffs = table[taken]
+            self.residuals = np.append(self.residuals, norms[new])
+        if error is not None:
+            raise error
+        kept = np.zeros(len(norms), dtype=bool)
+        kept[new] = True
+        return kept
 
     def offer(self, x: np.ndarray, res: float):
         """Accept a converged point of residual norm res; if it is new, harvest its orbit once.
@@ -702,17 +752,15 @@ class _Collector:
         is {rot_t(x), conj(rot_t(x))}.  Rotation multiplies each equation row
         by a unit zeta^(tj) and conjugation conjugates it (the values are
         real), so the 2d - 1 mates are exact: one ``residual_batch`` call
-        scores them and ``accept`` checks each in order, after the target
-        too, so a new solution beyond it surfaces as OvercountDetected.
+        scores them and one ``accept`` call takes them as a table, after the
+        target too, so a new solution beyond it surfaces as OvercountDetected.
         """
-        if self.accept(x, res) is None:
+        if not self.accept(x[None], [res])[0]:
             return
         d = self.system.d
         rotated = np.array([rotate_point(x, d, t) for t in range(d)])
         mates = np.stack((rotated, rotated.conj()), axis=1).reshape(2 * d, -1)[1:]
-        norms = np.max(np.abs(residual_batch(self.system, mates)), axis=1)
-        for mate, norm in zip(mates, norms):
-            self.accept(mate, norm)
+        self.accept(mates, np.max(np.abs(residual_batch(self.system, mates)), axis=1))
 
     def offer_all(self, points: np.ndarray, norms: np.ndarray) -> bool:
         """Offer converged points in order; True once the accepted set is proven complete.
@@ -957,22 +1005,22 @@ def solve_all(
     carried = _carried_points(tuple(known), system, config.tol_dedup)
     if carried is not None:
         points, ok, norms = _newton_batch(system, carried, config)
-        for point, norm in zip(points[ok], norms[ok]):
-            collector.accept(point, norm)
-    rng = np.random.default_rng(config.seed)
-    scale = root_bound(spec) / 4.0
+        collector.accept(points[ok], norms[ok])
     starts_used = 0
-    while starts_used < config.start_budget and not collector.complete:
-        m = min(_CHUNK_SIZE, config.start_budget - starts_used)
-        starts = rng.standard_normal((m, system.n)) + 1j * rng.standard_normal(
-            (m, system.n)
-        )
-        starts *= scale / math.sqrt(2.0)
-        starts_used += m
-        # the chunk ends early only once its N accepted points are proven N
-        # distinct solutions; otherwise every converged row is offered, so an
-        # extra distinct solution cannot slip away unnoticed
-        _newton_batch(system, starts, config, stop=collector.offer_all)
+    if not collector.complete:
+        rng = np.random.default_rng(config.seed)
+        scale = root_bound(spec) / 4.0
+        while starts_used < config.start_budget and not collector.complete:
+            m = min(_CHUNK_SIZE, config.start_budget - starts_used)
+            starts = rng.standard_normal((m, system.n)) + 1j * rng.standard_normal(
+                (m, system.n)
+            )
+            starts *= scale / math.sqrt(2.0)
+            starts_used += m
+            # the chunk ends early only once its N accepted points are proven
+            # N distinct solutions; otherwise every converged row is offered,
+            # so an extra distinct solution cannot slip away unnoticed
+            _newton_batch(system, starts, config, stop=collector.offer_all)
     if not collector.complete:
         partial = collector.build_set(starts_used, "INCOMPLETE")
         raise IncompleteEnumeration(len(collector), target, partial)
@@ -1010,37 +1058,51 @@ def _real_projection(system: SystemSpec, point: np.ndarray, config: RunConfig) -
     return x
 
 
-def _build_real_polynomial(
-    system: SystemSpec, x: np.ndarray, config: RunConfig, bound: float
-) -> RealPolynomial:
-    """The real polynomial at the conjugation-fixed point x, with residual within bound."""
+def _build_real_polynomials(
+    system: SystemSpec, points: np.ndarray, config: RunConfig, bound: float
+) -> list[RealPolynomial]:
+    """The real polynomials at the conjugation-fixed points (R, n), each with residual within bound.
+
+    One ``residual_batch`` and one ``canonical_coefficients`` call serve
+    every point.  The first point whose roots collapse raises
+    DegenerateConfiguration, or whose residual exceeds bound raises
+    AmbiguousRealness.
+    """
     spec = system.spec
-    if not _well_separated(system, x, config.tol_cluster):
-        raise DegenerateConfiguration(
-            "real projection collapsed two preimage roots of one branch value"
-        )
+    collapsed = ~_well_separated(system, points, config.tol_cluster)
     # F is real at a conjugation-fixed point up to rounding, so its real part
     # is the real polynomial's residual, the bound a real Newton step enforces
-    f = np.max(np.abs(residual_batch(system, x[None, :])[0].real))
-    if f > bound:
+    f = np.max(np.abs(residual_batch(system, points).real), axis=1)
+    failed = collapsed | (f > bound)
+    if failed.any():
+        i = int(failed.argmax())
+        if collapsed[i]:
+            raise DegenerateConfiguration(
+                "real projection collapsed two preimage roots of one branch value"
+            )
         raise AmbiguousRealness(
-            f"the conjugation-fixed point has residual {f:.3e} above the bound {bound:.1e}"
+            f"the conjugation-fixed point has residual {f[i]:.3e} above the bound {bound:.1e}"
         )
-    preimages = []
-    nonreal = []
-    for start, end in system.branch_ranges:
-        roots = [(x[j], system.slots[j][1]) for j in range(start, end)]
-        preimages.append(tuple(sorted((float(r.real), m) for r, m in roots if r.imag == 0)))
-        nonreal.append(tuple(sorted((m for r, m in roots if r.imag != 0), reverse=True)))
-    return RealPolynomial(
-        d=spec.d,
-        coefficients=tuple(float(c) for c in canonical_coefficients(system, x).real),
-        profiles=spec.profiles,
-        values=spec.values,
-        real_preimages=tuple(preimages),
-        nonreal_orders=tuple(nonreal),
-        residual=float(f),
-    )
+    reals = []
+    for x, coeffs, res in zip(points, canonical_coefficients(system, points).real, f):
+        preimages = []
+        nonreal = []
+        for start, end in system.branch_ranges:
+            roots = [(x[j], system.slots[j][1]) for j in range(start, end)]
+            preimages.append(tuple(sorted((float(r.real), m) for r, m in roots if r.imag == 0)))
+            nonreal.append(tuple(sorted((m for r, m in roots if r.imag != 0), reverse=True)))
+        reals.append(
+            RealPolynomial(
+                d=spec.d,
+                coefficients=tuple(float(c) for c in coeffs),
+                profiles=spec.profiles,
+                values=spec.values,
+                real_preimages=tuple(preimages),
+                nonreal_orders=tuple(nonreal),
+                residual=float(res),
+            )
+        )
+    return reals
 
 
 def conjugation_partners(solset: SolutionSet, tol: float) -> list[int | None]:
@@ -1058,7 +1120,9 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     that is not an involution raises AmbiguousRealness, as do a root pair
     farther apart than tol_cluster and a projected point whose residual
     max|Re F| exceeds ``residual_bound``; roots that collapse under the
-    projection raise DegenerateConfiguration.
+    projection raise DegenerateConfiguration.  The projected points are
+    checked and built in one batch (``_build_real_polynomials``), and the
+    first failing solution raises, as if each were checked in turn.
     """
     config = config or RunConfig()
     if solset.certificate != "COMPLETE":
@@ -1068,15 +1132,25 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     system = build_system(solset.spec)
     bound = residual_bound(system.spec, config)
     partners = conjugation_partners(solset, config.tol_dedup)
-    reals = []
+    points, failure = [], None
     for i, (point, j) in enumerate(zip(solset.solutions, partners)):
         if j is not None and partners[j] != i:
-            raise AmbiguousRealness(
+            failure = AmbiguousRealness(
                 f"the conjugation pairing is not an involution: solution {i} "
                 f"pairs with {j}, which pairs with {partners[j]}"
             )
+            break
         if j == i:
-            x = _real_projection(system, point, config)
-            reals.append(_build_real_polynomial(system, x, config, bound))
+            try:
+                points.append(_real_projection(system, point, config))
+            except AmbiguousRealness as exc:
+                failure = exc
+                break
+    # the reals before a failing solution are checked first, so the first
+    # failing solution raises
+    points = np.array(points, dtype=complex).reshape(-1, system.n)
+    reals = _build_real_polynomials(system, points, config, bound)
+    if failure is not None:
+        raise failure
     reals.sort(key=lambda p: grid_key(p.coefficients))
     return reals

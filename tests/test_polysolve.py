@@ -25,7 +25,7 @@ from realhurwitz import polysolve
 from realhurwitz.cli import _solve_cached, main
 from realhurwitz.polysolve import (
     SolutionSet,
-    _build_real_polynomial,
+    _build_real_polynomials,
     _newton_batch,
     _real_projection,
     _rounding_bound,
@@ -302,21 +302,21 @@ def _projected_real(cfg):
 def test_build_real_polynomial_rejects_collapsed_projection(cfg):
     system, x = _projected_real(cfg)
     bound = residual_bound(CUBIC, cfg)
-    poly = _build_real_polynomial(system, x, cfg, bound)
+    (poly,) = _build_real_polynomials(system, x[None], cfg, bound)
     assert poly.coefficients == pytest.approx((-3.0, 0.0))
     assert np.all(x.imag == 0.0)  # every root of z^3 - 3z over -2 and 2 is real
     assert poly.nonreal_orders == ((), ())
     assert [m for branch in poly.real_preimages for _, m in branch] == [1, 2, 2, 1]
     x[1] = x[0]  # the double and the simple root over the first value meet
     with pytest.raises(DegenerateConfiguration, match="collapsed"):
-        _build_real_polynomial(system, x, cfg, bound)
+        _build_real_polynomials(system, x[None], cfg, bound)
 
 
 def test_build_real_polynomial_rejects_residual_above_bound(cfg):
     system, x = _projected_real(cfg)
     x[0] += 1e-9  # still real and separated, but max|Re F| is 4e-9, 40 times the bound
     with pytest.raises(AmbiguousRealness, match="above the bound"):
-        _build_real_polynomial(system, x, cfg, residual_bound(CUBIC, cfg))
+        _build_real_polynomials(system, x[None], cfg, residual_bound(CUBIC, cfg))
 
 
 def test_residual_bound_is_tol_residual_at_small_values(cfg):
@@ -419,9 +419,8 @@ def test_output_order_does_not_depend_on_the_representative(cfg):
     relabel = np.lexsort((-np.arange(system.n), -order, branch))
     assert not np.array_equal(relabel, np.arange(system.n))
     collector = polysolve._Collector(system, solset.target, cfg)
-    for sol in solset.solutions[::-1]:
-        x = sol[relabel]
-        assert collector.accept(x, np.max(np.abs(residual(system, x)))) is not None
+    points = solset.solutions[::-1][:, relabel]
+    assert collector.accept(points, np.max(np.abs(residual_batch(system, points)), axis=1)).all()
     again = collector.build_set(solset.starts_used, "COMPLETE")
     assert np.allclose(again.coefficients, solset.coefficients, rtol=0, atol=1e-12)
     assert np.allclose(again.solutions, solset.solutions, rtol=0, atol=1e-12)
@@ -440,14 +439,17 @@ def test_solutions_lie_in_the_root_ball(cfg):
 def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     # the dihedral orbit {rot_t(x), conj(rot_t(x))} of a new solution is taken
     # exactly: no Newton runs inside offer, one residual call scores its 2d - 1
-    # mates, and accepted mates start no harvest of their own
+    # mates, one accept call takes them as a table after the point's one-row
+    # table, and accepted mates start no harvest of their own
     spec = validate_branch_spec(parse_profiles(text))
     d = spec.d
     newton_calls = []
     residual_rows = []
+    accept_rows = []
     inside_offer = []
     original_newton = polysolve._newton_batch
     original_residual = polysolve.residual_batch
+    original_accept = polysolve._Collector.accept
     original_offer = polysolve._Collector.offer
 
     def newton(system, starts, *args, **kwargs):
@@ -460,6 +462,11 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
             residual_rows.append(points.shape[0])
         return original_residual(system, points)
 
+    def accept(self, cands, norms):
+        if inside_offer:
+            accept_rows.append(len(cands))
+        return original_accept(self, cands, norms)
+
     def offer(self, x, res):
         inside_offer.append(True)
         try:
@@ -469,6 +476,7 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
 
     monkeypatch.setattr(polysolve, "_newton_batch", newton)
     monkeypatch.setattr(polysolve, "residual_batch", residuals)
+    monkeypatch.setattr(polysolve._Collector, "accept", accept)
     monkeypatch.setattr(polysolve._Collector, "offer", offer)
     solset = solve_all(spec, cfg)
     coeffs = solset.coefficients
@@ -488,6 +496,96 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     assert orbits < len(coeffs)
     assert newton_calls == []
     assert residual_rows == [2 * d - 1] * orbits
+    assert set(accept_rows) == {1, 2 * d - 1} and accept_rows.count(2 * d - 1) == orbits
+
+
+def _accepted(system, target, cfg, before, table, norms, row_by_row):
+    """Collector state after accepting before, then table in one call or one row at a time.
+
+    Returns the accepted arrays' bytes, the collapse counts, the kept mask
+    and, when a row raised, its error type (and its row, row by row)."""
+    collector = polysolve._Collector(system, target, cfg)
+    collector.accept(*before)
+    kept, raised = [], None
+    try:
+        if row_by_row:
+            for row, norm in zip(table, norms):
+                kept += collector.accept(row[None], [norm]).tolist()
+        else:
+            kept = collector.accept(table, norms).tolist()
+    except (OvercountDetected, DegenerateConfiguration) as exc:
+        raised = (type(exc), len(kept)) if row_by_row else type(exc)
+    arrays = (collector.points, collector.coeffs, collector.residuals)
+    return [a.tobytes() for a in arrays], dict(collector.collapse_counts), kept, raised
+
+
+def test_table_accept_matches_row_by_row(cfg):
+    # a table accepted in one call keeps, rejects, counts collapses and
+    # raises exactly as its rows accepted one at a time; the first table
+    # spans two 64-row chunks, with duplicates of rows kept in either
+    spec = validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1"))
+    system = build_system(spec)
+    solset = solve_all(spec, cfg)
+    sols, res, target = solset.solutions, solset.residuals, solset.target
+    assert target == 16 and system.slots[1] == system.slots[2] == (0, 1)
+    swapped = sols[:, [0, 2, 1, *range(3, system.n)]]  # the same polynomials
+    collapsed = sols.copy()
+    collapsed[:, 2] = collapsed[:, 1]
+    bound = residual_bound(spec, cfg)
+    rows = (
+        [(sols[i], res[i]) for i in range(3, 10)]  # rows 0-6: new
+        + [(swapped[3], res[3])]  # a duplicate of table row 0
+        + [(sols[1], res[1])]  # a duplicate of an accepted row
+        + [(sols[10], 2.0 * bound)]  # residual above the bound
+        + [(collapsed[11], 0.0)]  # collapsed roots
+        + [(sols[i % 15], res[i % 15]) for i in range(60)]  # rows 11-70: 10-14 new
+        + [(sols[15], res[15]), (swapped[15], res[15]), (collapsed[15], 0.0)]
+    )
+    table, norms = np.array([x for x, _ in rows]), np.array([r for _, r in rows])
+    before = (sols[:3], res[:3])
+    one_call = _accepted(system, target, cfg, before, table, norms, False)
+    assert one_call == _accepted(system, target, cfg, before, table, norms, True)
+    arrays, counts, kept, raised = one_call
+    assert np.flatnonzero(kept).tolist() == [*range(7), *range(21, 26), 71]
+    assert raised is None and list(counts.values()) == [1, 1]
+    points = np.vstack((sols[:3], table[kept]))
+    assert arrays[:2] == [points.tobytes(), canonical_coefficients(system, points).tobytes()]
+    # the 25th collapse of one polynomial, and the first new solution past
+    # the target, raise at the same row, with the rows before it kept
+    degenerate = [collapsed[11]] * 24 + [sols[3], collapsed[11], sols[4]]
+    overcount = [sols[3], swapped[3], sols[4], sols[5]]
+    for table, target, error, row in (
+        (degenerate, target, DegenerateConfiguration, 25),
+        (overcount, 4, OvercountDetected, 2),
+    ):
+        table, norms = np.array(table), np.zeros(len(table))
+        one_call = _accepted(system, target, cfg, before, table, norms, False)
+        row_by_row = _accepted(system, target, cfg, before, table, norms, True)
+        assert one_call[3] == error and row_by_row[3] == (error, row)
+        assert one_call[:2] == row_by_row[:2]
+
+
+def test_known_set_listed_twice_is_accepted_once(cfg, monkeypatch):
+    # every carried row is polished and accepted in one table call; the
+    # second copy of each row is a duplicate, and no start is drawn
+    spec = validate_branch_spec(parse_profiles("3,1|2,1,1"))
+    known = solve_all(spec, cfg)
+    twice = _planted(known, np.tile(np.arange(len(known)), 2))
+    kept = []
+    original = polysolve._Collector.accept
+
+    def accept(self, cands, norms):
+        kept.append(original(self, cands, norms))
+        return kept[-1]
+
+    monkeypatch.setattr(polysolve._Collector, "accept", accept)
+    once = solve_all(spec.reversed_spec(), cfg, known=(known,))
+    mask = [True] * len(known)
+    assert [m.tolist() for m in kept] == [mask]
+    kept.clear()
+    doubled = solve_all(spec.reversed_spec(), cfg, known=(twice,))
+    assert [m.tolist() for m in kept] == [mask + [False] * len(known)]
+    assert doubled.starts_used == 0 and _same_set(doubled, once)
 
 
 def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
@@ -627,6 +725,25 @@ def test_ambiguous_realness_raises(cfg):
     eta = 0.6 * cfg.tol_dedup * (1.0 + np.max(np.abs(real)))
     planted = _planted(solset, [row, row], coefficients=np.array([real, real + eta]))
     with pytest.raises(AmbiguousRealness, match="not an involution"):
+        classify_real(planted, cfg)
+
+
+@pytest.mark.parametrize(
+    "order, message", [((0, 1, 2), "above the bound"), ((1, 2, 0), "not an involution")]
+)
+def test_classify_real_raises_at_the_first_failing_solution(cfg, order, message):
+    # a real solution whose residual exceeds the bound, and a near-copy that
+    # breaks the conjugation pairing: whichever comes first raises
+    solset = solve_all(CUBIC, cfg)
+    row = _real_row(solset, (-3.0, 0.0))  # z^3 - 3z
+    real = solset.coefficients[row]
+    eta = 0.6 * cfg.tol_dedup * (1.0 + np.max(np.abs(real)))
+    moved = solset.solutions[row].copy()
+    moved[0] += 1e-9  # still real and separated, but max|Re F| is 40 times the bound
+    coefficients = np.array([real, real, real + eta])[list(order)]
+    solutions = np.array([moved, solset.solutions[row], solset.solutions[row]])[list(order)]
+    planted = _planted(solset, [row] * 3, coefficients=coefficients, solutions=solutions)
+    with pytest.raises(AmbiguousRealness, match=message):
         classify_real(planted, cfg)
 
 
