@@ -16,8 +16,11 @@ The signed class count weights each class by sign / |automorphisms| and, by
 the main identity this package verifies, equals the plain signed count of
 normalized real polynomials.
 
-Both counts come from the same real solutions, read from a ``RealsProvider``
-(by default the solver's, one solve per spec).  ``s_number`` turns a spec
+Both counts come from the same real solutions, read from a ``RealsProvider``.
+``SolvedReals`` is the one memoized provider: it solves each spec once,
+handing every solve the sets it solved before, and classifies each set
+once; ``real_hurwitz``, ``s_number`` and ``theorem_check`` build one when
+none is passed, and the ``verify`` sweep shares one.  ``s_number`` turns a spec
 and a provider into the signed polynomial count, and ``real_hurwitz`` into
 the class count; ``real_hurwitz`` alone decides the parity-odd shortcut;
 ``_assemble_classes`` alone pairs an even-degree spec with its reversed
@@ -28,7 +31,6 @@ even degree) from one provider, so each side is solved once.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -128,20 +130,31 @@ def class_sign(representatives: Sequence[RealPolynomial], d: int, parity: int) -
     return int(avg)
 
 
-def _solved_reals(config: RunConfig) -> RealsProvider:
-    """Real solutions of each spec from the solver; one provider solves a spec once.
+class SolvedReals:
+    """The memoized solver: each spec's certified set and real solutions, each found once.
 
-    Each solve is handed the sets this provider solved before, so the
-    reversed spec of an even degree is mapped from the spec, not solved.
+    ``solset(spec)`` solves a spec the first time it is asked for and hands
+    the solve every set solved before, so a reversed, reordered or moved
+    spec is mapped or tracked from one of them instead of solved afresh.
+    Calling the provider returns the spec's ``classify_real`` list, so it is
+    a ``RealsProvider``.  It holds no reference to itself, so a dropped
+    provider is freed at once.
     """
-    solved: dict[BranchSpec, SolutionSet] = {}
 
-    @functools.cache
-    def reals(spec: BranchSpec) -> list[RealPolynomial]:
-        solved[spec] = solve_all(spec, config, known=tuple(solved.values()))
-        return classify_real(solved[spec], config)
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self._sets: dict[BranchSpec, SolutionSet] = {}
+        self._reals: dict[BranchSpec, list[RealPolynomial]] = {}
 
-    return reals
+    def solset(self, spec: BranchSpec) -> SolutionSet:
+        if spec not in self._sets:
+            self._sets[spec] = solve_all(spec, self.config, known=tuple(self._sets.values()))
+        return self._sets[spec]
+
+    def __call__(self, spec: BranchSpec) -> list[RealPolynomial]:
+        if spec not in self._reals:
+            self._reals[spec] = classify_real(self.solset(spec), self.config)
+        return self._reals[spec]
 
 
 def _assemble_classes(
@@ -211,7 +224,7 @@ def real_hurwitz(
     signs cancel.
     """
     config = config or RunConfig()
-    reals = reals or _solved_reals(config)
+    reals = reals or SolvedReals(config)
     if spec.is_identity:
         return RealHurwitzResult(spec, Fraction(1), False, None)
     parity_odd = spec.d % 2 == 0 and floor_sum_parity(spec.profiles) == 1
@@ -240,7 +253,7 @@ def s_number(
     identity polynomial, so it counts 1.
     """
     config = config or RunConfig()
-    reals = reals or _solved_reals(config)
+    reals = reals or SolvedReals(config)
     return signed_sum(reals(spec), config)
 
 
@@ -276,7 +289,7 @@ def theorem_check(
     and its reversed spec are each solved at most once for all three numbers.
     """
     config = config or RunConfig()
-    reals = reals or _solved_reals(config)
+    reals = reals or SolvedReals(config)
     hr_result = real_hurwitz(spec, config, reals)
     s = s_number(spec, config, reals)
     s_reversed = None

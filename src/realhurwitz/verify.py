@@ -9,16 +9,17 @@ invariance of both under profile reordering and branch value motion.
 An ``InfraLimit`` (budget exhaustion, scale, ambiguous tolerances) marks a
 record FAILED-INFRA, which is kept distinct from a genuine property violation.
 
-A ``Workspace`` memoizes each spec's solve, real solutions and class count,
-and carries each spec's solution set over from the first solved spec with
-the same profile multiset, mapped when its branch data is an affine image
-and tracked otherwise, instead of solving it afresh.  So starts are drawn
-once per swept multiset of two or more branches, and the order and
-position invariance checks test the tracker against the closed forms.
-The theorem and the z -> -z pairing are decided in ``coverings`` alone: the
-sweep passes the workspace's real solutions to ``theorem_check``,
-``s_number``, ``real_hurwitz`` and ``reflection_partners``, which read them
-as they read the solver's.  The number R of real solutions whose parity is checked is
+One ``coverings.SolvedReals`` provider serves the whole sweep: it solves
+each spec once and carries each spec's solution set over from the first
+solved spec with the same profile multiset, mapped when its branch data is
+an affine image and tracked otherwise, instead of solving it afresh.  So
+starts are drawn once per swept multiset of two or more branches, and the
+order and position invariance checks test the tracker against the closed
+forms.  The theorem and the z -> -z pairing are decided in ``coverings``
+alone: the sweep passes the provider to ``theorem_check``, ``s_number`` and
+``real_hurwitz`` and its real solutions to ``reflection_partners``, and
+keeps no memo of its own; a moved spec that repeats (equal profiles
+reorder to the same spec) is checked once.  The number R of real solutions whose parity is checked is
 the length of ``classify_real``'s list, the reals s sums over.  Each
 closure check is one ``match_index`` call per symmetry; the conjugation
 check reads ``conjugation_partners``, the map that decides realness.
@@ -26,7 +27,6 @@ check reads ``conjugation_partners``, the map that decides realness.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import RunConfig
-from .coverings import real_hurwitz, reflection_partners, s_number, theorem_check
+from .coverings import SolvedReals, real_hurwitz, reflection_partners, s_number, theorem_check
 from .errors import InfraLimit, PropertyFailure, ValidationError
 from .factorizations import count_factorizations
 from .partitions import (
@@ -47,9 +47,10 @@ from .partitions import (
     validate_branch_spec,
 )
 from .polysolve import (
-    SolutionSet, classify_real, conjugation_partners, match_index, residual_bound,
-    rotate_coefficients, solve_all,
+    SolutionSet, conjugation_partners, match_index, residual_bound, rotate_coefficients,
 )
+# bound though verify calls neither: bench/selftest.py requires this module to hold them
+from .polysolve import classify_real, solve_all  # noqa: F401
 from .realsigns import disorders_by_branch, ordered_pairs_by_branch
 
 PASS = "PASS"
@@ -67,33 +68,6 @@ def enumerate_sweep_specs(dmax: int, kmax: int) -> list[tuple[Partition, ...]]:
                 if sum(lam.length for lam in combo) == (k - 1) * d + 1:
                     out.append(tuple(sorted(combo, key=lambda p: p.parts, reverse=True)))
     return out
-
-
-class Workspace:
-    """Memoizes solve, classification and class-count results across a sweep.
-
-    ``solset``, ``reals`` and ``hurwitz`` map a spec to its certified solution
-    set, its real normalized polynomials and its ``RealHurwitzResult``.  Each
-    solve is handed the sets solved so far, so a reordered, reversed or moved
-    spec is mapped from one of them when its branch data is an affine image,
-    and tracked from one with its profile multiset otherwise.
-    The closures hold locals, never ``self``, so a dropped workspace is freed
-    at once.
-    """
-
-    def __init__(self, config: RunConfig):
-        solved: dict[BranchSpec, SolutionSet] = {}
-
-        def solset(spec: BranchSpec) -> SolutionSet:
-            if spec not in solved:
-                solved[spec] = solve_all(spec, config, known=tuple(solved.values()))
-            return solved[spec]
-
-        reals = functools.cache(lambda spec: classify_real(solset(spec), config))
-        self.config = config
-        self.solset = solset
-        self.reals = reals
-        self.hurwitz = functools.cache(lambda spec: real_hurwitz(spec, config, reals))
 
 
 @dataclass
@@ -188,15 +162,15 @@ def _value_configs(config: RunConfig, profiles: tuple[Partition, ...]) -> list[t
     return [base, tuple(random_spaced), shifted]
 
 
-def _closure_checks(record: SpecRecord, solset: SolutionSet, ws: Workspace):
+def _closure_checks(record: SpecRecord, solset: SolutionSet, solved: SolvedReals):
     """Residual, conjugation and rotation checks, then the parity of R.
 
     Each closure is one ``match_index`` call per symmetry.  R is the number
     of ``classify_real``'s reals, the ones s sums over.
     """
-    spec, d, tol = record.spec, record.spec.d, ws.config.tol_dedup
+    spec, d, tol = record.spec, record.spec.d, solved.config.tol_dedup
     coeffs = solset.coefficients
-    bound = residual_bound(spec, ws.config)
+    bound = residual_bound(spec, solved.config)
     record.record("residuals_ok", (solset.residuals < bound).all())
     record.record("conjugation_closure", None not in conjugation_partners(solset, tol))
     # rotations[t][i]: the solution that rotating solution i by t gives
@@ -205,7 +179,7 @@ def _closure_checks(record: SpecRecord, solset: SolutionSet, ws: Workspace):
     record.record("rotation_closure", rot_ok)
     orbits_ok = all(d % len(set(orbit)) == 0 for orbit in zip(*rotations))
     record.record("rotation_orbits_divide_d", rot_ok and orbits_ok)
-    record.record("real_count_parity", len(ws.reals(spec)) % 2 == record.N % 2)
+    record.record("real_count_parity", len(solved(spec)) % 2 == record.N % 2)
 
 
 def _branch_parities(poly) -> list[bool]:
@@ -218,7 +192,7 @@ def _branch_parities(poly) -> list[bool]:
     ]
 
 
-def _parity_law_checks(record: SpecRecord, ws: Workspace):
+def _parity_law_checks(record: SpecRecord, solved: SolvedReals):
     """Even-degree sign laws for the real solutions on both leading-coefficient sides."""
     spec = record.spec
     parity = floor_sum_parity(spec.profiles)
@@ -226,8 +200,8 @@ def _parity_law_checks(record: SpecRecord, ws: Workspace):
     reflection_ok = True
     orbit_sign_ok = True
     for side_spec in (spec, spec.reversed_spec()):
-        reals = ws.reals(side_spec)
-        for poly, hit in zip(reals, reflection_partners(reals, ws.config.tol_dedup)):
+        reals = solved(side_spec)
+        for poly, hit in zip(reals, reflection_partners(reals, solved.config.tol_dedup)):
             if not all(_branch_parities(poly)):
                 per_branch_ok = False
             if poly.reflected().t != poly.ord_count:
@@ -246,14 +220,15 @@ def _parity_law_checks(record: SpecRecord, ws: Workspace):
     record.record("orbit_sign_law", orbit_sign_ok)
 
 
-def _odd_degree_parity_diagnostic(record: SpecRecord, ws: Workspace):
+def _odd_degree_parity_diagnostic(record: SpecRecord, solved: SolvedReals):
     """The even-degree per-branch parity law, measured (not gated) for odd degree."""
-    holds = [ok for poly in ws.reals(record.spec) for ok in _branch_parities(poly)]
+    holds = [ok for poly in solved(record.spec) for ok in _branch_parities(poly)]
     record.diagnostics["odd_d_per_branch_parity"] = {"holds": sum(holds), "of": len(holds)}
 
 
-def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace) -> SpecRecord:
-    """Run every applicable check for one profile multiset."""
+def check_spec(profiles: tuple[Partition, ...], solved: SolvedReals) -> SpecRecord:
+    """Run every applicable check for one profile multiset, under the provider's config."""
+    config = solved.config
     spec = validate_branch_spec(profiles)
     d = spec.d
     parity = floor_sum_parity(spec.profiles)
@@ -261,13 +236,13 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
     count = count_factorizations(spec.profiles)
     record = SpecRecord(spec=spec, N=count.N, H=count.H)
     try:
-        solset = ws.solset(spec)
+        solset = solved.solset(spec)
         record.record("certificate_complete", solset.certificate == "COMPLETE" and len(solset) == count.N)
-        _closure_checks(record, solset, ws)
+        _closure_checks(record, solset, solved)
 
-        record.s = s_number(spec, config, ws.reals)
+        record.s = s_number(spec, config, solved)
         try:
-            report = theorem_check(spec, config, ws.reals)
+            report = theorem_check(spec, config, solved)
         except PropertyFailure as exc:
             report = None
             record.error = str(exc)
@@ -280,30 +255,31 @@ def check_spec(profiles: tuple[Partition, ...], config: RunConfig, ws: Workspace
             record.record("half_sum", report.half_sum_ok)
 
         if d % 2 == 0:
-            _parity_law_checks(record, ws)
+            _parity_law_checks(record, solved)
             record.record("parity_vanishing", (record.s == 0 and record.hr == 0) if parity_odd else None)
         else:
             record.record("parity_vanishing", None)
-            _odd_degree_parity_diagnostic(record, ws)
+            _odd_degree_parity_diagnostic(record, solved)
 
         # profile reorderings and branch-value motions must leave s and HR alone
-        perms = sorted(set(itertools.permutations(range(spec.k))))
+        # equal profiles reorder to the same spec, so each distinct one is kept once
         moved = {
-            "order": [spec.permuted(list(perm)) for perm in perms],
+            "order": [spec.permuted(list(perm)) for perm in itertools.permutations(range(spec.k))],
             "position": [
                 validate_branch_spec(spec.profiles, values)
                 for values in _value_configs(config, spec.profiles)
             ],
         }
         for kind, specs in moved.items():
+            specs = list(dict.fromkeys(specs))
             # lists, not generators: every moved spec is solved, so a solver
             # failure on any of them marks the record FAILED-INFRA; the spec
             # itself is among them, and its HR is the report's
-            s_ok = all([s_number(m, config, ws.reals) == record.s for m in specs])
+            s_ok = all([s_number(m, config, solved) == record.s for m in specs])
             # a moved spec's class count that raises fails the check, not the sweep
             try:
                 hr_ok = report is not None and all(
-                    [m == spec or ws.hurwitz(m).value == record.hr for m in specs]
+                    [m == spec or real_hurwitz(m, config, solved).value == record.hr for m in specs]
                 )
             except PropertyFailure as exc:
                 hr_ok = False
@@ -346,8 +322,7 @@ def run_sweep(dmax: int, kmax: int, config: RunConfig | None = None) -> VerifyRe
         raise ValidationError(
             f"no spec to check: need dmax >= 2 and kmax >= 1, got dmax={dmax}, kmax={kmax}"
         )
-    config = config or RunConfig()
-    ws = Workspace(config)
-    records = [check_spec(profiles, config, ws) for profiles in specs]
+    solved = SolvedReals(config or RunConfig())
+    records = [check_spec(profiles, solved) for profiles in specs]
     records.sort(key=lambda r: r.spec.canonical_key())
     return VerifyReport(records, dmax, kmax)

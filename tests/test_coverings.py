@@ -12,7 +12,7 @@ from realhurwitz import (
     theorem_check,
     validate_branch_spec,
 )
-from realhurwitz.coverings import _solved_reals, class_sign
+from realhurwitz.coverings import SolvedReals, class_sign
 
 from helpers import real_polynomial_from_factored
 
@@ -58,7 +58,7 @@ def test_missing_partner_is_an_assembly_error(cfg):
     # partner; a provider that drops one leaves the other unpaired
     spec = validate_branch_spec(parse_profiles("3,1|2,1,1"), (28, 1))
     diag = cfg.replace(force_class_diagnostics=True)
-    full = _solved_reals(diag)
+    full = SolvedReals(diag)
     (cls,) = real_hurwitz(spec, diag, full).classes
     assert len(cls.representatives) == 2
 
@@ -74,7 +74,7 @@ def test_repeated_real_is_an_assembly_error(cfg):
     # partner, so the partner map is not an involution
     spec = validate_branch_spec(parse_profiles("3,1|2,1,1"), (28, 1))
     diag = cfg.replace(force_class_diagnostics=True)
-    full = _solved_reals(diag)
+    full = SolvedReals(diag)
 
     def doubled(side):
         return full(side)[:1] + full(side) if side == spec else full(side)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import weakref
 
@@ -9,6 +10,7 @@ from realhurwitz import (
     SignMismatch,
     ValidationError,
     parse_profiles,
+    real_hurwitz,
     run_sweep,
     s_number,
     theorem_check,
@@ -16,7 +18,8 @@ from realhurwitz import (
 )
 from realhurwitz import coverings, verify
 from realhurwitz.cli import EXIT_OK, EXIT_PROPERTY, main
-from realhurwitz.verify import Workspace, check_spec, enumerate_sweep_specs
+from realhurwitz.coverings import SolvedReals
+from realhurwitz.verify import check_spec, enumerate_sweep_specs
 
 
 def test_enumerate_sweep_specs_d4():
@@ -45,9 +48,7 @@ def test_enumerate_sweep_specs_respects_kmax():
 def test_budget_exhaustion_marks_infra(cfg):
     tiny = cfg.replace(start_budget=1)
     record = check_spec(
-        (Partition([2, 1, 1]), Partition([2, 1, 1]), Partition([2, 1, 1])),
-        tiny,
-        Workspace(tiny),
+        (Partition([2, 1, 1]), Partition([2, 1, 1]), Partition([2, 1, 1])), SolvedReals(tiny)
     )
     assert record.status == "FAILED-INFRA"
     assert "IncompleteEnumeration" in record.error
@@ -66,7 +67,7 @@ def test_small_sweep_report_shape(cfg):
 
 
 def test_odd_degree_parity_diagnostic_reported(cfg):
-    record = check_spec((Partition([2, 1]), Partition([2, 1])), cfg, Workspace(cfg))
+    record = check_spec((Partition([2, 1]), Partition([2, 1])), SolvedReals(cfg))
     assert record.status == "PASS"
     diag = record.diagnostics["odd_d_per_branch_parity"]
     assert diag["of"] == 2  # one real cubic, two branch values
@@ -76,14 +77,14 @@ def test_odd_degree_parity_diagnostic_reported(cfg):
 def test_real_count_parity_counts_classify_real(cfg, monkeypatch):
     # R is the number of reals s sums over; one real fewer breaks R = N mod 2
     spec = validate_branch_spec(parse_profiles("2,1|2,1"))
-    original = verify.classify_real
+    original = coverings.classify_real
 
     def dropping(solset, config):
         reals = original(solset, config)
         return reals[1:] if solset.spec == spec else reals
 
-    monkeypatch.setattr(verify, "classify_real", dropping)
-    record = check_spec(spec.profiles, cfg, Workspace(cfg))
+    monkeypatch.setattr(coverings, "classify_real", dropping)
+    record = check_spec(spec.profiles, SolvedReals(cfg))
     assert record.properties["real_count_parity"] == "FAIL"
     assert record.properties["conjugation_closure"] == "PASS"
 
@@ -91,7 +92,7 @@ def test_real_count_parity_counts_classify_real(cfg, monkeypatch):
 def test_corrupt_signs_negative_control(cfg):
     bad = cfg.replace(debug_corrupt_signs=True)
     for text in ("2,1|2,1", "2,2|2,1,1"):
-        record = check_spec(parse_profiles(text), bad, Workspace(bad))
+        record = check_spec(parse_profiles(text), SolvedReals(bad))
         assert record.status == "FAIL"
         assert record.properties["theorem_hr_eq_s"] == "FAIL"
         assert not theorem_check(validate_branch_spec(parse_profiles(text)), bad).passed
@@ -129,6 +130,29 @@ def test_sweep_assembles_each_spec_classes_once(cfg, monkeypatch):
     assert len(assembled) == len(set(assembled)) == 19
 
 
+def test_check_spec_assembles_each_moved_spec_once(cfg, monkeypatch):
+    # two equal profiles list every reordering twice; each distinct moved
+    # spec is still assembled once, the spec itself by its theorem check
+    assembled = []
+    original = coverings._assemble_classes
+
+    def counting(spec, *args):
+        assembled.append(spec)
+        return original(spec, *args)
+
+    monkeypatch.setattr(coverings, "_assemble_classes", counting)
+    spec = validate_branch_spec(parse_profiles("2,2,1|2,1,1,1|2,1,1,1"))
+    assert check_spec(spec.profiles, SolvedReals(cfg)).status == "PASS"
+    orders = {spec.permuted(list(perm)) for perm in itertools.permutations(range(3))}
+    layouts = {
+        validate_branch_spec(spec.profiles, values)
+        for values in verify._value_configs(cfg, spec.profiles)
+    }
+    assert len(orders) == 3 and spec in orders & layouts
+    assert len(assembled) == len(set(assembled))
+    assert set(assembled) == orders | layouts
+
+
 @pytest.mark.parametrize("dmax,kmax", [(1, 2), (0, 3), (4, 0)])
 def test_empty_sweep_rejected(cfg, dmax, kmax):
     with pytest.raises(ValidationError):
@@ -140,27 +164,27 @@ def test_sweep_draws_starts_only_for_the_swept_specs_with_two_or_more_branches(c
     # mapped or tracked from its swept spec: the reversed specs, every order
     # and every layout
     drawn = []
-    original = verify.solve_all
+    original = coverings.solve_all
 
     def recording(spec, *args, **kwargs):
         solset = original(spec, *args, **kwargs)
         drawn.append(solset.starts_used > 0)
         return solset
 
-    monkeypatch.setattr(verify, "solve_all", recording)
+    monkeypatch.setattr(coverings, "solve_all", recording)
     assert run_sweep(4, 3, cfg).passed
     assert len(drawn) == 37
     assert sum(drawn) == sum(len(p) >= 2 for p in enumerate_sweep_specs(4, 3)) == 4
 
 
-def test_dropped_workspace_is_freed_without_the_cycle_collector(cfg):
+def test_dropped_provider_is_freed_without_the_cycle_collector(cfg):
     spec = validate_branch_spec(parse_profiles("2,1|2,1"))
     gc.disable()
     try:
-        ws = Workspace(cfg)
-        assert ws.hurwitz(spec).value == s_number(spec, cfg, ws.reals)
-        ref = weakref.ref(ws)
-        del ws
+        solved = SolvedReals(cfg)
+        assert real_hurwitz(spec, cfg, solved).value == s_number(spec, cfg, solved)
+        ref = weakref.ref(solved)
+        del solved
         assert ref() is None
     finally:
         gc.enable()
