@@ -41,7 +41,9 @@ from .config import RunConfig
 from .errors import CoveringAssemblyError, SignMismatch
 from .partitions import BranchSpec, floor_sum_parity
 from .realsigns import RealPolynomial, signed_sum
-from .polysolve import SolutionSet, classify_real, grid_key, match_index, solve_all
+from .polysolve import (
+    SolutionSet, classify_real, grid_key, match_index, normal_coefficients, solve_all,
+)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -71,10 +73,18 @@ class CoveringClass:
 
 
 def reflection_partners(reals: Sequence[RealPolynomial], tol: float) -> list[int | None]:
-    """For each real, the first row whose coefficients match its z -> -z mirror, or None."""
+    """For each real, the first row whose normal coefficients match its z -> -z mirror's, or None.
+
+    The reals share one spec, whose values ``normal_coefficients`` reads.
+    """
+    if not reals:
+        return []
     table = np.array([p.coefficients for p in reals], dtype=float)
     mirrors = np.array([p.reflected().coefficients for p in reals], dtype=float)
-    return match_index(table, mirrors, tol) if reals else []
+    values = reals[0].values
+    return match_index(
+        normal_coefficients(values, table), normal_coefficients(values, mirrors), tol
+    )
 
 
 def _orbit_classes(

@@ -93,6 +93,7 @@ file is a ``solve`` result read back as such a known set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -658,6 +659,33 @@ def match_index(table: np.ndarray, queries: np.ndarray, tol: float) -> list[int 
     return [int(row.argmax()) if row.any() else None for row in _near(table, queries, tol)]
 
 
+@functools.lru_cache(maxsize=256)
+def _normal_rows(values: tuple[float, ...], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``normal_coefficients``' shift row (0, ..., 0, w_0) and scale row a^(-j/d), j = 2..d."""
+    shift = np.zeros(d - 1)
+    shift[-1:] = values[:1]
+    a = values[-1] - values[0] if len(values) > 1 else 1.0
+    scale = a ** (-np.arange(2, d + 1) / d)
+    for row in (shift, scale):
+        row.setflags(write=False)
+    return shift, scale
+
+
+def normal_coefficients(values: tuple[float, ...], coeffs: np.ndarray) -> np.ndarray:
+    """Rows of (a_2, ..., a_d) for branch values w, taken to the affine normal form.
+
+    The normal form of P is (P(a^(1/d) z) - w_0) / a with a = w_last - w_0,
+    whose branch values run from 0 to 1, so a_j goes to
+    (a_j - [j = d] w_0) / a^(j/d).  Moving or scaling every value leaves it
+    alone, so tolerance comparisons of coefficients (dedup, the conjugation,
+    z -> -z and rotation partners) are made on it and stay scale-free.  A
+    one-value spec takes a = 1.  The rows are cached per spec, so a call is
+    one subtract and one multiply.
+    """
+    shift, scale = _normal_rows(values, coeffs.shape[-1] + 1)
+    return (coeffs - shift) * scale
+
+
 def grid_key(values) -> tuple[tuple[float, float], ...]:
     """Sort key of complex values rounded to 9 decimals, far below tol_dedup.
 
@@ -678,6 +706,7 @@ class _Collector:
         # one row per accepted point, in acceptance order
         self.points = np.empty((0, system.n), dtype=complex)
         self.coeffs = np.empty((0, system.d - 1), dtype=complex)
+        self.normal = np.empty((0, system.d - 1), dtype=complex)  # their normal_coefficients
         self.residuals = np.empty(0)
         self.collapse_counts: dict[tuple, int] = {}
         self.proven: bool | None = None  # the one certification, once the target is reached
@@ -696,8 +725,8 @@ class _Collector:
         one-row table.  A row is kept when its residual is within
         ``residual_bound``, each branch's roots are more than tol_cluster
         apart (repeated collapses raise DegenerateConfiguration) and its
-        coefficients are new up to tol_dedup, against the accepted set and
-        the rows kept before it; a new solution beyond the target raises
+        ``normal_coefficients`` are new up to tol_dedup, against the
+        accepted set and the rows kept before it; a new solution beyond the target raises
         OvercountDetected.  The accepted arrays grow once, by the rows kept
         up to a raising one.  Returns the mask of rows kept.
         """
@@ -707,16 +736,16 @@ class _Collector:
         x = cands[rows]
         collapsed = ~_well_separated(system, x, config.tol_cluster)
         coeffs = canonical_coefficients(system, x)
-        # the accepted set's coefficients, then the table's; taken marks the
-        # rows accepted so far
-        table = np.vstack((self.coeffs, coeffs))
+        # the accepted set's normal coefficients, then the table's; taken
+        # marks the rows accepted so far
+        table = np.vstack((self.normal, normal_coefficients(system.spec.values, coeffs)))
         start = found = len(self.coeffs)
         taken = np.arange(len(table)) < start
         error = None
         for r in range(len(rows)):
             i = r % _CHUNK_SIZE
             if i == 0:
-                near = _near(table, coeffs[r : r + _CHUNK_SIZE], config.tol_dedup)
+                near = _near(table, table[start + r : start + r + _CHUNK_SIZE], config.tol_dedup)
                 dup = near[:, taken].any(axis=1)
             if collapsed[r]:
                 key = tuple(np.round(coeffs[r], 6).tolist())
@@ -737,7 +766,8 @@ class _Collector:
         new = rows[taken[start:]]
         if new.size:
             self.points = np.vstack((self.points, cands[new]))
-            self.coeffs = table[taken]
+            self.coeffs = np.vstack((self.coeffs, coeffs[taken[start:]]))
+            self.normal = table[taken]
             self.residuals = np.append(self.residuals, norms[new])
         if error is not None:
             raise error
@@ -1106,8 +1136,12 @@ def _build_real_polynomials(
 
 
 def conjugation_partners(solset: SolutionSet, tol: float) -> list[int | None]:
-    """Per solution, the solution its conjugate matches under ``match_index``, or None."""
-    return match_index(solset.coefficients, solset.coefficients.conj(), tol)
+    """Per solution, the solution its conjugate matches in the normal form, or None.
+
+    One ``match_index`` call on the ``normal_coefficients`` rows.
+    """
+    normal = normal_coefficients(solset.spec.values, solset.coefficients)
+    return match_index(normal, normal.conj(), tol)
 
 
 def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[RealPolynomial]:

@@ -19,10 +19,11 @@ forms.  The theorem and the z -> -z pairing are decided in ``coverings``
 alone: the sweep passes the provider to ``theorem_check``, ``s_number`` and
 ``real_hurwitz`` and its real solutions to ``reflection_partners``, and
 keeps no memo of its own; a moved spec that repeats (equal profiles
-reorder to the same spec) is checked once.  The number R of real solutions whose parity is checked is
-the length of ``classify_real``'s list, the reals s sums over.  Each
-closure check is one ``match_index`` call per symmetry; the conjugation
-check reads ``conjugation_partners``, the map that decides realness.
+reorder to the same spec) is checked once.  The number R of real solutions
+whose parity is checked is the length of ``classify_real``'s list, the
+reals s sums over.  Each closure check is one ``match_index`` call per
+symmetry on the ``normal_coefficients`` rows; the conjugation check reads
+``conjugation_partners``, the map that decides realness.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .partitions import (
     validate_branch_spec,
 )
 from .polysolve import (
-    SolutionSet, conjugation_partners, match_index, residual_bound, rotate_coefficients,
+    SolutionSet, conjugation_partners, match_index, normal_coefficients, residual_bound,
+    rotate_coefficients,
 )
 # bound though verify calls neither: bench/selftest.py requires this module to hold them
 from .polysolve import classify_real, solve_all  # noqa: F401
@@ -165,11 +167,12 @@ def _value_configs(config: RunConfig, profiles: tuple[Partition, ...]) -> list[t
 def _closure_checks(record: SpecRecord, solset: SolutionSet, solved: SolvedReals):
     """Residual, conjugation and rotation checks, then the parity of R.
 
-    Each closure is one ``match_index`` call per symmetry.  R is the number
-    of ``classify_real``'s reals, the ones s sums over.
+    Each closure is one ``match_index`` call per symmetry, on the normal
+    coefficients.  R is the number of ``classify_real``'s reals, the ones s
+    sums over.
     """
     spec, d, tol = record.spec, record.spec.d, solved.config.tol_dedup
-    coeffs = solset.coefficients
+    coeffs = normal_coefficients(spec.values, solset.coefficients)
     bound = residual_bound(spec, solved.config)
     record.record("residuals_ok", (solset.residuals < bound).all())
     record.record("conjugation_closure", None not in conjugation_partners(solset, tol))

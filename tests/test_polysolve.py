@@ -1290,12 +1290,6 @@ def test_newton_converges_at_its_rounding_floor(cfg, text, scale):
     assert solve_all(big, cfg, known=(known,)).starts_used == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=IncompleteEnumeration,
-    reason="match_index scales tol_dedup by 1 + max|row|, so at values near 1e9 the "
-    "three solutions, which differ only in a_2 by about 1e2, dedup to one",
-)
 def test_translated_values_keep_every_solution(cfg):
     # moving every branch value by b shifts only a_d by b; the dedup tolerance
     # then grows to about tol_dedup * 1e9 and swallows the spread in a_2
