@@ -79,12 +79,9 @@ def reflection_partners(reals: Sequence[RealPolynomial], tol: float) -> list[int
     """
     if not reals:
         return []
-    table = np.array([p.coefficients for p in reals], dtype=float)
-    mirrors = np.array([p.reflected().coefficients for p in reals], dtype=float)
-    values = reals[0].values
-    return match_index(
-        normal_coefficients(values, table), normal_coefficients(values, mirrors), tol
-    )
+    pairs = np.array([(p.coefficients, p.reflected().coefficients) for p in reals], dtype=float)
+    normal = normal_coefficients(reals[0].values, pairs)
+    return match_index(normal[:, 0], normal[:, 1], tol)
 
 
 def _orbit_classes(

@@ -31,7 +31,10 @@ against the accepted set are one call each for the table; the rows are then
 decided in order, each against the accepted set and the rows of the table
 kept before it (compared _CHUNK_SIZE rows at a time), so a table keeps
 exactly the rows, and raises at the same row, that its rows accepted one by
-one would.
+one would.  Coefficients are compared in the affine normal form
+(``normal_coefficients``), where the branch values run from 0 to 1, so
+moving or scaling every value changes no dedup, conjugation, z -> -z or
+rotation match.
 
 Most random starts never reach a solution, so Newton retires a row early
 by two rules.  Escape: every root of every solution has modulus at most
@@ -665,10 +668,7 @@ def _normal_rows(values: tuple[float, ...], d: int) -> tuple[np.ndarray, np.ndar
     shift = np.zeros(d - 1)
     shift[-1:] = values[:1]
     a = values[-1] - values[0] if len(values) > 1 else 1.0
-    scale = a ** (-np.arange(2, d + 1) / d)
-    for row in (shift, scale):
-        row.setflags(write=False)
-    return shift, scale
+    return shift, a ** (-np.arange(2, d + 1) / d)
 
 
 def normal_coefficients(values: tuple[float, ...], coeffs: np.ndarray) -> np.ndarray:
@@ -726,8 +726,8 @@ class _Collector:
         ``residual_bound``, each branch's roots are more than tol_cluster
         apart (repeated collapses raise DegenerateConfiguration) and its
         ``normal_coefficients`` are new up to tol_dedup, against the
-        accepted set and the rows kept before it; a new solution beyond the target raises
-        OvercountDetected.  The accepted arrays grow once, by the rows kept
+        accepted set and the rows kept before it; a new solution beyond the
+        target raises OvercountDetected.  The accepted arrays grow once, by the rows kept
         up to a raising one.  Returns the mask of rows kept.
         """
         system, config = self.system, self.config

@@ -265,7 +265,6 @@ def check_spec(profiles: tuple[Partition, ...], solved: SolvedReals) -> SpecReco
             _odd_degree_parity_diagnostic(record, solved)
 
         # profile reorderings and branch-value motions must leave s and HR alone
-        # equal profiles reorder to the same spec, so each distinct one is kept once
         moved = {
             "order": [spec.permuted(list(perm)) for perm in itertools.permutations(range(spec.k))],
             "position": [
@@ -274,6 +273,7 @@ def check_spec(profiles: tuple[Partition, ...], solved: SolvedReals) -> SpecReco
             ],
         }
         for kind, specs in moved.items():
+            # equal profiles reorder to the same spec; each distinct one is checked once
             specs = list(dict.fromkeys(specs))
             # lists, not generators: every moved spec is solved, so a solver
             # failure on any of them marks the record FAILED-INFRA; the spec

@@ -34,6 +34,7 @@ from realhurwitz.polysolve import (
     residual_and_jacobian_batch,
     residual_batch,
     match_index,
+    normal_coefficients,
     residual_bound,
     root_bound,
     rotate_coefficients,
@@ -1299,3 +1300,16 @@ def test_translated_values_keep_every_solution(cfg):
     far = validate_branch_spec(near.profiles, (1e9, 1e9 + 1e3))
     solset = solve_all(far, cfg.replace(start_budget=64), known=(known,))
     assert solset.certificate == "COMPLETE" and len(solset) == 3
+
+
+def test_normal_coefficients_do_not_see_an_affine_motion_of_the_values(cfg):
+    # w -> a w + b maps each solution P to a P(z / c) + b, c^d = a, whose
+    # normal form is P's; the raw coefficients differ by up to 1e9
+    spec = validate_branch_spec(parse_profiles("3,1|2,1,1"), (-1.0, 2.0))
+    moved = validate_branch_spec(spec.profiles, (1e9, 1e9 + 3e3))
+    near = solve_all(spec, cfg)
+    far = solve_all(moved, cfg, known=(near,))
+    assert far.starts_used == 0
+    queries = normal_coefficients(moved.values, far.coefficients)
+    mates = match_index(normal_coefficients(spec.values, near.coefficients), queries, 1e-9)
+    assert sorted(mates) == list(range(len(near)))
