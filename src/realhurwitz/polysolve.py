@@ -56,6 +56,12 @@ a branch's last slot is the first d - 1 factors of that branch's product, so
 one more factor completes it.  The line search evaluates all 12 lengths
 1, 2^-1, ..., 2^-11 of every row in one call; a row takes its first passing
 length, as sequential halving would, since its residual depends on it alone.
+At some 60 rows an iteration is bound by per-call overhead, so the
+bookkeeping between those three calls (products, ``np.linalg.solve``, the
+line-search residual) is kept to a few index updates, and the updates for
+rows that fail or end run only when there are such rows.  The Krawczyk test
+likewise costs two product calls per chunk of points
+(``_krawczyk_certified``).
 
 A solved set (``SolutionSet``) is three read-only arrays with one row per
 solution, sorted by ``grid_key`` of the coefficients: ``coefficients``
@@ -299,6 +305,9 @@ def rotate_coefficients(coeffs: np.ndarray, d: int, t: int) -> np.ndarray:
 
 # the line search's step lengths 1, 1/2, ..., 2^-11, tried in order
 _STEP_LENGTHS = 0.5 ** np.arange(12)
+# the Armijo factors 1 - t/2, one row per length: a length t passes when it
+# scales max|F| by at most this
+_ARMIJO = (1.0 - 0.5 * _STEP_LENGTHS)[:, None]
 # Newton iteration cap, and the damped step below which a row stops
 _NEWTON_MAX_ITER = 200
 _NEWTON_STEP_TOL = 1e-13
@@ -368,9 +377,8 @@ def _newton_batch(
     escape = _ESCAPE_FACTOR * root_bound(system.spec)
     bound = residual_bound(system.spec, config)
     status = np.zeros(batch, dtype=np.int8)  # 0 active, 1 converged, -1 failed
-    fnorm = np.max(np.abs(residual_batch(system, points)), axis=1)
-    bad = ~np.isfinite(fnorm)
-    status[bad] = -1
+    fnorm = np.abs(residual_batch(system, points)).max(axis=1)
+    status[~np.isfinite(fnorm)] = -1
     status[fnorm < 1e-14] = 1
     checkpoint = fnorm.copy()
 
@@ -379,41 +387,44 @@ def _newton_batch(
 
     ended = stopped(np.flatnonzero(status == 1))
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        active = np.where(status == 0)[0]
+        active = np.flatnonzero(status == 0)
         if ended or active.size == 0:
             break
-        f, jac = residual_and_jacobian_batch(system, points[active])
+        x = points[active]
+        f, jac = residual_and_jacobian_batch(system, x)
         delta, solvable = _solve_linear_batch(jac, -f)
-        step = np.max(np.abs(delta), axis=1)
+        step = np.abs(delta).max(axis=1)
         usable = solvable & np.isfinite(step)
-        status[active[~usable]] = -1
-        active, delta, step = active[usable], delta[usable], step[usable]
-        if active.size == 0:
-            continue
-        # line search: every length of every row in one call; a row keeps
-        # its first passing length
-        trials = points[active, None] + _STEP_LENGTHS[:, None] * delta[:, None]
-        fns = np.max(np.abs(residual_batch(system, trials.reshape(-1, system.n))), axis=1)
-        fns = fns.reshape(active.size, _STEP_LENGTHS.size)
-        good = np.isfinite(fns) & (
-            (fns <= (1.0 - 0.5 * _STEP_LENGTHS) * fnorm[active, None]) | (fns < 1e-14)
-        )
-        first = np.argmax(good, axis=1)
-        moved = good[np.arange(active.size), first]
+        if not usable.all():
+            status[active[~usable]] = -1
+            active, x, delta, step = active[usable], x[usable], delta[usable], step[usable]
+            if active.size == 0:
+                continue
+        # line search: every length of every row in one call, length by
+        # length, so each length's trials are one contiguous block; a row
+        # keeps its first passing length.  An active row's norm is finite,
+        # so a NaN or inf trial norm fails both comparisons.
+        trials = x + _STEP_LENGTHS[:, None, None] * delta
+        fns = np.abs(residual_batch(system, trials.reshape(-1, system.n))).max(axis=1)
+        fns = fns.reshape(_STEP_LENGTHS.size, active.size)
+        good = (fns <= _ARMIJO * fnorm[active]) | (fns < 1e-14)
+        first = good.argmax(axis=0)
+        moved = good.any(axis=0)
         rows, pick = active[moved], first[moved]
-        points[rows] = trials[moved, pick]
-        fnorm[rows] = fns[moved, pick]
+        points[rows] = trials[pick, moved]
+        fnorm[rows] = fns[pick, moved]
         # a row that no length moves sits at its rounding floor and ends there
-        t = _STEP_LENGTHS[first]
-        small = ~moved | (t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
-        done = active[small]
-        status[done] = np.where(fnorm[done] <= bound, 1, -1)
-        if stopped(done[status[done] == 1]):
-            break
-        live = active[~small]
-        status[live[np.max(np.abs(points[live]), axis=1) > escape]] = -1
+        small = ~moved | (_STEP_LENGTHS[first] * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)
+        live = active
+        if small.any():
+            done = active[small]
+            status[done] = np.where(fnorm[done] <= bound, 1, -1)
+            if stopped(done[status[done] == 1]):
+                break
+            live = active[~small]
+        status[live[np.abs(points[live]).max(axis=1) > escape]] = -1
         if it % _STALL_WINDOW == 0:
-            live = np.where(status == 0)[0]
+            live = np.flatnonzero(status == 0)
             status[live[fnorm[live] > _STALL_FACTOR * checkpoint[live]]] = -1
             checkpoint[live] = fnorm[live]
     return points, status == 1, fnorm
@@ -453,39 +464,56 @@ def residual_bound(spec: BranchSpec, config: RunConfig) -> float:
     return max(config.tol_residual, floor)
 
 
-def _point_enclosure(system: SystemSpec, x: np.ndarray, at_abs):
-    """(F, radius, J) at x: the exact F(x^) lies within radius of the computed F.
+def _stacked_products(system: SystemSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch products qs (d + 1, k, 2m) and Jacobians (2m, n, n) at the stacked rows [x; -|x|].
 
-    at_abs is ``_products`` at -|x|, shared with ``_box_enclosure``."""
-    qs, dq = _products(system, x)
-    abs_q = at_abs[0].real  # coefficients at |r|, all >= 0
-    f_abs = np.empty((system.n, len(x)))
+    One ``_products`` call and one assembly serve both enclosures: the first
+    m columns are the points x, the last m the points -|x|, whose
+    coefficients are those at |r|, all >= 0.
+    """
+    qs, dq = _products(system, np.concatenate((x, -np.abs(x) + 0j)))
+    return qs, _assemble_jacobian(system, dq)
+
+
+def _point_enclosure(system: SystemSpec, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(F, radius) at the points x: the exact F(x^) lies within radius of the computed F.
+
+    qs is ``_stacked_products``' at x: its first half gives F, and its
+    second, the coefficients at |r|, bounds F's rounding.
+    """
+    m = qs.shape[2] // 2
+    abs_q = qs[..., m:].real
+    f_abs = np.empty((system.n, m))
     f_abs[0] = abs_q[1, 0]
-    blocks = f_abs[1:].reshape(system.k - 1, system.d, len(x))
+    blocks = f_abs[1:].reshape(system.k - 1, system.d, m)
     np.add(abs_q[1:, 1:].swapaxes(0, 1), abs_q[1:, :1].swapaxes(0, 1), out=blocks)
     blocks[:, -1] += np.add(np.abs(system.spec.values[1:]), abs(system.spec.values[0]))[:, None]
     f_rad = _rounding_bound(system.spec) * f_abs.T
-    return _assemble_residual(system, qs), f_rad, _assemble_jacobian(system, dq)
+    return _assemble_residual(system, qs[..., :m]), f_rad
 
 
-def _box_enclosure(system: SystemSpec, x: np.ndarray, rho: np.ndarray, at_abs):
+def _box_enclosure(system: SystemSpec, x: np.ndarray, rho: np.ndarray, qs, jacs):
     """(J radius, coefficients, coefficient radius) over the polydiscs of radius rho (batch, 1).
 
-    Moving each root r by at most rho moves a coefficient of prod(z - r) by
-    at most that coefficient of prod(z + |r| + rho) minus that of
-    prod(z + |r|) (at_abs, ``_products`` at -|x|), so J(x) for x in the box
-    lies within the radius of the computed J(x^), and the coefficients
+    qs and jacs are ``_stacked_products``' at x.  Moving each root r by at
+    most rho moves a coefficient of prod(z - r) by at most that coefficient
+    of prod(z + |r| + rho) minus that of prod(z + |r|), so J(x) for x in the
+    box lies within the radius of the computed J(x^), and the coefficients
     (a_2, ..., a_d) of x within theirs of the computed ones at x^; both
-    radii include the rounding of those computed values.
+    radii include the rounding of those computed values.  The products at
+    -(|x| + rho) are the only product call.  The coefficients at x^ are read
+    off qs: branch 0's product takes the kernel steps of
+    ``canonical_coefficients``, so they are its values, bit for bit.
     """
+    m = len(x)
     gamma = _rounding_bound(system.spec)
-    lo_q, lo_dq = at_abs
     hi_q, hi_dq = _products(system, -(np.abs(x) + rho) + 0j)
-    hi_j, lo_j = (np.abs(_assemble_jacobian(system, dq)) for dq in (hi_dq, lo_dq))
-    coeffs = canonical_coefficients(system, x)
-    hi_c, lo_c = hi_q[2:, 0].real.T, lo_q[2:, 0].real.T
+    hi_j, lo_j = np.abs(_assemble_jacobian(system, hi_dq)), np.abs(jacs[m:])
+    coeffs = qs[2:, 0, :m].copy()
+    coeffs[-1] += system.spec.values[0]
+    hi_c, lo_c = hi_q[2:, 0].real.T, qs[2:, 0, m:].real.T
     c_rad = hi_c - lo_c + 3.0 * gamma * (hi_c + lo_c + abs(system.spec.values[0]))
-    return hi_j - lo_j + 2.0 * gamma * (hi_j + lo_j), coeffs, c_rad
+    return hi_j - lo_j + 2.0 * gamma * (hi_j + lo_j), coeffs.T, c_rad
 
 
 def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> bool:
@@ -510,7 +538,10 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
       not two orderings of the roots of one.
 
     Points are taken _CHUNK_SIZE at a time, so memory stays that of a
-    Newton batch.
+    Newton batch.  A chunk costs two ``_products`` calls and two Jacobian
+    assemblies: one of each at the stacked rows [x; -|x|]
+    (``_stacked_products``), which give F, J, the coefficient centres and
+    the lower bounds, and one at -(|x| + rho) for the upper bounds.
     """
     points = np.asarray(points, dtype=complex)
     gamma = _rounding_bound(system.spec)
@@ -519,19 +550,20 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
     coeffs, c_rads = [], []
     for lo in range(0, len(points), _CHUNK_SIZE):
         x = points[lo : lo + _CHUNK_SIZE]
-        at_abs = _products(system, -np.abs(x) + 0j)
-        f, f_rad, jac = _point_enclosure(system, x, at_abs)
+        qs, jacs = _stacked_products(system, x)
+        jac = jacs[: len(x)]
+        f, f_rad = _point_enclosure(system, qs)
         try:
             y = np.linalg.inv(jac)
         except np.linalg.LinAlgError:
             return False
         ay = np.abs(y)
         beta = (ay @ (np.abs(f) + f_rad)[..., None])[..., 0]  # bounds |Y F(x^)|
-        scale = 1.0 + np.max(np.abs(x), axis=1, keepdims=True)
+        scale = 1.0 + np.abs(x).max(axis=1, keepdims=True)
         rho = np.maximum(_BOX_FACTOR * beta.max(axis=1, keepdims=True), 2.0**-52 * scale)
-        if np.any(rho > tol * scale):
+        if (rho > tol * scale).any():
             return False
-        j_rad, c, c_rad = _box_enclosure(system, x, rho, at_abs)
+        j_rad, c, c_rad = _box_enclosure(system, x, rho, qs, jacs)
         spread = np.abs(eye - y @ jac) + gamma * (eye + ay @ np.abs(jac)) + ay @ j_rad
         inside = (1.0 + gamma) * (beta + rho * spread.sum(axis=2)) < rho
         apart = np.abs(x[:, pair_a] - x[:, pair_b]) > 2.0 * (1.0 + gamma) * rho
@@ -738,16 +770,16 @@ class _Collector:
         coeffs = canonical_coefficients(system, x)
         # the accepted set's normal coefficients, then the table's; taken
         # marks the rows accepted so far
-        table = np.vstack((self.normal, normal_coefficients(system.spec.values, coeffs)))
+        table = np.concatenate((self.normal, normal_coefficients(system.spec.values, coeffs)))
         start = found = len(self.coeffs)
         taken = np.arange(len(table)) < start
         error = None
-        for r in range(len(rows)):
+        for r, collapse in enumerate(collapsed.tolist()):
             i = r % _CHUNK_SIZE
             if i == 0:
                 near = _near(table, table[start + r : start + r + _CHUNK_SIZE], config.tol_dedup)
                 dup = near[:, taken].any(axis=1)
-            if collapsed[r]:
+            if collapse:
                 key = tuple(np.round(coeffs[r], 6).tolist())
                 self.collapse_counts[key] = self.collapse_counts.get(key, 0) + 1
                 if self.collapse_counts[key] >= _DEGENERACY_LIMIT:
@@ -765,10 +797,10 @@ class _Collector:
                     break
         new = rows[taken[start:]]
         if new.size:
-            self.points = np.vstack((self.points, cands[new]))
-            self.coeffs = np.vstack((self.coeffs, coeffs[taken[start:]]))
+            self.points = np.concatenate((self.points, cands[new]))
+            self.coeffs = np.concatenate((self.coeffs, coeffs[taken[start:]]))
             self.normal = table[taken]
-            self.residuals = np.append(self.residuals, norms[new])
+            self.residuals = np.concatenate((self.residuals, norms[new]))
         if error is not None:
             raise error
         kept = np.zeros(len(norms), dtype=bool)
@@ -790,7 +822,7 @@ class _Collector:
         d = self.system.d
         rotated = np.array([rotate_point(x, d, t) for t in range(d)])
         mates = np.stack((rotated, rotated.conj()), axis=1).reshape(2 * d, -1)[1:]
-        self.accept(mates, np.max(np.abs(residual_batch(self.system, mates)), axis=1))
+        self.accept(mates, np.abs(residual_batch(self.system, mates)).max(axis=1))
 
     def offer_all(self, points: np.ndarray, norms: np.ndarray) -> bool:
         """Offer converged points in order; True once the accepted set is proven complete.

@@ -102,7 +102,8 @@ def plain_newton(system, starts, config, max_halvings=12):
     The reference for _newton_batch: the same step, line search and stopping
     test, but a row only leaves the loop by converging, by a singular
     Jacobian or non-finite step, by a failed line search, or at the cap.
-    Returns (points, converged_mask).
+    Returns (points, converged_mask, residual_norms), the norms max|F| at
+    the returned points.
     """
     points = np.array(starts, dtype=complex)
     status = np.zeros(points.shape[0], dtype=np.int8)  # 0 active, 1 converged, -1 failed
@@ -145,7 +146,7 @@ def plain_newton(system, starts, config, max_halvings=12):
         active, t, step = active[keep], t[keep], step[keep]
         done = active[(t * step < _NEWTON_STEP_TOL) | (fnorm[active] < 1e-14)]
         status[done] = np.where(fnorm[done] <= config.tol_residual, 1, -1)
-    return points, status == 1
+    return points, status == 1, fnorm
 
 
 def _mul_linear(coeffs, roots):

@@ -619,17 +619,19 @@ def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
 )
 def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
     # early retirement drops only rows that plain Newton also fails on, and
-    # leaves every converged row bit for bit where plain Newton puts it
+    # leaves every converged row, and its residual norm, bit for bit where
+    # plain Newton puts it
     spec = validate_branch_spec(parse_profiles(text), values)
     system = build_system(spec)
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
     starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
-    points, ok, _ = _newton_batch(system, starts, cfg)
-    ref_points, ref_ok = plain_newton(system, starts, cfg)
+    points, ok, norms = _newton_batch(system, starts, cfg)
+    ref_points, ref_ok, ref_norms = plain_newton(system, starts, cfg)
     assert ref_ok.any()
     assert np.array_equal(ok, ref_ok)
-    assert np.array_equal(points[ok], ref_points[ref_ok])
+    assert points[ok].tobytes() == ref_points[ref_ok].tobytes()
+    assert norms[ok].tobytes() == ref_norms[ref_ok].tobytes()
 
 
 def test_line_search_makes_one_residual_call_per_iteration(cfg, monkeypatch):
@@ -1124,6 +1126,47 @@ def test_certification_fails_for_false_solution_sets(cfg, text):
         assert not polysolve._krawczyk_certified(system, bad, cfg.tol_dedup)
 
 
+def test_certification_makes_two_product_calls(cfg, monkeypatch):
+    # one call at the stacked rows [x; -|x|] and one at -(|x| + rho), and
+    # one Jacobian assembly for each
+    calls = {"_products": [], "_assemble_jacobian": []}
+
+    def counting(name):
+        original = getattr(polysolve, name)
+
+        def wrapper(system, arg):
+            calls[name].append(arg.shape[0])
+            return original(system, arg)
+
+        return wrapper
+
+    for text in ("3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"):
+        system, points = _solved_points(cfg, text)
+        assert len(points) <= polysolve._CHUNK_SIZE
+        with monkeypatch.context() as patch:
+            for name in calls:
+                calls[name].clear()
+                patch.setattr(polysolve, name, counting(name))
+            assert polysolve._krawczyk_certified(system, points, cfg.tol_dedup)
+        m = len(points)
+        assert calls == {"_products": [2 * m, m], "_assemble_jacobian": [2 * m, m]}
+
+
+@pytest.mark.parametrize("text", ["3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1", "5,1|2,1,1,1,1"])
+def test_certified_coefficient_centres_are_canonical_coefficients(cfg, text):
+    # the centres read off the point products are canonical_coefficients'
+    # values bit for bit, at solutions and at far-off points
+    system, points = _solved_points(cfg, text)
+    rng = np.random.default_rng(4)
+    far = 3.0 * (rng.standard_normal(points.shape) + 1j * rng.standard_normal(points.shape))
+    for x in (points, far):
+        qs, jacs = polysolve._stacked_products(system, x)
+        rho = np.full((len(x), 1), 1e-6)
+        _, centres, _ = polysolve._box_enclosure(system, x, rho, qs, jacs)
+        want = canonical_coefficients(system, x)
+        assert centres.shape == want.shape and centres.tobytes() == want.tobytes()
+
+
 def test_box_too_small_for_its_zero_fails(cfg, monkeypatch):
     # a point 1e-5 from its zero, in a box far smaller than that: its roots
     # and coefficients stay apart and the box is within tol, so only the
@@ -1194,9 +1237,10 @@ def test_enclosures_hold_interval_evaluations(cfg, box):
         centre = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
         rho = 0.05
     x = centre[None, :]
-    at_abs = polysolve._products(system, -np.abs(x) + 0j)
-    f, f_rad, jac = polysolve._point_enclosure(system, x, at_abs)
-    j_rad, coeffs, c_rad = polysolve._box_enclosure(system, x, np.array([[rho]]), at_abs)
+    qs, jacs = polysolve._stacked_products(system, x)
+    f, f_rad = polysolve._point_enclosure(system, qs)
+    jac = jacs[:1]
+    j_rad, coeffs, c_rad = polysolve._box_enclosure(system, x, np.array([[rho]]), qs, jacs)
     exact_f, _, _ = _iv_system(iv, system, centre)
     for i in range(system.n):
         assert _disc_holds(mp, f[0, i], f_rad[0, i], exact_f[i])
