@@ -16,11 +16,11 @@ root-of-unity symmetry orbits of every solution found along the way.  Those
 images solve the system exactly, so they are accepted with no Newton polish
 (``_Collector.offer``).  Newton hands converged rows over as they converge.
 The first time the count reaches the target, a Krawczyk test
-(``_krawczyk_certified``) tries to prove that the accepted points lie near
-that many distinct true solutions with the exact profiles; if it does, no
-other solution exists and the rest of the chunk is skipped.  If it does not,
-it is not tried again and the chunk runs to its end, so a duplicate that
-dedup missed still raises OvercountDetected.
+(``_krawczyk_certified``, two product calls) tries to prove that the
+accepted points lie near that many distinct true solutions with the exact
+profiles; if it does, no other solution exists and the rest of the chunk is
+skipped.  If it does not, it is not tried again and the chunk runs to its
+end, so a duplicate that dedup missed still raises OvercountDetected.
 
 Acceptance (``_Collector.accept``) takes a table of candidate rows and
 their residual norms, the way ``match_index`` takes a table of queries: a
@@ -56,12 +56,8 @@ a branch's last slot is the first d - 1 factors of that branch's product, so
 one more factor completes it.  The line search evaluates all 12 lengths
 1, 2^-1, ..., 2^-11 of every row in one call; a row takes its first passing
 length, as sequential halving would, since its residual depends on it alone.
-At some 60 rows an iteration is bound by per-call overhead, so the
-bookkeeping between those three calls (products, ``np.linalg.solve``, the
-line-search residual) is kept to a few index updates, and the updates for
-rows that fail or end run only when there are such rows.  The Krawczyk test
-likewise costs two product calls per chunk of points
-(``_krawczyk_certified``).
+Between those three calls an iteration makes a few index updates, those
+for failed or ended rows only when there are such rows.
 
 A solved set (``SolutionSet``) is three read-only arrays with one row per
 solution, sorted by ``grid_key`` of the coefficients: ``coefficients``
@@ -305,8 +301,7 @@ def rotate_coefficients(coeffs: np.ndarray, d: int, t: int) -> np.ndarray:
 
 # the line search's step lengths 1, 1/2, ..., 2^-11, tried in order
 _STEP_LENGTHS = 0.5 ** np.arange(12)
-# the Armijo factors 1 - t/2, one row per length: a length t passes when it
-# scales max|F| by at most this
+# a length t passes when it scales max|F| by at most 1 - t/2; one row per t
 _ARMIJO = (1.0 - 0.5 * _STEP_LENGTHS)[:, None]
 # Newton iteration cap, and the damped step below which a row stops
 _NEWTON_MAX_ITER = 200
@@ -400,10 +395,9 @@ def _newton_batch(
             active, x, delta, step = active[usable], x[usable], delta[usable], step[usable]
             if active.size == 0:
                 continue
-        # line search: every length of every row in one call, length by
-        # length, so each length's trials are one contiguous block; a row
-        # keeps its first passing length.  An active row's norm is finite,
-        # so a NaN or inf trial norm fails both comparisons.
+        # line search: every length of every row in one call, one block per
+        # length; a row keeps its first passing length.  Its norm is finite,
+        # so a NaN or inf trial norm fails both tests.
         trials = x + _STEP_LENGTHS[:, None, None] * delta
         fns = np.abs(residual_batch(system, trials.reshape(-1, system.n))).max(axis=1)
         fns = fns.reshape(_STEP_LENGTHS.size, active.size)
@@ -465,22 +459,15 @@ def residual_bound(spec: BranchSpec, config: RunConfig) -> float:
 
 
 def _stacked_products(system: SystemSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Branch products qs (d + 1, k, 2m) and Jacobians (2m, n, n) at the stacked rows [x; -|x|].
-
-    One ``_products`` call and one assembly serve both enclosures: the first
-    m columns are the points x, the last m the points -|x|, whose
-    coefficients are those at |r|, all >= 0.
-    """
+    """``_products``' qs (d + 1, k, 2m) and the Jacobians (2m, n, n) at the rows [x; -|x|]."""
     qs, dq = _products(system, np.concatenate((x, -np.abs(x) + 0j)))
     return qs, _assemble_jacobian(system, dq)
 
 
 def _point_enclosure(system: SystemSpec, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(F, radius) at the points x: the exact F(x^) lies within radius of the computed F.
+    """(F, radius) at x: the exact F(x^) lies within radius of the computed F.
 
-    qs is ``_stacked_products``' at x: its first half gives F, and its
-    second, the coefficients at |r|, bounds F's rounding.
-    """
+    qs is ``_stacked_products``' at x; its second half holds the coefficients at |r|."""
     m = qs.shape[2] // 2
     abs_q = qs[..., m:].real
     f_abs = np.empty((system.n, m))
@@ -495,15 +482,13 @@ def _point_enclosure(system: SystemSpec, qs: np.ndarray) -> tuple[np.ndarray, np
 def _box_enclosure(system: SystemSpec, x: np.ndarray, rho: np.ndarray, qs, jacs):
     """(J radius, coefficients, coefficient radius) over the polydiscs of radius rho (batch, 1).
 
-    qs and jacs are ``_stacked_products``' at x.  Moving each root r by at
-    most rho moves a coefficient of prod(z - r) by at most that coefficient
-    of prod(z + |r| + rho) minus that of prod(z + |r|), so J(x) for x in the
-    box lies within the radius of the computed J(x^), and the coefficients
-    (a_2, ..., a_d) of x within theirs of the computed ones at x^; both
-    radii include the rounding of those computed values.  The products at
-    -(|x| + rho) are the only product call.  The coefficients at x^ are read
-    off qs: branch 0's product takes the kernel steps of
-    ``canonical_coefficients``, so they are its values, bit for bit.
+    Moving each root r by at most rho moves a coefficient of prod(z - r)
+    by at most that coefficient of prod(z + |r| + rho) minus that of
+    prod(z + |r|) (qs and jacs, ``_stacked_products`` at x), so J(x) for x
+    in the box lies within the radius of the computed J(x^), and the
+    coefficients (a_2, ..., a_d) of x within theirs of the computed ones at
+    x^, read off qs, whose steps are those of ``canonical_coefficients``;
+    both radii include the rounding of those computed values.
     """
     m = len(x)
     gamma = _rounding_bound(system.spec)
@@ -538,10 +523,8 @@ def _krawczyk_certified(system: SystemSpec, points: np.ndarray, tol: float) -> b
       not two orderings of the roots of one.
 
     Points are taken _CHUNK_SIZE at a time, so memory stays that of a
-    Newton batch.  A chunk costs two ``_products`` calls and two Jacobian
-    assemblies: one of each at the stacked rows [x; -|x|]
-    (``_stacked_products``), which give F, J, the coefficient centres and
-    the lower bounds, and one at -(|x| + rho) for the upper bounds.
+    Newton batch.  A chunk makes two product calls and two Jacobian
+    assemblies, at [x; -|x|] and at -(|x| + rho).
     """
     points = np.asarray(points, dtype=complex)
     gamma = _rounding_bound(system.spec)
