@@ -26,6 +26,7 @@ COMMANDS = {
     "verify-d5-k2": ["verify", "--dmax", "5", "--kmax", "2"],
     "solve-321-3111": ["solve", "--profiles", "3,2,1|3,1,1,1"],
     "solve-411-3111": ["solve", "--profiles", "4,1,1|3,1,1,1"],
+    "solve-211-211-211": ["solve", "--profiles", "2,1,1|2,1,1|2,1,1"],
     "s-number-321-3111": ["s-number", "--profiles", "3,2,1|3,1,1,1"],
     "real-hurwitz-321-3111": ["real-hurwitz", "--profiles", "3,2,1|3,1,1,1"],
     "real-hurwitz-211-211-211": ["real-hurwitz", "--profiles", "2,1,1|2,1,1|2,1,1"],
