@@ -1320,6 +1320,56 @@ def test_newton_stop_sees_rows_in_convergence_order(cfg):
     assert stopped_ok.sum() == sum(calls) < ok.sum()
 
 
+@pytest.mark.parametrize(
+    "text", ["4,1|2,1,1,1", "5,1|2,1,1,1,1", "3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"]
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_newton_stop_changes_no_row(cfg, text, seed):
+    # with a stop the lead rows run ahead, but every row counts its own
+    # iterations for the stall window and the cap, so each row, failed ones
+    # included, ends bit for bit where it ends without a stop, and every
+    # converged row is handed over once
+    spec = validate_branch_spec(parse_profiles(text))
+    system = build_system(spec)
+    rng = np.random.default_rng(seed)
+    starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
+    starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
+    points, ok, norms = _newton_batch(system, starts, cfg)
+    seen = []
+    again = _newton_batch(system, starts, cfg, stop=lambda pts, nrm: seen.append(pts) or False)
+    assert all(np.array_equal(a, b) for a, b in zip(again, (points, ok, norms)))
+    handed = np.concatenate(seen)
+    assert len(handed) == ok.sum()
+    assert sorted(map(tuple, handed)) == sorted(map(tuple, points[ok]))
+
+
+def test_lead_rows_save_newton_rows(cfg, monkeypatch):
+    # a lead of a whole chunk advances every row together, as with no lead;
+    # the six specs end in their first chunk, on a lead row, and pass under
+    # half the rows, while 2,1,1|2,1,1|2,1,1 runs its first chunk to its end
+    # and pays at most the lead's iterations more per chunk
+    rows = []
+    original = polysolve.residual_and_jacobian_batch
+
+    def counting(system, points):
+        rows.append(points.shape[0])
+        return original(system, points)
+
+    def solve_rows(text):
+        rows.clear()
+        solset = solve_all(validate_branch_spec(parse_profiles(text)), cfg)
+        return sum(rows), solset.starts_used // polysolve._CHUNK_SIZE
+
+    monkeypatch.setattr(polysolve, "residual_and_jacobian_batch", counting)
+    lead = [solve_rows(text) for text in CERTIFIED_SPECS]
+    monkeypatch.setattr(polysolve, "_LEAD_ROWS", polysolve._CHUNK_SIZE)
+    full = [solve_rows(text) for text in CERTIFIED_SPECS]
+    assert [chunks for _, chunks in lead] == [chunks for _, chunks in full] == [1] * 6 + [2]
+    assert sum(r for r, _ in lead[:6]) <= 0.5 * sum(r for r, _ in full[:6])
+    extra = polysolve._LEAD_ROWS * polysolve._LEAD_ITERATIONS
+    assert lead[6][0] <= full[6][0] + 2 * extra
+
+
 @pytest.mark.parametrize("text, scale", [("3,2,1|3,1,1,1", 1000.0), ("2,1,1|2,1,1|2,1,1", 100.0)])
 def test_newton_converges_at_its_rounding_floor(cfg, text, scale):
     # at large branch values F cannot be computed below about 1e-13, so no
