@@ -566,6 +566,53 @@ def test_table_accept_matches_row_by_row(cfg):
         assert one_call[:2] == row_by_row[:2]
 
 
+@pytest.mark.parametrize("tol_cluster", [None, 1e3])
+def test_offer_all_matches_offers_one_by_one(cfg, monkeypatch, tol_cluster):
+    # offer_all drops the rows that match a solution accepted before the
+    # call, which offer would reject with no side effect, and offers the
+    # rest: the collector ends as with every row offered in turn.  A
+    # collapsed row is counted, so it is offered even when it matches.
+    spec = validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1"))
+    system = build_system(spec)
+    solset = solve_all(spec, cfg)
+    sols, res = solset.solutions, solset.residuals
+    swapped = sols[:, [0, 2, 1, *range(3, system.n)]]  # the same polynomials
+    collapsed = sols.copy()
+    collapsed[:, 2] = collapsed[:, 1]
+    table = np.vstack((sols, swapped[:2], collapsed[:2]))
+    norms = np.concatenate((res, res[:2], [0.0, 0.0]))
+    offered = []
+    original = polysolve._Collector.offer
+
+    def counting(self, x, norm):
+        offered.append(x)
+        return original(self, x, norm)
+
+    monkeypatch.setattr(polysolve._Collector, "offer", counting)
+    states = []
+    for one_by_one in (False, True):
+        collector = polysolve._Collector(system, solset.target, cfg)
+        collector.offer(sols[0], res[0])
+        orbit = len(collector)
+        if tol_cluster is not None:
+            collector.config = cfg.replace(tol_cluster=tol_cluster)
+        offered.clear()
+        if one_by_one:
+            for x, norm in zip(table, norms):
+                collector.offer(x, norm)
+        else:
+            collector.offer_all(table, norms)
+        arrays = (collector.points, collector.coeffs, collector.residuals)
+        states.append(([a.tobytes() for a in arrays], collector.collapse_counts, len(offered)))
+    assert states[0][:2] == states[1][:2]
+    if tol_cluster is None:
+        # the orbit's own rows are dropped, the two collapsed rows offered
+        assert sum(states[0][1].values()) == 2
+        assert states[0][2] <= len(table) - orbit < states[1][2] == len(table)
+    else:
+        assert sum(states[0][1].values()) == states[0][2] == len(table)
+
+
 def test_known_set_listed_twice_is_accepted_once(cfg, monkeypatch):
     # every carried row is polished and accepted in one table call; the
     # second copy of each row is a duplicate, and no start is drawn
