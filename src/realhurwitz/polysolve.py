@@ -300,11 +300,6 @@ def canonical_coefficients(system: SystemSpec, x) -> np.ndarray:
     return full[2:].T
 
 
-def rotate_point(x: np.ndarray, d: int, t: int) -> np.ndarray:
-    """Preimage roots of P(zeta z) where zeta = exp(2 pi i t / d)."""
-    return x * np.exp(-2j * np.pi * t / d)
-
-
 def rotate_coefficients(coeffs: np.ndarray, d: int, t: int) -> np.ndarray:
     """Coefficient action matching rotate_point: a_j -> zeta^{-j} a_j."""
     j = np.arange(2, d + 1)
@@ -852,46 +847,30 @@ class _Collector:
         kept[new] = True
         return kept
 
-    def offer(self, x: np.ndarray, res: float):
-        """Accept a converged point of residual norm res; if it is new, harvest its orbit once.
-
-        The orbit of x under z -> zeta z and conjugation (dihedral, order 2d)
-        is {rot_t(x), conj(rot_t(x))}.  Rotation multiplies each equation row
-        by a unit zeta^(tj) and conjugation conjugates it (the values are
-        real), so the 2d - 1 mates are exact: one ``residual_batch`` call
-        scores them and one ``accept`` call takes them as a table, after the
-        target too, so a new solution beyond it surfaces as OvercountDetected.
-        """
-        if not self.accept(x[None], [res])[0]:
-            return
-        d = self.system.d
-        rotated = np.array([rotate_point(x, d, t) for t in range(d)])
-        mates = np.stack((rotated, rotated.conj()), axis=1).reshape(2 * d, -1)[1:]
-        self.accept(mates, np.abs(residual_batch(self.system, mates)).max(axis=1))
-
     def offer_all(self, points: np.ndarray, norms: np.ndarray) -> bool:
-        """Offer converged points in order; True once the accepted set is proven complete.
+        """Accept a hand-over of converged points and the orbits of the new ones; True once proven.
 
-        A point within the residual bound, not collapsed, whose normal
-        coefficients match a solution accepted before the call is rejected
-        in its turn with no side effect, so such points are dropped first,
-        in one table call, and the others offered one by one.  The first
-        time the count reaches the target, ``_krawczyk_certified`` runs once
-        on the accepted points.  If it proves them, no other solution exists
-        and the caller may stop; if not, it never runs again and every later
-        point is offered as before.
+        The points are one ``accept`` table.  The orbit of a new solution x
+        under z -> zeta z and conjugation (dihedral, order 2d) is
+        {rot_t(x), conj(rot_t(x))}, where rot_t(x) = x zeta^(-t) holds the
+        roots of P(zeta^t z).  Rotation multiplies each equation row by a
+        unit zeta^(tj) and conjugation conjugates it (the values are real),
+        so the 2d - 1 mates are exact: the mates of every new solution, built
+        in one broadcast, are scored by one ``residual_batch`` call and taken
+        as a second table, after the target too, so a new solution beyond it
+        surfaces as OvercountDetected.  Mates start no orbit of their own.
+        The first time the count reaches the target, ``_krawczyk_certified``
+        runs once on the accepted points.  If it proves them, no other
+        solution exists and the caller may stop; if not, it never runs again
+        and every later hand-over is accepted as before.
         """
-        if len(self.points):
-            system, config = self.system, self.config
-            normal = normal_coefficients(system.spec.values, canonical_coefficients(system, points))
-            known = (
-                (norms <= self.tol_residual)
-                & _well_separated(system, points, config.tol_cluster)
-                & _near(self.normal, normal, config.tol_dedup).any(axis=1)
-            )
-            points, norms = points[~known], norms[~known]
-        for x, res in zip(points, norms):
-            self.offer(x, res)
+        new = points[self.accept(points, norms)]
+        if len(new):
+            d, n = self.system.d, self.system.n
+            rotated = new[:, None] * np.exp(-2j * np.pi * np.arange(d) / d)[:, None]
+            mates = np.stack((rotated, rotated.conj()), axis=2).reshape(len(new), 2 * d, n)
+            mates = mates[:, 1:].reshape(-1, n)
+            self.accept(mates, np.abs(residual_batch(self.system, mates)).max(axis=1))
         if self.complete and self.proven is None:
             self.proven = _krawczyk_certified(self.system, self.points, self.config.tol_dedup)
         return bool(self.proven)

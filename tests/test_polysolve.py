@@ -439,46 +439,46 @@ def test_solutions_lie_in_the_root_ball(cfg):
 @pytest.mark.parametrize("text", ["3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"])
 def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     # the dihedral orbit {rot_t(x), conj(rot_t(x))} of a new solution is taken
-    # exactly: no Newton runs inside offer, one residual call scores its 2d - 1
-    # mates, one accept call takes them as a table after the point's one-row
-    # table, and accepted mates start no harvest of their own
+    # exactly: no Newton runs inside offer_all, and a hand-over makes one
+    # accept call on its rows, then, when it kept k of them, one residual
+    # call and one accept call on their (2d - 1) k mates; accepted mates
+    # start no harvest of their own
     spec = validate_branch_spec(parse_profiles(text))
     d = spec.d
     newton_calls = []
-    residual_rows = []
-    accept_rows = []
-    inside_offer = []
+    handovers = []  # per offer_all call: its accept (rows, kept) and residual rows
     original_newton = polysolve._newton_batch
     original_residual = polysolve.residual_batch
     original_accept = polysolve._Collector.accept
-    original_offer = polysolve._Collector.offer
+    original_offer_all = polysolve._Collector.offer_all
 
     def newton(system, starts, *args, **kwargs):
-        if inside_offer:
+        if handovers and handovers[-1]["open"]:
             newton_calls.append(starts.shape[0])
         return original_newton(system, starts, *args, **kwargs)
 
     def residuals(system, points):
-        if inside_offer:
-            residual_rows.append(points.shape[0])
+        if handovers and handovers[-1]["open"]:
+            handovers[-1]["residual"].append(points.shape[0])
         return original_residual(system, points)
 
     def accept(self, cands, norms):
-        if inside_offer:
-            accept_rows.append(len(cands))
-        return original_accept(self, cands, norms)
+        kept = original_accept(self, cands, norms)
+        if handovers and handovers[-1]["open"]:
+            handovers[-1]["accept"].append((len(cands), int(kept.sum())))
+        return kept
 
-    def offer(self, x, res):
-        inside_offer.append(True)
+    def offer_all(self, points, norms):
+        handovers.append({"open": True, "accept": [], "residual": []})
         try:
-            return original_offer(self, x, res)
+            return original_offer_all(self, points, norms)
         finally:
-            inside_offer.pop()
+            handovers[-1]["open"] = False
 
     monkeypatch.setattr(polysolve, "_newton_batch", newton)
     monkeypatch.setattr(polysolve, "residual_batch", residuals)
     monkeypatch.setattr(polysolve._Collector, "accept", accept)
-    monkeypatch.setattr(polysolve._Collector, "offer", offer)
+    monkeypatch.setattr(polysolve._Collector, "offer_all", offer_all)
     solset = solve_all(spec, cfg)
     coeffs = solset.coefficients
     orbit = [None] * len(coeffs)
@@ -496,8 +496,16 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     assert solset.certificate == "COMPLETE"
     assert orbits < len(coeffs)
     assert newton_calls == []
-    assert residual_rows == [2 * d - 1] * orbits
-    assert set(accept_rows) == {1, 2 * d - 1} and accept_rows.count(2 * d - 1) == orbits
+    harvests = 0
+    for handover in handovers:
+        (rows, kept), *mates = handover["accept"]
+        if kept:
+            assert mates == [((2 * d - 1) * kept, mates[0][1])]
+            assert handover["residual"] == [(2 * d - 1) * kept]
+        else:
+            assert mates == [] and handover["residual"] == []
+        harvests += kept
+    assert orbits <= harvests < len(coeffs)
 
 
 def _accepted(system, target, cfg, before, table, norms, row_by_row):
@@ -566,51 +574,61 @@ def test_table_accept_matches_row_by_row(cfg):
         assert one_call[:2] == row_by_row[:2]
 
 
+def _offer_row_by_row(collector, table, norms):
+    """The reference of offer_all: accept each row, then, when it is new, its 2d - 1 mates."""
+    system = collector.system
+    d = system.d
+    for x, norm in zip(table, norms):
+        if collector.accept(x[None], [norm])[0]:
+            rotated = np.array([x * np.exp(-2j * np.pi * t / d) for t in range(d)])
+            mates = np.stack((rotated, rotated.conj()), axis=1).reshape(2 * d, -1)[1:]
+            collector.accept(mates, np.max(np.abs(residual_batch(system, mates)), axis=1))
+
+
 @pytest.mark.parametrize("tol_cluster", [None, 1e3])
-def test_offer_all_matches_offers_one_by_one(cfg, monkeypatch, tol_cluster):
-    # offer_all drops the rows that match a solution accepted before the
-    # call, which offer would reject with no side effect, and offers the
-    # rest: the collector ends as with every row offered in turn.  A
-    # collapsed row is counted, so it is offered even when it matches.
+def test_offer_all_matches_a_row_by_row_reference(cfg, tol_cluster):
+    # offer_all takes a hand-over as one table and the new rows' mates as
+    # another; the collector ends with the solutions, collapse counts and
+    # completeness of the rows and their mates accepted one row at a time.
+    # The table holds a rotation mate and a conjugate mate of an earlier
+    # row, a match of an accepted row, a swapped-root duplicate and
+    # collapsed rows; with tol_cluster 1e3 every row counts as collapsed.
+    # Solutions 0, 5 and 9 lie in three different orbits.
     spec = validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1"))
     system = build_system(spec)
+    d = spec.d
     solset = solve_all(spec, cfg)
-    sols, res = solset.solutions, solset.residuals
+    sols = solset.solutions
     swapped = sols[:, [0, 2, 1, *range(3, system.n)]]  # the same polynomials
     collapsed = sols.copy()
     collapsed[:, 2] = collapsed[:, 1]
-    table = np.vstack((sols, swapped[:2], collapsed[:2]))
-    norms = np.concatenate((res, res[:2], [0.0, 0.0]))
-    offered = []
-    original = polysolve._Collector.offer
-
-    def counting(self, x, norm):
-        offered.append(x)
-        return original(self, x, norm)
-
-    monkeypatch.setattr(polysolve._Collector, "offer", counting)
+    rotated = sols[5] * np.exp(-2j * np.pi / d)
+    table = np.vstack(
+        (sols[5], sols[9], rotated, sols[0].conj(), sols[5].conj(), swapped[9], collapsed[:2], sols)
+    )
+    norms = np.max(np.abs(residual_batch(system, table)), axis=1)
+    norms[6:8] = 0.0
     states = []
-    for one_by_one in (False, True):
+    for reference in (False, True):
         collector = polysolve._Collector(system, solset.target, cfg)
-        collector.offer(sols[0], res[0])
+        _offer_row_by_row(collector, sols[:1], solset.residuals[:1])
         orbit = len(collector)
         if tol_cluster is not None:
             collector.config = cfg.replace(tol_cluster=tol_cluster)
-        offered.clear()
-        if one_by_one:
-            for x, norm in zip(table, norms):
-                collector.offer(x, norm)
+        if reference:
+            _offer_row_by_row(collector, table, norms)
         else:
             collector.offer_all(table, norms)
-        arrays = (collector.points, collector.coeffs, collector.residuals)
-        states.append(([a.tobytes() for a in arrays], collector.collapse_counts, len(offered)))
-    assert states[0][:2] == states[1][:2]
+        normal = normal_coefficients(spec.values, collector.coeffs)
+        states.append((normal, dict(collector.collapse_counts), collector.complete))
+    (normal, counts, complete), (ref_normal, ref_counts, ref_complete) = states
+    assert len(normal) == len(ref_normal)
+    assert sorted(match_index(ref_normal, normal, cfg.tol_dedup)) == list(range(len(normal)))
+    assert counts == ref_counts and complete == ref_complete
     if tol_cluster is None:
-        # the orbit's own rows are dropped, the two collapsed rows offered
-        assert sum(states[0][1].values()) == 2
-        assert states[0][2] <= len(table) - orbit < states[1][2] == len(table)
+        assert complete and sum(counts.values()) == 2
     else:
-        assert sum(states[0][1].values()) == states[0][2] == len(table)
+        assert len(normal) == orbit and sum(counts.values()) == len(table)
 
 
 def test_known_set_listed_twice_is_accepted_once(cfg, monkeypatch):
