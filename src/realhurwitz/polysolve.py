@@ -12,15 +12,15 @@ long as the roots within one branch stay separated.
 Completeness is certified against the exact factorization count: the solver
 keeps drawing seeded random starts for damped Newton until the deduplicated
 solution count reaches that target, harvesting the conjugation and
-root-of-unity symmetry orbits of every solution found along the way.  Those
-images solve the system exactly, so they are accepted with no Newton polish
-(``_Collector.offer``).  Newton hands converged rows over as they converge.
-The first time the count reaches the target, a Krawczyk test
-(``_krawczyk_certified``, two product calls) tries to prove that the
-accepted points lie near that many distinct true solutions with the exact
-profiles; if it does, no other solution exists and the rest of the chunk is
-skipped.  If it does not, it is not tried again and the chunk runs to its
-end, so a duplicate that dedup missed still raises OvercountDetected.
+root-of-unity symmetry orbits of every solution found along the way.
+``_Collector.offer_all`` takes each Newton hand-over of converged rows as one
+table and the orbit mates of its new solutions, exact and so unpolished, as
+another.  The first time the count reaches the target, a Krawczyk test
+(``_krawczyk_certified``, two product calls) tries to prove that the accepted
+points lie near that many distinct true solutions with the exact profiles; if
+it does, no other solution exists and the rest of the chunk is skipped.  If it
+does not, it is not tried again and the chunk runs to its end, so a duplicate
+that dedup missed still raises OvercountDetected.
 
 Most chunks end at their first converged row, so a chunk's rows are not
 advanced in lockstep.  Each row counts its own iterations, read by the
@@ -36,8 +36,8 @@ pass instead of 3,075 (40 draws at seed 0).
 
 Acceptance (``_Collector.accept``) takes a table of candidate rows and
 their residual norms, the way ``match_index`` takes a table of queries: a
-new solution's 2d - 1 orbit mates are one table, the polished carried
-points of a known set another, and a single point is a one-row table.  The
+Newton hand-over is one table, the 2d - 1 orbit mates of its new solutions
+another, and the polished carried points of a known set a third.  The
 residual filter, the root separation check, the coefficients and the match
 against the accepted set are one call each for the table; the rows are then
 decided in order, each against the accepted set and the rows of the table
@@ -131,7 +131,8 @@ from .partitions import BranchSpec, Partition
 from .realsigns import RealPolynomial
 
 _DEGENERACY_LIMIT = 25
-# random starts drawn per Newton batch; part of what a seed reproduces
+# random starts drawn per Newton batch, part of what a seed reproduces; also
+# the rows per block of accept's dedup comparison and of _krawczyk_certified
 _CHUNK_SIZE = 64
 # highest degree solve_all accepts: the desk-scale bound
 _MAX_SOLVER_DEGREE = 6
@@ -301,7 +302,9 @@ def canonical_coefficients(system: SystemSpec, x) -> np.ndarray:
 
 
 def rotate_coefficients(coeffs: np.ndarray, d: int, t: int) -> np.ndarray:
-    """Coefficient action matching rotate_point: a_j -> zeta^{-j} a_j."""
+    """Coefficients of P(zeta z), zeta = exp(2 pi i t / d): a_j -> zeta^{-j} a_j.
+
+    Its roots are P's times zeta^-1, the rotation ``_Collector.offer_all`` applies."""
     j = np.arange(2, d + 1)
     return coeffs * np.exp(-2j * np.pi * t * j / d)
 
@@ -793,13 +796,13 @@ class _Collector:
     def accept(self, cands: np.ndarray, norms) -> np.ndarray:
         """Keep the new solutions among the rows of cands (m, n), of residual norms (m,).
 
-        Every solution, solved or carried, passes here; a single point is a
-        one-row table.  A row is kept when its residual is within
-        ``residual_bound``, each branch's roots are more than tol_cluster
-        apart (repeated collapses raise DegenerateConfiguration) and its
-        ``normal_coefficients`` are new up to tol_dedup, against the
-        accepted set and the rows kept before it; a new solution beyond the
-        target raises OvercountDetected.  The accepted arrays grow once, by the rows kept
+        Every solution, solved or carried, passes here, a table at a time.
+        A row is kept when its residual is within ``residual_bound``, each
+        branch's roots are more than tol_cluster apart (repeated collapses
+        raise DegenerateConfiguration) and its ``normal_coefficients`` are
+        new up to tol_dedup, against the accepted set and the rows kept
+        before it; a new solution beyond the target raises
+        OvercountDetected.  The accepted arrays grow once, by the rows kept
         up to a raising one.  Returns the mask of rows kept.
         """
         system, config = self.system, self.config
@@ -848,21 +851,19 @@ class _Collector:
         return kept
 
     def offer_all(self, points: np.ndarray, norms: np.ndarray) -> bool:
-        """Accept a hand-over of converged points and the orbits of the new ones; True once proven.
+        """Accept a hand-over of converged points, then their new ones' orbits; True once proven.
 
-        The points are one ``accept`` table.  The orbit of a new solution x
-        under z -> zeta z and conjugation (dihedral, order 2d) is
-        {rot_t(x), conj(rot_t(x))}, where rot_t(x) = x zeta^(-t) holds the
+        The orbit of x under z -> zeta z and conjugation (dihedral, order
+        2d) is {rot_t(x), conj(rot_t(x))}, with rot_t(x) = x zeta^(-t) the
         roots of P(zeta^t z).  Rotation multiplies each equation row by a
-        unit zeta^(tj) and conjugation conjugates it (the values are real),
-        so the 2d - 1 mates are exact: the mates of every new solution, built
-        in one broadcast, are scored by one ``residual_batch`` call and taken
-        as a second table, after the target too, so a new solution beyond it
-        surfaces as OvercountDetected.  Mates start no orbit of their own.
-        The first time the count reaches the target, ``_krawczyk_certified``
-        runs once on the accepted points.  If it proves them, no other
-        solution exists and the caller may stop; if not, it never runs again
-        and every later hand-over is accepted as before.
+        unit and conjugation conjugates it (the values are real), so the
+        2d - 1 mates are exact.  The hand-over is one ``accept`` table; the
+        mates of the rows it kept, built in one broadcast and scored by one
+        ``residual_batch`` call, are a second, taken after the target too,
+        so a new solution beyond it raises OvercountDetected.  The first
+        time the count reaches the target, ``_krawczyk_certified`` runs once
+        on the accepted points: if it proves them, no other solution exists
+        and the caller may stop; if not, it never runs again.
         """
         new = points[self.accept(points, norms)]
         if len(new):

@@ -9,9 +9,9 @@ t the total disorder count, and the signed count over all real normalized
 polynomials with the prescribed branch data is an invariant of the profiles
 alone.
 
-Counts here are always computed from the solver's polished root
-assignments, never by re-factoring the polynomial from its coefficients;
-that keeps the multiplicities exact by construction.
+Counts here always come from the solver's root assignments as projected by
+``polysolve._real_projection``, never from re-factoring the polynomial's
+coefficients; that keeps the multiplicities exact by construction.
 """
 
 from __future__ import annotations
