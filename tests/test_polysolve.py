@@ -498,12 +498,9 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     assert newton_calls == []
     harvests = 0
     for handover in handovers:
-        (rows, kept), *mates = handover["accept"]
-        if kept:
-            assert mates == [((2 * d - 1) * kept, mates[0][1])]
-            assert handover["residual"] == [(2 * d - 1) * kept]
-        else:
-            assert mates == [] and handover["residual"] == []
+        (_, kept), *mates = handover["accept"]
+        mate_rows = [(2 * d - 1) * kept] if kept else []
+        assert [rows for rows, _ in mates] == handover["residual"] == mate_rows
         harvests += kept
     assert orbits <= harvests < len(coeffs)
 
