@@ -60,11 +60,14 @@ row that Newton run to the iteration cap converges was dropped (converged
 paths stay within 2.2 times the bound).
 
 A Newton iteration is a fixed handful of numpy calls.  The residual is one
-gather of the roots, by the plan ``build_system`` stores, and one call of
-the in-place product kernel ``_batch_products``, with the batch as the
-trailing, contiguous axis.  The Jacobian's one product call, for all n
-derivative polynomials, also yields the residual: the derivative product of
-a branch's last slot is the first d - 1 factors of that branch's product, so
+gather of the roots, by the system's gather plan, and one call of the
+in-place product kernel ``_batch_products``, with the batch as the
+trailing, contiguous axis.  The plan depends only on the ordered profiles,
+so it is built once per profile tuple in a process and shared read-only by
+every system with those profiles; ``build_system`` adds only the spec's
+value gaps.  The Jacobian's one product call, for all n derivative
+polynomials, also yields the residual: the derivative product of a
+branch's last slot is the first d - 1 factors of that branch's product, so
 one more factor completes it.  The line search evaluates all 12 lengths
 1, 2^-1, ..., 2^-11 of every row in one call; a row takes its first passing
 length, as sequential halving would, since its residual depends on it alone.
@@ -113,6 +116,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable
 
 import numpy as np
@@ -143,28 +147,34 @@ class SystemSpec:
     """Square polynomial system for one BranchSpec.
 
     ``slots`` lists the unknowns in deterministic order: branch by branch,
-    parts in non-increasing order within each branch.  The other fields are
-    the kernel's gather plan.
+    parts in non-increasing order within each branch.  Every field but
+    ``spec`` and ``value_gaps`` belongs to the kernel's gather plan, which
+    depends only on the ordered profiles: ``_system_plan`` builds it once
+    per profile tuple, and every system with those profiles shares it
+    read-only.
     """
 
     spec: BranchSpec
+    value_gaps: np.ndarray = field(compare=False, repr=False)  # (k - 1,) w_i - w_0 for i >= 1
     slots: tuple[tuple[int, int], ...]  # (branch index, multiplicity)
     branch_ranges: tuple[tuple[int, int], ...]  # slot index range per branch
     # (d, k) column b lists branch b's slots repeated by multiplicity;
     # (d - 1, n) column j is its branch's column less one copy of slot j, so
     # a branch's last slot keeps the first d - 1 factors; (n,) -m_j;
-    # (k,) each branch's last slot; (k - 1,) w_i - w_0 for i >= 1;
-    # the slots past branch 0 and, for each, its branch - 1, the Jacobian
-    # block its column fills; two (pairs,) index arrays, every a < b of one
-    # branch
+    # (k,) each branch's last slot; the slots past branch 0 and, for each,
+    # its branch - 1, the Jacobian block its column fills; two (pairs,)
+    # index arrays, every a < b of one branch; (2, n) each slot's sort keys
+    # -m_j and branch; (n, n) True where two slots differ in branch or
+    # multiplicity
     root_index: np.ndarray = field(compare=False, repr=False)
     deriv_index: np.ndarray = field(compare=False, repr=False)
     deriv_factor: np.ndarray = field(compare=False, repr=False)
     last_slots: np.ndarray = field(compare=False, repr=False)
-    value_gaps: np.ndarray = field(compare=False, repr=False)
     free_columns: np.ndarray = field(compare=False, repr=False)
     slot_block: np.ndarray = field(compare=False, repr=False)
     same_branch: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+    slot_keys: np.ndarray = field(compare=False, repr=False)
+    slot_mismatch: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -179,13 +189,12 @@ class SystemSpec:
         return self.spec.k
 
 
-def build_system(spec: BranchSpec) -> SystemSpec:
-    """Lay out unknowns, equation blocks and the kernel's gather plan for the branch data."""
-    if spec.is_identity:
-        raise ValidationError("the degree-1 identity covering has no system to solve")
+@functools.lru_cache(maxsize=256)
+def _system_plan(profiles: tuple[Partition, ...]) -> MappingProxyType:
+    """The ``SystemSpec`` fields that depend only on the ordered profiles, every array read-only."""
     slots = []
     ranges = []
-    for i, lam in enumerate(spec.profiles):
+    for i, lam in enumerate(profiles):
         start = len(slots)
         for m in lam.parts:
             slots.append((i, m))
@@ -194,21 +203,35 @@ def build_system(spec: BranchSpec) -> SystemSpec:
     dropped = [list(rows[b]) for b, _ in slots]
     for j, row in enumerate(dropped):
         row.remove(j)
-    branch = np.array([b for b, _ in slots])
+    branch, mult = np.array(slots).T
     end0 = ranges[0][1]
-    sys_spec = SystemSpec(
-        spec,
-        tuple(slots),
-        tuple(ranges),
+    arrays = dict(
         root_index=np.array(rows).T,
         deriv_index=np.array(dropped).T,
-        deriv_factor=np.array([-m for _, m in slots], dtype=complex),
+        deriv_factor=(-mult).astype(complex),
         last_slots=np.array([end - 1 for _, end in ranges]),
-        value_gaps=np.subtract(spec.values[1:], spec.values[0]),
         free_columns=np.arange(end0, len(slots)),
         slot_block=branch[end0:] - 1,
         same_branch=np.nonzero(np.triu(branch[:, None] == branch, 1)),
+        slot_keys=np.stack((-mult, branch)),
+        slot_mismatch=(branch[:, None] != branch) | (mult[:, None] != mult),
     )
+    for value in arrays.values():
+        for array in value if isinstance(value, tuple) else (value,):
+            array.setflags(write=False)
+    return MappingProxyType(dict(arrays, slots=tuple(slots), branch_ranges=tuple(ranges)))
+
+
+def build_system(spec: BranchSpec) -> SystemSpec:
+    """The system of the branch data: its own value gaps and the plan of its ordered profiles.
+
+    The plan is built on the first call for a profile tuple and shared,
+    read-only, by every later system with those profiles in that order.
+    """
+    if spec.is_identity:
+        raise ValidationError("the degree-1 identity covering has no system to solve")
+    gaps = np.subtract(spec.values[1:], spec.values[0])
+    sys_spec = SystemSpec(spec, gaps, **_system_plan(spec.profiles))
     assert sys_spec.n == (spec.k - 1) * spec.d + 1
     return sys_spec
 
@@ -892,8 +915,7 @@ class _Collector:
         order = np.lexsort(keys.T[::-1])
         points = self.points[order]
         grid = np.round(points, 9)
-        branch, mult = np.array(system.slots).T
-        slot_keys = (np.broadcast_to(key, grid.shape) for key in (-mult, branch))
+        slot_keys = (np.broadcast_to(key, grid.shape) for key in system.slot_keys)
         columns = np.lexsort((grid.imag, grid.real, *slot_keys), axis=1)
         return SolutionSet(
             spec=system.spec,
@@ -1141,9 +1163,8 @@ def _real_projection(system: SystemSpec, point: np.ndarray, config: RunConfig) -
     part exactly 0) and for a pair j < m root m becomes conj(x[j]).
     """
     x = np.array(point, dtype=complex)
-    slots = np.array(system.slots)
     gap = np.abs(x - x[:, None].conj())  # gap[j, m] = |x[m] - conj(x[j])|
-    gap[(slots[:, None] != slots).any(axis=2)] = np.inf
+    gap[system.slot_mismatch] = np.inf
     partner = gap.argmin(axis=1)
     rows = np.arange(system.n)
     if (partner[partner] != rows).any() or (gap[rows, partner] > config.tol_cluster).any():
@@ -1163,16 +1184,18 @@ def _build_real_polynomials(
 ) -> list[RealPolynomial]:
     """The real polynomials at the conjugation-fixed points (R, n), each with residual within bound.
 
-    One ``residual_batch`` and one ``canonical_coefficients`` call serve
-    every point.  The first point whose roots collapse raises
-    DegenerateConfiguration, or whose residual exceeds bound raises
+    One product call serves every point: it gives F, as ``residual_batch``
+    does, and branch 0's product, whose a_2..a_d with w_0 added to a_d are
+    ``canonical_coefficients``.  The first point whose roots collapse
+    raises DegenerateConfiguration, or whose residual exceeds bound raises
     AmbiguousRealness.
     """
     spec = system.spec
     collapsed = ~_well_separated(system, points, config.tol_cluster)
+    qs = _batch_products(points.T[system.root_index])
     # F is real at a conjugation-fixed point up to rounding, so its real part
     # is the real polynomial's residual, the bound a real Newton step enforces
-    f = np.max(np.abs(residual_batch(system, points).real), axis=1)
+    f = np.max(np.abs(_assemble_residual(system, qs).real), axis=1)
     failed = collapsed | (f > bound)
     if failed.any():
         i = int(failed.argmax())
@@ -1183,8 +1206,10 @@ def _build_real_polynomials(
         raise AmbiguousRealness(
             f"the conjugation-fixed point has residual {f[i]:.3e} above the bound {bound:.1e}"
         )
+    coefficients = qs[2:, 0]
+    coefficients[-1] += spec.values[0]
     reals = []
-    for x, coeffs, res in zip(points, canonical_coefficients(system, points).real, f):
+    for x, coeffs, res in zip(points, coefficients.real.T, f):
         preimages = []
         nonreal = []
         for start, end in system.branch_ranges:

@@ -73,6 +73,114 @@ def test_build_system_shapes():
     assert build_system(QUARTIC_DOUBLE).n == 5
 
 
+# the SystemSpec fields _system_plan builds once per ordered profile tuple
+PLAN_FIELDS = (
+    "slots",
+    "branch_ranges",
+    "root_index",
+    "deriv_index",
+    "deriv_factor",
+    "last_slots",
+    "free_columns",
+    "slot_block",
+    "same_branch",
+    "slot_keys",
+    "slot_mismatch",
+)
+
+
+def _plan_arrays(system):
+    """Every array of the system's plan, the two same_branch index arrays apart."""
+    arrays = [getattr(system, name) for name in PLAN_FIELDS[2:] if name != "same_branch"]
+    return arrays + list(system.same_branch)
+
+
+def test_plan_is_shared_read_only_by_one_profile_tuple():
+    # two layouts of one profile tuple share every plan field, and only the
+    # value gaps are their own; the same profiles in another order are
+    # another plan
+    profiles = parse_profiles("3,2,1|3,1,1,1")
+    a = build_system(validate_branch_spec(profiles, (1, 2)))
+    b = build_system(validate_branch_spec(profiles, (-5, 7)))
+    assert all(getattr(a, name) is getattr(b, name) for name in PLAN_FIELDS)
+    assert a.value_gaps.tolist() == [1.0] and b.value_gaps.tolist() == [12.0]
+    for array in _plan_arrays(a):
+        assert array.size and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
+    other = build_system(validate_branch_spec(profiles[::-1], (1, 2)))
+    assert other.slots != a.slots
+    assert all(getattr(other, name) is not getattr(a, name) for name in PLAN_FIELDS)
+
+
+def _plan_from_scratch(profiles):
+    """The plan fields of ``PLAN_FIELDS``, laid out slot by slot in plain loops."""
+    slots = [(i, m) for i, lam in enumerate(profiles) for m in lam.parts]
+    n, d = len(slots), profiles[0].d
+    ranges, start = [], 0
+    for lam in profiles:
+        ranges.append((start, start + lam.length))
+        start += lam.length
+    end0 = ranges[0][1]
+
+    def column(branch, drop=None):
+        lo, hi = ranges[branch]
+        return [s for s in range(lo, hi) for _ in range(slots[s][1] - (s == drop))]
+
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if slots[a][0] == slots[b][0]]
+    ints = lambda rows: np.array(rows, dtype=np.intp)
+    return {
+        "slots": tuple(slots),
+        "branch_ranges": tuple(ranges),
+        "root_index": ints([column(b) for b in range(len(profiles))]).T,
+        "deriv_index": ints([column(slots[j][0], drop=j) for j in range(n)]).reshape(n, d - 1).T,
+        "deriv_factor": np.array([-m for _, m in slots], dtype=complex),
+        "last_slots": ints([hi - 1 for _, hi in ranges]),
+        "free_columns": ints(list(range(end0, n))),
+        "slot_block": ints([slots[j][0] - 1 for j in range(end0, n)]),
+        "same_branch": (ints([a for a, _ in pairs]), ints([b for _, b in pairs])),
+        "slot_keys": ints([[-m for _, m in slots], [b for b, _ in slots]]),
+        "slot_mismatch": np.array([[sa != sb for sb in slots] for sa in slots]),
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["4", "3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1", "2,2,1,1|2,1,1,1,1|2,1,1,1,1|2,1,1,1,1"],
+)
+def test_plan_matches_a_layout_built_from_scratch(text):
+    profiles = parse_profiles(text)
+    system = build_system(validate_branch_spec(profiles))
+    for name, want in _plan_from_scratch(profiles).items():
+        got = getattr(system, name)
+        if isinstance(want, np.ndarray):
+            got, want = (got,), (want,)
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            if isinstance(w, np.ndarray):
+                assert g.dtype == w.dtype and g.shape == w.shape, name
+                assert np.array_equal(g, w), name
+            else:
+                assert g == w, name
+
+
+def test_cold_and_warm_plans_solve_and_classify_alike(cfg):
+    specs = [
+        validate_branch_spec(parse_profiles(text))
+        for text in ("3,2,1|3,1,1,1", "4,1|2,1,1,1", "2,1,1|2,1,1|2,1,1")
+    ]
+    polysolve._system_plan.cache_clear()
+    runs = []
+    for _ in range(2):
+        sets = [solve_all(spec, cfg) for spec in specs]
+        runs.append((sets, [classify_real(solset, cfg) for solset in sets]))
+        # the first pass builds one plan per profile tuple, the second none
+        assert polysolve._system_plan.cache_info().misses == len(specs)
+    (cold_sets, cold_reals), (warm_sets, warm_reals) = runs
+    assert all(_same_set(a, b) for a, b in zip(cold_sets, warm_sets))
+    assert cold_reals == warm_reals and sum(map(len, cold_reals)) > 0
+
+
 def test_residual_vanishes_at_exact_solution():
     # z^3 - 3z: over -2 the roots are 1 (double) and -2; over 2 they are -1 (double) and 2
     system = build_system(CUBIC)
@@ -318,6 +426,42 @@ def test_build_real_polynomial_rejects_residual_above_bound(cfg):
     x[0] += 1e-9  # still real and separated, but max|Re F| is 4e-9, 40 times the bound
     with pytest.raises(AmbiguousRealness, match="above the bound"):
         _build_real_polynomials(system, x[None], cfg, residual_bound(CUBIC, cfg))
+
+
+@pytest.mark.parametrize("text", ["4,1,1|3,1,1,1", "2,1,1|2,1,1|2,1,1", "2,2|2,1,1"])
+def test_real_polynomials_take_one_product_call(cfg, monkeypatch, text):
+    # F and the coefficients come from one product call, equal bit for bit
+    # to residual_batch's and canonical_coefficients', for the real points
+    # of a solved set and for an empty real set
+    spec = validate_branch_spec(parse_profiles(text))
+    system, solset = build_system(spec), solve_all(spec, cfg)
+    partners = polysolve.conjugation_partners(solset, cfg.tol_dedup)
+    real = [i for i, j in enumerate(partners) if i == j]
+    assert real
+    projected = np.array([_real_projection(system, solset.solutions[i], cfg) for i in real])
+    for points in (projected, projected[:0]):
+        products, residuals = [], []
+        with monkeypatch.context() as patch:
+            for name, results in (("_batch_products", products), ("_assemble_residual", residuals)):
+                patch.setattr(polysolve, name, _recorded(results, getattr(polysolve, name)))
+            reals = _build_real_polynomials(system, points, cfg, residual_bound(spec, cfg))
+        assert len(products) == 1 and len(reals) == len(points)
+        f = residual_batch(system, points)
+        assert residuals[0].shape == f.shape and residuals[0].tobytes() == f.tobytes()
+        coeffs = np.array([p.coefficients for p in reals]).reshape(len(points), spec.d - 1)
+        assert coeffs.tobytes() == canonical_coefficients(system, points).real.tobytes()
+        res = np.array([p.residual for p in reals])
+        assert res.tobytes() == np.max(np.abs(f.real), axis=1).tobytes()
+
+
+def _recorded(results, original):
+    """original, with each result appended to results."""
+
+    def wrapper(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    return wrapper
 
 
 def test_residual_bound_is_tol_residual_at_small_values(cfg):
