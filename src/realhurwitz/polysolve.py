@@ -205,6 +205,7 @@ def _system_plan(profiles: tuple[Partition, ...]) -> MappingProxyType:
         row.remove(j)
     branch, mult = np.array(slots).T
     end0 = ranges[0][1]
+    same_branch = np.nonzero(np.triu(branch[:, None] == branch, 1))
     arrays = dict(
         root_index=np.array(rows).T,
         deriv_index=np.array(dropped).T,
@@ -212,14 +213,13 @@ def _system_plan(profiles: tuple[Partition, ...]) -> MappingProxyType:
         last_slots=np.array([end - 1 for _, end in ranges]),
         free_columns=np.arange(end0, len(slots)),
         slot_block=branch[end0:] - 1,
-        same_branch=np.nonzero(np.triu(branch[:, None] == branch, 1)),
         slot_keys=np.stack((-mult, branch)),
         slot_mismatch=(branch[:, None] != branch) | (mult[:, None] != mult),
     )
-    for value in arrays.values():
-        for array in value if isinstance(value, tuple) else (value,):
-            array.setflags(write=False)
-    return MappingProxyType(dict(arrays, slots=tuple(slots), branch_ranges=tuple(ranges)))
+    for array in (*arrays.values(), *same_branch):
+        array.setflags(write=False)
+    plan = dict(arrays, same_branch=same_branch, slots=tuple(slots), branch_ranges=tuple(ranges))
+    return MappingProxyType(plan)
 
 
 def build_system(spec: BranchSpec) -> SystemSpec:
