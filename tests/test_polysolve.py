@@ -127,8 +127,10 @@ def _plan_from_scratch(profiles):
         lo, hi = ranges[branch]
         return [s for s in range(lo, hi) for _ in range(slots[s][1] - (s == drop))]
 
+    def ints(rows):
+        return np.array(rows, dtype=np.intp)
+
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if slots[a][0] == slots[b][0]]
-    ints = lambda rows: np.array(rows, dtype=np.intp)
     return {
         "slots": tuple(slots),
         "branch_ranges": tuple(ranges),
@@ -428,6 +430,16 @@ def test_build_real_polynomial_rejects_residual_above_bound(cfg):
         _build_real_polynomials(system, x[None], cfg, residual_bound(CUBIC, cfg))
 
 
+def _recorded(results, original):
+    """original, with each result appended to results."""
+
+    def wrapper(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    return wrapper
+
+
 @pytest.mark.parametrize("text", ["4,1,1|3,1,1,1", "2,1,1|2,1,1|2,1,1", "2,2|2,1,1"])
 def test_real_polynomials_take_one_product_call(cfg, monkeypatch, text):
     # F and the coefficients come from one product call, equal bit for bit
@@ -452,16 +464,6 @@ def test_real_polynomials_take_one_product_call(cfg, monkeypatch, text):
         assert coeffs.tobytes() == canonical_coefficients(system, points).real.tobytes()
         res = np.array([p.residual for p in reals])
         assert res.tobytes() == np.max(np.abs(f.real), axis=1).tobytes()
-
-
-def _recorded(results, original):
-    """original, with each result appended to results."""
-
-    def wrapper(*args):
-        results.append(original(*args))
-        return results[-1]
-
-    return wrapper
 
 
 def test_residual_bound_is_tol_residual_at_small_values(cfg):
