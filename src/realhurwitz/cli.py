@@ -170,8 +170,9 @@ def _solve_cached(spec, config: RunConfig, path: str | None) -> SolutionSet:
     """solve_all, carrying the solved set stored at path, which then holds this one.
 
     The file holds a ``solve`` result block.  Nothing in it is trusted: its
-    points are polished and accepted like any carried point, so a set of the
-    same profile multiset at another layout or order serves too, and the
+    points are carried and accepted as exact images, with no polish, so a
+    row off the solution set fails the residual filter, a set of the same
+    profile multiset at another layout or order serves too, and the
     multistart fills whatever it misses.  An unreadable or malformed file is
     a miss.  A path that names a directory or lies in a missing directory
     raises ValidationError before any solve.

@@ -37,7 +37,7 @@ pass instead of 3,075 (40 draws at seed 0).
 Acceptance (``_Collector.accept``) takes a table of candidate rows and
 their residual norms, the way ``match_index`` takes a table of queries: a
 Newton hand-over is one table, the 2d - 1 orbit mates of its new solutions
-another, and the polished carried points of a known set a third.  The
+another, and the carried points of a known set, exact images, a third.  The
 residual filter, the root separation check, the coefficients and the match
 against the accepted set are one call each for the table; the rows are then
 decided in order, each against the accepted set and the rows of the table
@@ -105,10 +105,11 @@ each of the N solutions moves along a path of its own, and a
 predictor-corrector follows all of them in one batch.  The map is the
 loop's exact case, kept because it costs a fraction of a tracked carry.  A
 one-branch spec's one solution, the point 0 of P = z^d + w, comes from the
-same loop.  ``solve_all(spec, known=...)`` polishes the carried points and
-accepts them like any other; the multistart fills whatever they miss, so
-the certificate still counts N accepted solutions.  The CLI's ``--cache``
-file is a ``solve`` result read back as such a known set.
+same loop.  ``solve_all(spec, known=...)`` accepts the carried points as
+exact images, unpolished, like the orbit mates; a point off the solution
+set fails the residual filter, and the multistart fills whatever they
+miss, so the certificate still counts N accepted solutions.  The CLI's
+``--cache`` file is a ``solve`` result read back as such a known set.
 """
 
 from __future__ import annotations
@@ -345,8 +346,8 @@ _ESCAPE_FACTOR = 3.0
 # every _STALL_WINDOW iterations a row must have cut its residual by _STALL_FACTOR
 _STALL_WINDOW = 30
 _STALL_FACTOR = 0.5
-# with a stop callback: every row advances _LEAD_AFTER iterations, then only
-# the _LEAD_ROWS active rows of smallest max|F|, up to _LEAD_ITERATIONS more.
+# every row advances _LEAD_AFTER iterations, then only the _LEAD_ROWS active
+# rows of smallest max|F|, up to _LEAD_ITERATIONS more.
 # Jacobian rows and median ms per pass of the benchmark's six solve specs
 # (40 draws at seed 0, one core of a 2-core Xeon VM, numpy 2.4; with no
 # lead, 3,075 rows and 28.6 ms):
@@ -390,7 +391,7 @@ def _newton_batch(
     system: SystemSpec,
     starts: np.ndarray,
     config: RunConfig,
-    stop: Callable[[np.ndarray, np.ndarray], bool] | None = None,
+    stop: Callable[[np.ndarray, np.ndarray], bool],
 ):
     """Damped Newton on a batch of complex starts; results depend on each row alone.
 
@@ -409,8 +410,7 @@ def _newton_batch(
     Each row counts its own iterations, and the stall window and the cap
     read that count, so the rows may be advanced in any order and each
     still takes the iterates, and ends where and how, it would alone.
-    Without ``stop`` every active row advances together.  With it, every
-    row advances _LEAD_AFTER iterations, then only the lead, the
+    Every row advances _LEAD_AFTER iterations, then only the lead, the
     _LEAD_ROWS active rows of smallest max|F|, up to _LEAD_ITERATIONS more
     or until a lead row converges without ``stop`` ending the batch, then
     every row still active together.  The row that converges first is
@@ -435,7 +435,7 @@ def _newton_batch(
     checkpoint = fnorm.copy()
 
     def stopped(rows: np.ndarray) -> bool:
-        return stop is not None and rows.size > 0 and stop(points[rows], fnorm[rows])
+        return rows.size > 0 and stop(points[rows], fnorm[rows])
 
     def advance(active: np.ndarray) -> bool:
         """One iteration of the active rows; True once ``stop`` ends the batch."""
@@ -495,15 +495,11 @@ def _newton_batch(
         return False
 
     every = np.arange(batch)
-    ended = stopped(np.flatnonzero(status == 1))
-    if stop is not None and not ended:
-        ended = run(every, _LEAD_AFTER)
-        if not ended:
-            active = np.flatnonzero(status == 0)
-            lead = np.sort(active[np.argsort(fnorm[active], kind="stable")[:_LEAD_ROWS]])
-            ended = run(lead, _LEAD_ITERATIONS, lead_phase=True)
-    if not ended:
-        run(every, _NEWTON_MAX_ITER)
+    if not (stopped(np.flatnonzero(status == 1)) or run(every, _LEAD_AFTER)):
+        active = np.flatnonzero(status == 0)
+        lead = np.sort(active[np.argsort(fnorm[active], kind="stable")[:_LEAD_ROWS]])
+        if not run(lead, _LEAD_ITERATIONS, lead_phase=True):
+            run(every, _NEWTON_MAX_ITER)
     return points, status == 1, fnorm
 
 
@@ -1064,7 +1060,7 @@ def _carried_points(
     """
     spec = system.spec
     if spec.k == 1:
-        return np.zeros((1, 1))
+        return np.zeros((1, 1), dtype=complex)
     t = np.array(spec.values)
     first = None
     for source in known:
@@ -1107,7 +1103,8 @@ def solve_all(
     value is mapped; failing that, the first COMPLETE one with the same d, k
     and profile multiset is tracked to this spec's values and order; a
     one-branch spec takes its one solution, the point 0.  The carried points
-    are polished in one Newton batch and accepted, and the multistart runs
+    are exact images: they are scored by one ``residual_batch`` call and
+    accepted as they are, with no Newton iteration, and the multistart runs
     only for the solutions they miss (``starts_used`` is 0 when they reach
     the target).
 
@@ -1126,8 +1123,7 @@ def solve_all(
     collector = _Collector(system, target, config)
     carried = _carried_points(tuple(known), system, config.tol_dedup)
     if carried is not None:
-        points, ok, norms = _newton_batch(system, carried, config)
-        collector.accept(points[ok], norms[ok])
+        collector.accept(carried, np.abs(residual_batch(system, carried)).max(axis=1))
     starts_used = 0
     if not collector.complete:
         rng = np.random.default_rng(config.seed)

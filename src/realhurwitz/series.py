@@ -244,8 +244,12 @@ def basis_fit(table: SeriesTable, parity: str, degree_bound: int) -> BasisFit:
     Candidate basis: monomials q^a tanh(q)^b with a + b <= degree_bound for
     the even-degree part, the same monomials times sech(q) for the
     odd-degree part.  Only monomials whose q-parity matches the data can
-    contribute and the rest are dropped.  When the basis is at least as
-    large as the data the fit is flagged structural only.
+    contribute and the rest are dropped.  A monomial is O(q^(a + b)), so
+    one with a + b above the highest tabulated order vanishes on the data
+    and would get coefficient 0: only a + b <= min(degree_bound, top order)
+    is built, and ``BasisFit.labels`` does not list the vanishing ones.
+    When the basis is at least as large as the data the fit is flagged
+    structural only.
     """
     if parity not in (EVEN, ODD):
         raise ValidationError(f"parity must be {EVEN!r} or {ODD!r}")
@@ -263,8 +267,9 @@ def basis_fit(table: SeriesTable, parity: str, degree_bound: int) -> BasisFit:
     assert all(m % 2 == m_parity for m in orders)
     labels = []
     columns = []
-    for a in range(degree_bound + 1):
-        for b in range(degree_bound + 1 - a):
+    bound = min(degree_bound, top)
+    for a in range(bound + 1):
+        for b in range(bound + 1 - a):
             series_parity = (a + b) % 2  # both q and tanh are odd; sech is even
             if series_parity != m_parity:
                 continue

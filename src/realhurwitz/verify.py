@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import RunConfig
 from .coverings import SolvedReals, real_hurwitz, reflection_partners, s_number, theorem_check
-from .errors import InfraLimit, PropertyFailure, ValidationError
+from .errors import InfraLimit, PropertyFailure, ScaleExceeded, ValidationError
 from .factorizations import count_factorizations
 from .partitions import (
     BranchSpec,
@@ -48,8 +48,8 @@ from .partitions import (
     validate_branch_spec,
 )
 from .polysolve import (
-    SolutionSet, conjugation_partners, match_index, normal_coefficients, residual_bound,
-    rotate_coefficients,
+    _MAX_SOLVER_DEGREE, SolutionSet, conjugation_partners, match_index, normal_coefficients,
+    residual_bound, rotate_coefficients,
 )
 # bound though verify calls neither: bench/selftest.py requires this module to hold them
 from .polysolve import classify_real, solve_all  # noqa: F401
@@ -319,12 +319,19 @@ def check_spec(profiles: tuple[Partition, ...], solved: SolvedReals) -> SpecReco
 
 
 def run_sweep(dmax: int, kmax: int, config: RunConfig | None = None) -> VerifyReport:
-    """Check every admissible spec with d <= dmax and k <= kmax."""
-    specs = enumerate_sweep_specs(dmax, kmax)
-    if not specs:
+    """Check every admissible spec with d <= dmax and k <= kmax.
+
+    A dmax above the solver's degree bound raises ScaleExceeded before any
+    spec is listed: the listing grows as p(d)^3, and no spec above the bound
+    can be solved.
+    """
+    if dmax < 2 or kmax < 1:
         raise ValidationError(
             f"no spec to check: need dmax >= 2 and kmax >= 1, got dmax={dmax}, kmax={kmax}"
         )
+    if dmax > _MAX_SOLVER_DEGREE:
+        raise ScaleExceeded(f"dmax {dmax} exceeds the solver bound {_MAX_SOLVER_DEGREE}")
+    specs = enumerate_sweep_specs(dmax, kmax)
     solved = SolvedReals(config or RunConfig())
     records = [check_spec(profiles, solved) for profiles in specs]
     records.sort(key=lambda r: r.spec.canonical_key())

@@ -191,24 +191,25 @@ def test_cache_flag_roundtrip(tmp_path, capsys):
 def test_s_number_cache_hits_on_second_run(tmp_path, capsys, monkeypatch):
     from realhurwitz import polysolve
 
-    # the second run polishes the N stored points in one batch and draws no
-    # start chunk; the real classification runs no Newton at all
+    # the second run accepts the N stored points as they are and draws no
+    # start chunk, so it runs no Newton batch; nor does the real
+    # classification
     newton = polysolve._newton_batch
     rows = []
 
-    def spy(system, starts, config, stop=None):
-        rows.append((len(starts), stop is not None))
+    def spy(system, starts, config, stop):
+        rows.append(len(starts))
         return newton(system, starts, config, stop)
 
     monkeypatch.setattr(polysolve, "_newton_batch", spy)
     cache = str(tmp_path / "c.json")
     args = ("s-number", "--profiles", "2,1|2,1", "--values=-2,2", "--cache", cache)
     first = run_json(capsys, *args)
-    assert (64, True) in rows
+    assert 64 in rows
     rows.clear()
     again = run_json(capsys, *args)
     assert again["result"] == first["result"]
-    assert rows == [(3, False)]
+    assert rows == []
 
 
 def test_s_number_at_large_values(capsys):

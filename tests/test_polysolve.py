@@ -67,6 +67,18 @@ SOLVE_SPECS = (
 )
 
 
+def never_stop(points, norms):
+    """A Newton ``stop`` that never ends the batch, so it changes no output."""
+    return False
+
+
+def lockstep_newton(system, starts, cfg):
+    """``_newton_batch`` with a lead of the whole chunk, so every active row advances together."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polysolve, "_LEAD_ROWS", polysolve._CHUNK_SIZE)
+        return _newton_batch(system, starts, cfg, never_stop)
+
+
 def test_build_system_shapes():
     assert build_system(CUBIC).n == 4
     assert build_system(validate_branch_spec([Partition([4])], (5,))).n == 1
@@ -775,7 +787,7 @@ def test_offer_all_matches_a_row_by_row_reference(cfg, tol_cluster):
 
 
 def test_known_set_listed_twice_is_accepted_once(cfg, monkeypatch):
-    # every carried row is polished and accepted in one table call; the
+    # every carried row is accepted as it is in one table call; the
     # second copy of each row is a duplicate, and no start is drawn
     spec = validate_branch_spec(parse_profiles("3,1|2,1,1"))
     known = solve_all(spec, cfg)
@@ -797,6 +809,31 @@ def test_known_set_listed_twice_is_accepted_once(cfg, monkeypatch):
     assert doubled.starts_used == 0 and _same_set(doubled, once)
 
 
+def test_carried_row_off_the_solution_set_is_refilled(cfg, monkeypatch):
+    # carried points are accepted as they are, with no polish, so nothing in
+    # a known set is trusted: a root moved by 1e-6 puts its row's residual
+    # above the bound, accept drops that row alone, and the multistart
+    # finds the solution it missed
+    spec = validate_branch_spec(parse_profiles("3,1|2,1,1"))
+    known = solve_all(spec, cfg)
+    moved = known.solutions.copy()
+    moved[0, -1] += 1e-6
+    system = build_system(spec)
+    assert np.abs(residual_batch(system, moved[:1])).max() > residual_bound(spec, cfg)
+    kept = []
+    original = polysolve._Collector.accept
+
+    def accept(self, cands, norms):
+        kept.append(original(self, cands, norms))
+        return kept[-1]
+
+    monkeypatch.setattr(polysolve._Collector, "accept", accept)
+    solset = solve_all(spec, cfg, known=(_planted(known, slice(None), solutions=moved),))
+    assert kept[0].tolist() == [False] + [True] * (len(known) - 1)
+    assert solset.starts_used > 0
+    _assert_same_set(solset, known, cfg)
+
+
 def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
     system = build_system(CUBIC)
     calls = []
@@ -808,11 +845,11 @@ def test_escaping_start_is_retired_after_one_jacobian(cfg, monkeypatch):
 
     monkeypatch.setattr(polysolve, "residual_and_jacobian_batch", counting)
     far = 100.0 * root_bound(CUBIC) * np.exp(2j * np.pi * np.arange(system.n) / system.n)
-    _, ok, _ = _newton_batch(system, far[None, :], cfg)
+    _, ok, _ = _newton_batch(system, far[None, :], cfg, never_stop)
     assert not ok[0] and len(calls) <= 1
 
     exact = np.array([1.0, -2.0, -1.0, 2.0], dtype=complex)
-    points, ok, _ = _newton_batch(system, (exact + 1e-3 * (1 + 1j))[None, :], cfg)
+    points, ok, _ = _newton_batch(system, (exact + 1e-3 * (1 + 1j))[None, :], cfg, never_stop)
     assert ok[0] and np.max(np.abs(points[0] - exact)) < 1e-9
 
 
@@ -834,7 +871,7 @@ def test_newton_retirement_matches_plain_newton(cfg, text, values, seed):
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
     starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
-    points, ok, norms = _newton_batch(system, starts, cfg)
+    points, ok, norms = _newton_batch(system, starts, cfg, never_stop)
     ref_points, ref_ok, ref_norms = plain_newton(system, starts, cfg)
     assert ref_ok.any()
     assert np.array_equal(ok, ref_ok)
@@ -865,7 +902,7 @@ def test_line_search_makes_one_residual_call_per_iteration(cfg, monkeypatch):
         "residual_and_jacobian_batch",
         counted("jacobian", residual_and_jacobian_batch),
     )
-    _, ok, _ = _newton_batch(system, starts, cfg)
+    _, ok, _ = _newton_batch(system, starts, cfg, never_stop)
     assert ok.any() and calls["jacobian"] > 0
     assert calls["residual"] <= 1 + calls["jacobian"]
 
@@ -1044,7 +1081,7 @@ def test_tampered_cache_is_resolved(tmp_path, cfg):
     fresh = _solve_cached(CUBIC, cfg, path)
 
     def move_point(data):
-        # a root of the last branch, far beyond what a polish brings back
+        # a root of the last branch, far off the solution set
         data["solutions"][0]["roots"][-1][-1][0][0] += 0.5
 
     _rewrite_cache(path, move_point)
@@ -1073,7 +1110,7 @@ def _drop_point_entry(data):
     "edit", [_shift_coefficient, _duplicate_point, _widen_cluster_tolerance, _drop_point_entry]
 )
 def test_cache_revalidates_points(tmp_path, cfg, edit):
-    # every stored point is polished and accepted under the run's tolerances,
+    # every stored point is accepted under the run's tolerances, unpolished,
     # and the multistart fills what the file misses
     path = str(tmp_path / "cubic.json")
     fresh = _solve_cached(CUBIC, cfg, path)
@@ -1193,7 +1230,7 @@ def test_affine_image_is_mapped_not_solved(cfg, monkeypatch, case):
     source, spec = _affine_cases()[case]
     known = solve_all(source, cfg)
     tracks = _track_calls(monkeypatch)
-    # the closed-form images solve the spec before any polish
+    # the closed-form images solve the spec as they are
     images = polysolve._carried_points((known,), build_system(spec), cfg.tol_dedup)
     assert images.shape == (len(known), build_system(spec).n)
     assert np.max(np.abs(residual_batch(build_system(spec), images))) < 1e-9
@@ -1505,7 +1542,7 @@ def test_newton_stop_sees_rows_in_convergence_order(cfg):
     starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
     starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
     starts[7] = solve_all(spec, cfg).solutions[0]  # converged at the initial check
-    points, ok, norms = _newton_batch(system, starts, cfg)
+    points, ok, norms = lockstep_newton(system, starts, cfg)
     seen = []
 
     def record(pts, nrm):
@@ -1533,16 +1570,16 @@ def test_newton_stop_sees_rows_in_convergence_order(cfg):
 )
 @pytest.mark.parametrize("seed", range(5))
 def test_newton_stop_changes_no_row(cfg, text, seed):
-    # with a stop the lead rows run ahead, but every row counts its own
-    # iterations for the stall window and the cap, so each row, failed ones
-    # included, ends bit for bit where it ends without a stop, and every
-    # converged row is handed over once
+    # the lead rows run ahead, but every row counts its own iterations for
+    # the stall window and the cap, so each row, failed ones included, ends
+    # bit for bit where it ends when every row advances in lockstep, and
+    # every converged row is handed over once
     spec = validate_branch_spec(parse_profiles(text))
     system = build_system(spec)
     rng = np.random.default_rng(seed)
     starts = rng.standard_normal((64, system.n)) + 1j * rng.standard_normal((64, system.n))
     starts *= root_bound(spec) / 4.0 / np.sqrt(2.0)
-    points, ok, norms = _newton_batch(system, starts, cfg)
+    points, ok, norms = lockstep_newton(system, starts, cfg)
     seen = []
     again = _newton_batch(system, starts, cfg, stop=lambda pts, nrm: seen.append(pts) or False)
     assert all(np.array_equal(a, b) for a, b in zip(again, (points, ok, norms)))
@@ -1588,7 +1625,7 @@ def test_newton_converges_at_its_rounding_floor(cfg, text, scale):
     big = validate_branch_spec(spec.profiles, [scale * w for w in spec.values])
     system = build_system(big)
     starts = polysolve._carried_points((known,), system, cfg.tol_dedup)
-    points, ok, norms = _newton_batch(system, starts, cfg)
+    points, ok, norms = _newton_batch(system, starts, cfg, never_stop)
     assert ok.all() and np.max(norms) <= cfg.tol_residual
     assert solve_all(big, cfg, known=(known,)).starts_used == 0
 

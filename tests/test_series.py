@@ -168,6 +168,40 @@ def test_basis_fit_structural_flag():
     assert fit.structural_only
 
 
+def test_basis_fit_builds_no_element_that_vanishes_on_the_data(monkeypatch):
+    # q^a tanh^b is O(q^(a + b)), so past the top tabulated order it is zero
+    # on the data; a huge degree bound builds only a + b <= top and fits as
+    # the bound top does.  The entries are the unit partition's through m = 4
+    table = SeriesTable(
+        lam=Partition([1]),
+        entries={0: 1, 1: 1, 2: -1, 3: -2, 4: 5},
+        parities={0: "odd", 1: "even", 2: "odd", 3: "even", 4: "odd"},
+        conventions={},
+        truncated_at=None,
+    )
+    original = series._basis_element
+    built = []
+
+    def counting(a, b, odd_part, order):
+        built.append(a + b)
+        return original(a, b, odd_part, order)
+
+    monkeypatch.setattr(series, "_basis_element", counting)
+    for parity in ("even", "odd"):
+        orders = sorted(table.parity_entries(parity))
+        top = orders[-1]
+        # the first dropped elements of the data's parity, a + b = top + 2
+        for a in range(top + 3):
+            assert not any(original(a, top + 2 - a, parity == "odd", top)[m] for m in orders)
+        built.clear()
+        fit = basis_fit(table, parity, 100_000)
+        # one element per (a, b) of the data's parity with a + b <= top
+        assert built == [s for a in range(top + 1) for s in range(a, top + 1) if s % 2 == top % 2]
+        assert len(fit.labels) == len(built) and fit.structural_only and fit.residual == 0
+        at_top = basis_fit(table, parity, top).as_json_dict()
+        assert fit.as_json_dict() == {**at_top, "degree_bound": 100_000}
+
+
 def test_basis_fit_validations(cfg):
     table = series_table(parse_partition("1"), 2, cfg)
     with pytest.raises(ValidationError):

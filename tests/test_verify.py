@@ -7,6 +7,7 @@ import pytest
 
 from realhurwitz import (
     Partition,
+    ScaleExceeded,
     SignMismatch,
     ValidationError,
     parse_profiles,
@@ -17,7 +18,7 @@ from realhurwitz import (
     validate_branch_spec,
 )
 from realhurwitz import coverings, verify
-from realhurwitz.cli import EXIT_OK, EXIT_PROPERTY, main
+from realhurwitz.cli import EXIT_INFRA, EXIT_OK, EXIT_PROPERTY, main
 from realhurwitz.coverings import SolvedReals
 from realhurwitz.verify import check_spec, enumerate_sweep_specs
 
@@ -157,6 +158,21 @@ def test_check_spec_assembles_each_moved_spec_once(cfg, monkeypatch):
 def test_empty_sweep_rejected(cfg, dmax, kmax):
     with pytest.raises(ValidationError):
         run_sweep(dmax, kmax, cfg)
+
+
+@pytest.mark.parametrize("dmax", [7, 25])
+def test_sweep_above_the_solver_bound_is_refused_before_listing(cfg, monkeypatch, dmax):
+    # the listing grows as p(d)^3 and every spec above the bound is
+    # FAILED-INFRA, so the sweep raises before it lists one; the CLI exits 3
+    def listing(*args):
+        raise AssertionError("enumerate_sweep_specs ran")
+
+    monkeypatch.setattr(verify, "enumerate_sweep_specs", listing)
+    with pytest.raises(ScaleExceeded):
+        run_sweep(dmax, 3, cfg)
+    assert main(["verify", "--dmax", str(dmax), "--kmax", "3"]) == EXIT_INFRA
+    with pytest.raises(ValidationError):
+        run_sweep(dmax, 0, cfg)
 
 
 def test_sweep_draws_starts_only_for_the_swept_specs_with_two_or_more_branches(cfg, monkeypatch):
