@@ -6,7 +6,8 @@ a violated invariant).  The CLI maps the three onto distinct exit codes, and
 a ``verify`` record that hits an InfraLimit is marked FAILED-INFRA.
 
 Every concrete InfraLimit is raised by the solver or the real
-classification in ``polysolve``; ScaleExceeded is also raised by ``series``.
+classification in ``polysolve``; ScaleExceeded is also raised by ``series``
+and by ``verify.run_sweep``, which refuses a dmax above the solver bound.
 """
 
 from __future__ import annotations

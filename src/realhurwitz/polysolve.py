@@ -30,9 +30,7 @@ the eight rows of smallest residual advance, for up to ten more (or until
 one converges without a proof), and then every row still active does.  The
 rows of a chunk therefore end exactly as in one batch, and the chunk
 completes exactly when it would; rows reach the acceptance in the order
-they end, lead rows first.  On the six two-branch d = 5 and d = 6 specs
-of the benchmark's ``solve`` workload this passes 1,626 Jacobian rows per
-pass instead of 3,075 (40 draws at seed 0).
+they end, lead rows first.
 
 Acceptance (``_Collector.accept``) takes a table of candidate rows and
 their residual norms, the way ``match_index`` takes a table of queries: a
@@ -85,10 +83,13 @@ Real solutions are read off the conjugation pairing and projected, not
 re-solved.  A solution is real when ``conjugation_partners`` pairs it with
 itself; under the count = N certificate a non-real P cannot (dedup would
 have merged P and conj(P)), and a real P must (else conj(P) is an extra
-solution).  ``_real_projection`` pairs the roots by the same rule and
-returns the exactly conjugation-fixed point: a self-paired root keeps its
-real part and a pair becomes r, conj(r).  Its residual must stay within
-``residual_bound``.
+solution).  ``_real_polynomials`` takes a set's real rows as one table: it
+pairs every row's roots by the same rule in one masked argmin, projects
+each row onto its exactly conjugation-fixed point (a self-paired root keeps
+its real part and a pair becomes r, conj(r)), and reads F and the
+coefficients off one product call.  A row fails on an unpaired root, on
+roots that collapse under the projection, or on a residual above
+``residual_bound``, and the first failing row raises.
 
 A spec whose profile multiset was solved before is carried over, not
 solved, by one loop, ``_carried_points``.  If its branch data is an affine
@@ -1148,53 +1149,51 @@ def solve_all(
 # --- real classification ----------------------------------------------------
 
 
-def _real_projection(system: SystemSpec, point: np.ndarray, config: RunConfig) -> np.ndarray:
-    """The conjugation-fixed point at a nearly-real point.
+def _real_polynomials(
+    system: SystemSpec, points: np.ndarray, config: RunConfig
+) -> list[RealPolynomial]:
+    """The real polynomials at nearly-real points (R, n), each projected to be conjugation-fixed.
 
     Each root pairs with the root of its branch and multiplicity nearest its
-    conjugate, itself included, in one masked argmin: the rule
-    ``classify_real`` applies to solutions.  A pairing that is not an
-    involution, or a pair farther apart than tol_cluster, raises
-    AmbiguousRealness.  A self-paired root keeps its real part (imaginary
-    part exactly 0) and for a pair j < m root m becomes conj(x[j]).
-    """
-    x = np.array(point, dtype=complex)
-    gap = np.abs(x - x[:, None].conj())  # gap[j, m] = |x[m] - conj(x[j])|
-    gap[system.slot_mismatch] = np.inf
-    partner = gap.argmin(axis=1)
-    rows = np.arange(system.n)
-    if (partner[partner] != rows).any() or (gap[rows, partner] > config.tol_cluster).any():
-        raise AmbiguousRealness(
-            "a preimage root has no conjugate partner within tolerance; "
-            "rerun with tighter tolerances"
-        )
-    fixed = partner == rows
-    x[fixed] = x[fixed].real
-    first = partner > rows
-    x[partner[first]] = x[first].conj()
-    return x
+    conjugate, itself included, in one masked argmin over the (R, n, n) gaps.
+    A self-paired root keeps its real part (imaginary part exactly 0) and for
+    a pair j < m root m becomes conj(x[j]).  One product call serves every
+    point: it gives F, as ``residual_batch`` does, and branch 0's product,
+    whose a_2..a_d with w_0 added to a_d are ``canonical_coefficients``.
 
-
-def _build_real_polynomials(
-    system: SystemSpec, points: np.ndarray, config: RunConfig, bound: float
-) -> list[RealPolynomial]:
-    """The real polynomials at the conjugation-fixed points (R, n), each with residual within bound.
-
-    One product call serves every point: it gives F, as ``residual_batch``
-    does, and branch 0's product, whose a_2..a_d with w_0 added to a_d are
-    ``canonical_coefficients``.  The first point whose roots collapse
-    raises DegenerateConfiguration, or whose residual exceeds bound raises
-    AmbiguousRealness.
+    The first failing row raises: AmbiguousRealness for a pairing that is not
+    an involution or a pair farther apart than tol_cluster,
+    DegenerateConfiguration for roots that collapse under the projection,
+    and AmbiguousRealness for a residual max|Re F| above ``residual_bound``,
+    in that order within a row.
     """
     spec = system.spec
-    collapsed = ~_well_separated(system, points, config.tol_cluster)
-    qs = _batch_products(points.T[system.root_index])
+    x = np.array(points, dtype=complex)
+    rows, cols = np.arange(len(x))[:, None], np.arange(system.n)
+    # gap[r, j, m] = |x[r, m] - conj(x[r, j])|, infinite across slot kinds
+    gap = np.where(system.slot_mismatch, np.inf, np.abs(x[:, None, :] - x[:, :, None].conj()))
+    partner = gap.argmin(axis=2)
+    unpaired = (
+        (partner[rows, partner] != cols) | (gap.min(axis=2) > config.tol_cluster)
+    ).any(axis=1)
+    fixed = partner == cols
+    x[fixed] = x[fixed].real
+    second = partner < cols
+    x[second] = x[rows, partner][second].conj()
+    collapsed = ~_well_separated(system, x, config.tol_cluster)
+    qs = _batch_products(x.T[system.root_index])
     # F is real at a conjugation-fixed point up to rounding, so its real part
     # is the real polynomial's residual, the bound a real Newton step enforces
     f = np.max(np.abs(_assemble_residual(system, qs).real), axis=1)
-    failed = collapsed | (f > bound)
+    bound = residual_bound(spec, config)
+    failed = unpaired | collapsed | (f > bound)
     if failed.any():
         i = int(failed.argmax())
+        if unpaired[i]:
+            raise AmbiguousRealness(
+                "a preimage root has no conjugate partner within tolerance; "
+                "rerun with tighter tolerances"
+            )
         if collapsed[i]:
             raise DegenerateConfiguration(
                 "real projection collapsed two preimage roots of one branch value"
@@ -1205,22 +1204,22 @@ def _build_real_polynomials(
     coefficients = qs[2:, 0]
     coefficients[-1] += spec.values[0]
     reals = []
-    for x, coeffs, res in zip(points, coefficients.real.T, f):
+    for point, coeffs, res in zip(x.tolist(), coefficients.real.T.tolist(), f.tolist()):
         preimages = []
         nonreal = []
         for start, end in system.branch_ranges:
-            roots = [(x[j], system.slots[j][1]) for j in range(start, end)]
-            preimages.append(tuple(sorted((float(r.real), m) for r, m in roots if r.imag == 0)))
+            roots = [(point[j], system.slots[j][1]) for j in range(start, end)]
+            preimages.append(tuple(sorted((r.real, m) for r, m in roots if r.imag == 0)))
             nonreal.append(tuple(sorted((m for r, m in roots if r.imag != 0), reverse=True)))
         reals.append(
             RealPolynomial(
                 d=spec.d,
-                coefficients=tuple(float(c) for c in coeffs),
+                coefficients=tuple(coeffs),
                 profiles=spec.profiles,
                 values=spec.values,
                 real_preimages=tuple(preimages),
                 nonreal_orders=tuple(nonreal),
-                residual=float(res),
+                residual=res,
             )
         )
     return reals
@@ -1239,43 +1238,27 @@ def classify_real(solset: SolutionSet, config: RunConfig | None = None) -> list[
     """Extract the real polynomials from a complete complex solution set.
 
     A solution is real when it is its own ``conjugation_partners`` entry
-    under tol_dedup; its point is then replaced by the exactly
-    conjugation-fixed one of ``_real_projection``, so no Newton step runs.
-    It pairs the roots by the same rule.  A pairing of solutions or roots
-    that is not an involution raises AmbiguousRealness, as do a root pair
-    farther apart than tol_cluster and a projected point whose residual
-    max|Re F| exceeds ``residual_bound``; roots that collapse under the
-    projection raise DegenerateConfiguration.  The projected points are
-    checked and built in one batch (``_build_real_polynomials``), and the
-    first failing solution raises, as if each were checked in turn.
+    under tol_dedup.  The real solutions up to the first one whose pairing is
+    not an involution go to ``_real_polynomials`` in one table, which
+    projects each onto its exactly conjugation-fixed point, so no Newton step
+    runs, and raises at the first failing row; failing none, a broken pairing
+    raises AmbiguousRealness.  The first failing solution thus raises, as if
+    each were checked in turn.
     """
     config = config or RunConfig()
     if solset.certificate != "COMPLETE":
         raise ValidationError("real classification requires a COMPLETE certificate")
     if solset.spec.is_identity:
         return [RealPolynomial(1, (), (), (), (), ())]  # P(z) = z, with no branch data
-    system = build_system(solset.spec)
-    bound = residual_bound(system.spec, config)
     partners = conjugation_partners(solset, config.tol_dedup)
-    points, failure = [], None
-    for i, (point, j) in enumerate(zip(solset.solutions, partners)):
-        if j is not None and partners[j] != i:
-            failure = AmbiguousRealness(
-                f"the conjugation pairing is not an involution: solution {i} "
-                f"pairs with {j}, which pairs with {partners[j]}"
-            )
-            break
-        if j == i:
-            try:
-                points.append(_real_projection(system, point, config))
-            except AmbiguousRealness as exc:
-                failure = exc
-                break
-    # the reals before a failing solution are checked first, so the first
-    # failing solution raises
-    points = np.array(points, dtype=complex).reshape(-1, system.n)
-    reals = _build_real_polynomials(system, points, config, bound)
-    if failure is not None:
-        raise failure
+    broken = next((i for i, j in enumerate(partners) if j is not None and partners[j] != i), None)
+    real = [i for i, j in enumerate(partners[:broken]) if i == j]
+    reals = _real_polynomials(build_system(solset.spec), solset.solutions[real], config)
+    if broken is not None:
+        j = partners[broken]
+        raise AmbiguousRealness(
+            f"the conjugation pairing is not an involution: solution {broken} "
+            f"pairs with {j}, which pairs with {partners[j]}"
+        )
     reals.sort(key=lambda p: grid_key(p.coefficients))
     return reals

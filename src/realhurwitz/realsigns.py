@@ -10,7 +10,7 @@ polynomials with the prescribed branch data is an invariant of the profiles
 alone.
 
 Counts here always come from the solver's root assignments as projected by
-``polysolve._real_projection``, never from re-factoring the polynomial's
+``polysolve._real_polynomials``, never from re-factoring the polynomial's
 coefficients; that keeps the multiplicities exact by construction.
 """
 

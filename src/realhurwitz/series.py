@@ -248,8 +248,9 @@ def basis_fit(table: SeriesTable, parity: str, degree_bound: int) -> BasisFit:
     one with a + b above the highest tabulated order vanishes on the data
     and would get coefficient 0: only a + b <= min(degree_bound, top order)
     is built, and ``BasisFit.labels`` does not list the vanishing ones.
-    When the basis is at least as large as the data the fit is flagged
-    structural only.
+    When no element is left (degree_bound 0 on data of odd q-parity) the fit
+    is empty, with residual max |h_m / m!|.  When the basis is at least as
+    large as the data the fit is flagged structural only.
     """
     if parity not in (EVEN, ODD):
         raise ValidationError(f"parity must be {EVEN!r} or {ODD!r}")
@@ -276,8 +277,6 @@ def basis_fit(table: SeriesTable, parity: str, degree_bound: int) -> BasisFit:
             series = _basis_element(a, b, odd_part, top)
             labels.append(("sech*" if odd_part else "") + f"q^{a}*tanh^{b}")
             columns.append([series[m] for m in orders])
-    if not columns:
-        raise ValidationError("no basis element matches the parity of the data")
     structural = len(columns) >= len(orders)
     coeffs = _solve_exact_least_squares(columns, targets)
     residual = Fraction(0)

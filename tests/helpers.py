@@ -219,6 +219,25 @@ def kernel_canonical(system, x):
     return full[2:]
 
 
+def kernel_real_projection(system, x):
+    """Reference real projection of one point, root by root.
+
+    Each root pairs with the first root of its slot kind (branch and
+    multiplicity) nearest its conjugate; a self-paired root keeps its real
+    part and of a pair j < m root m becomes conj(x[j]).
+    """
+    x = np.asarray(x, dtype=complex)
+    out = x.copy()
+    for i, kind in enumerate(system.slots):
+        same = [j for j, other in enumerate(system.slots) if other == kind]
+        j = min(same, key=lambda j: abs(x[j] - x[i].conjugate()))
+        if j == i:
+            out[i] = x[i].real
+        elif j < i:
+            out[i] = x[j].conjugate()
+    return out
+
+
 def fd_jacobian(system, x, h=1e-6):
     """Central-difference Jacobian; valid since the equations are holomorphic."""
     x = np.asarray(x, dtype=complex)

@@ -25,9 +25,8 @@ from realhurwitz import polysolve
 from realhurwitz.cli import _solve_cached, main
 from realhurwitz.polysolve import (
     SolutionSet,
-    _build_real_polynomials,
     _newton_batch,
-    _real_projection,
+    _real_polynomials,
     _rounding_bound,
     _solve_linear_batch,
     canonical_coefficients,
@@ -45,6 +44,7 @@ from helpers import (
     cubic_solution_coefficients,
     fd_jacobian,
     kernel_canonical,
+    kernel_real_projection,
     kernel_residual,
     kernel_residual_and_jacobian,
     match_coefficient_sets,
@@ -374,19 +374,49 @@ def _planted(solset, rows, **arrays):
     return dataclasses.replace(solset, **fields)
 
 
+def _recorded(results, original):
+    """original, with each result appended to results."""
+
+    def wrapper(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    return wrapper
+
+
+def _projected(system, points, cfg):
+    """The real polynomials at points and the projected points (R, n) of their one product call."""
+    gathered = []
+    original = polysolve._batch_products
+
+    def recording(roots):
+        gathered.append(roots)
+        return original(roots)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polysolve, "_batch_products", recording)
+        reals = _real_polynomials(system, points, cfg)
+    (roots,) = gathered
+    # roots is (d, k, R), branch b's column its slots repeated by multiplicity
+    branches = [b for b, _ in system.slots]
+    first = [list(system.root_index[:, b]).index(j) for j, b in enumerate(branches)]
+    return reals, roots[first, branches].T
+
+
 def test_real_points_are_conjugation_fixed(cfg):
     # the projected point of every real solution is exactly closed under
     # conjugation, branch by branch and multiplicity by multiplicity, and
-    # its real roots have imaginary part exactly 0
+    # its real roots have imaginary part exactly 0, bit for bit as the
+    # root-by-root reference projects it
     projected = paired = 0
     specs = [validate_branch_spec(profiles) for profiles in enumerate_sweep_specs(5, 3)]
     for spec in specs + [spec.reversed_spec() for spec in specs]:
         system = build_system(spec)
         solset = solve_all(spec, cfg)
-        for coeffs, point in zip(solset.coefficients, solset.solutions):
-            if np.max(np.abs(coeffs.imag)) > 1e-2:
-                continue
-            x = _real_projection(system, point, cfg)
+        points = solset.solutions[np.max(np.abs(solset.coefficients.imag), axis=1) <= 1e-2]
+        _, xs = _projected(system, points, cfg)
+        for point, x in zip(points, xs):
+            assert np.array_equal(x, kernel_real_projection(system, point))
             for start, end in system.branch_ranges:
                 for m in set(system.slots[j][1] for j in range(start, end)):
                     roots = x[start:end][[system.slots[j][1] == m for j in range(start, end)]]
@@ -415,41 +445,55 @@ def test_classify_real_rejects_unpaired_root(cfg):
             classify_real(broken, cfg)
 
 
+@pytest.mark.parametrize(
+    "order, error, message",
+    [
+        ((0, 1), AmbiguousRealness, "no conjugate partner"),
+        ((1, 0), DegenerateConfiguration, "collapsed"),
+    ],
+)
+def test_classify_real_raises_at_the_first_failing_row_of_any_kind(cfg, order, error, message):
+    # row A has an unpaired root, row B two collapsed roots: the first of
+    # them in the set raises, whatever its kind
+    solset = solve_all(validate_branch_spec(parse_profiles("2,2|2,1,1")), cfg)
+    a = _real_row(solset, (2.0, 0.0, 2.0))  # the real double root 0 over the second value
+    b = _real_row(solset, (-2.0, 0.0, 2.0))  # the roots 0, -sqrt(2), sqrt(2) over it
+    unpaired = solset.solutions[a].copy()
+    assert abs(unpaired[2].imag) < 1e-12 and abs(unpaired[0].imag) > 0.5
+    unpaired[2] += 10j * cfg.tol_cluster
+    collapsed = solset.solutions[b].copy()
+    collapsed[3] = collapsed[2]  # a simple root meets the double root
+    rows = [a, b]
+    solutions = np.array([unpaired, collapsed])[list(order)]
+    planted = _planted(solset, [rows[i] for i in order], solutions=solutions)
+    with pytest.raises(error, match=message):
+        classify_real(planted, cfg)
+
+
 def _projected_real(cfg):
     system = build_system(CUBIC)
     solset = solve_all(CUBIC, cfg)
     point = solset.solutions[_real_row(solset, (-3.0, 0.0))]  # z^3 - 3z
-    return system, _real_projection(system, point, cfg)
+    (poly,), (x,) = _projected(system, point[None], cfg)
+    return system, poly, x
 
 
 def test_build_real_polynomial_rejects_collapsed_projection(cfg):
-    system, x = _projected_real(cfg)
-    bound = residual_bound(CUBIC, cfg)
-    (poly,) = _build_real_polynomials(system, x[None], cfg, bound)
+    system, poly, x = _projected_real(cfg)
     assert poly.coefficients == pytest.approx((-3.0, 0.0))
     assert np.all(x.imag == 0.0)  # every root of z^3 - 3z over -2 and 2 is real
     assert poly.nonreal_orders == ((), ())
     assert [m for branch in poly.real_preimages for _, m in branch] == [1, 2, 2, 1]
     x[1] = x[0]  # the double and the simple root over the first value meet
     with pytest.raises(DegenerateConfiguration, match="collapsed"):
-        _build_real_polynomials(system, x[None], cfg, bound)
+        _real_polynomials(system, x[None], cfg)
 
 
 def test_build_real_polynomial_rejects_residual_above_bound(cfg):
-    system, x = _projected_real(cfg)
+    system, _, x = _projected_real(cfg)
     x[0] += 1e-9  # still real and separated, but max|Re F| is 4e-9, 40 times the bound
     with pytest.raises(AmbiguousRealness, match="above the bound"):
-        _build_real_polynomials(system, x[None], cfg, residual_bound(CUBIC, cfg))
-
-
-def _recorded(results, original):
-    """original, with each result appended to results."""
-
-    def wrapper(*args):
-        results.append(original(*args))
-        return results[-1]
-
-    return wrapper
+        _real_polynomials(system, x[None], cfg)
 
 
 @pytest.mark.parametrize("text", ["4,1,1|3,1,1,1", "2,1,1|2,1,1|2,1,1", "2,2|2,1,1"])
@@ -462,18 +506,18 @@ def test_real_polynomials_take_one_product_call(cfg, monkeypatch, text):
     partners = polysolve.conjugation_partners(solset, cfg.tol_dedup)
     real = [i for i, j in enumerate(partners) if i == j]
     assert real
-    projected = np.array([_real_projection(system, solset.solutions[i], cfg) for i in real])
-    for points in (projected, projected[:0]):
+    for points in (solset.solutions[real], solset.solutions[real][:0]):
         products, residuals = [], []
+        _, projected = _projected(system, points, cfg)
         with monkeypatch.context() as patch:
             for name, results in (("_batch_products", products), ("_assemble_residual", residuals)):
                 patch.setattr(polysolve, name, _recorded(results, getattr(polysolve, name)))
-            reals = _build_real_polynomials(system, points, cfg, residual_bound(spec, cfg))
+            reals = _real_polynomials(system, points, cfg)
         assert len(products) == 1 and len(reals) == len(points)
-        f = residual_batch(system, points)
+        f = residual_batch(system, projected)
         assert residuals[0].shape == f.shape and residuals[0].tobytes() == f.tobytes()
         coeffs = np.array([p.coefficients for p in reals]).reshape(len(points), spec.d - 1)
-        assert coeffs.tobytes() == canonical_coefficients(system, points).real.tobytes()
+        assert coeffs.tobytes() == canonical_coefficients(system, projected).real.tobytes()
         res = np.array([p.residual for p in reals])
         assert res.tobytes() == np.max(np.abs(f.real), axis=1).tobytes()
 

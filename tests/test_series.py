@@ -130,6 +130,20 @@ def test_basis_fit_odd_part_of_unit_partition(cfg):
     assert dict(zip(fit.labels, fit.coefficients)) == {"sech*q^0*tanh^0": Fraction(1)}
 
 
+def test_basis_fit_without_a_matching_element_is_empty(cfg):
+    # at bound 0 the even part (m = 1, 3) has no element of its odd
+    # q-parity: its fit is empty, with residual max |h_m / m!|, and the odd
+    # fit beside it is kept
+    table = series_table(parse_partition("1"), 4, cfg)
+    even = basis_fit(table, "even", 0)
+    assert even.labels == () and even.coefficients == () and not even.structural_only
+    assert even.residual == max(abs(Fraction(table.entries[m], math.factorial(m))) for m in (1, 3))
+    assert even.residual == 1
+    odd = basis_fit(table, "odd", 0)
+    assert dict(zip(odd.labels, odd.coefficients)) == {"sech*q^0*tanh^0": Fraction(1)}
+    assert odd.residual == 0
+
+
 def test_basis_fit_constant_table():
     table = SeriesTable(
         lam=Partition([2]),
