@@ -12,7 +12,12 @@ long as the roots within one branch stay separated.
 Completeness is certified against the exact factorization count: the solver
 keeps drawing seeded random starts for damped Newton until the deduplicated
 solution count reaches that target, harvesting the conjugation and
-root-of-unity symmetry orbits of every solution found along the way.
+root-of-unity symmetry orbits of every solution found along the way.  When
+the spec's (profile, value) pairs are their own reversal under
+w -> w_0 + w_last - w, as for every two-branch spec with equal profiles and
+every palindromic profile list at evenly spaced values, the reversal
+P -> w_0 + w_last - P(z / c), c^d = -1, is one more symmetry and is
+harvested too (``_reversal``, decided once a multistart runs).
 ``_Collector.offer_all`` takes each Newton hand-over of converged rows as one
 table and the orbit mates of its new solutions, exact and so unpolished, as
 another.  The first time the count reaches the target, a Krawczyk test
@@ -35,16 +40,16 @@ they end, lead rows first.
 Acceptance (``_Collector.accept``) takes a table of candidate rows and
 their residual norms, the way ``match_index`` takes a table of queries: a
 Newton hand-over is one table, the 2d - 1 orbit mates of its new solutions
-another, and the carried points of a known set, exact images, a third.  The
-residual filter, the root separation check, the coefficients and the match
-against the accepted set are one call each for the table; the rows are then
-decided in order, each against the accepted set and the rows of the table
-kept before it (compared _CHUNK_SIZE rows at a time), so a table keeps
-exactly the rows, and raises at the same row, that its rows accepted one by
-one would.  Coefficients are compared in the affine normal form
-(``normal_coefficients``), where the branch values run from 0 to 1, so
-moving or scaling every value changes no dedup, conjugation, z -> -z or
-rotation match.
+(4d - 1 with the reversal) another, and the carried points of a known set,
+exact images, a third.  The residual filter, the root separation check, the
+coefficients and the match against the accepted set are one call each for
+the table; the rows are then decided in order, each against the accepted
+set and the rows of the table kept before it (compared _CHUNK_SIZE rows at
+a time), so a table keeps exactly the rows, and raises at the same row,
+that its rows accepted one by one would.  Coefficients are compared in the
+affine normal form (``normal_coefficients``), where the branch values run
+from 0 to 1, so moving or scaling every value changes no dedup,
+conjugation, z -> -z or rotation match.
 
 Most random starts never reach a solution, so Newton retires a row early
 by two rules.  Escape: every root of every solution has modulus at most
@@ -754,7 +759,11 @@ def match_index(table: np.ndarray, queries: np.ndarray, tol: float) -> list[int 
     matches anything and an empty table nothing.  A symmetry check passes
     all its images in one call; a single point is a one-row query table.
     """
-    return [int(row.argmax()) if row.any() else None for row in _near(table, queries, tol)]
+    near = _near(table, queries, tol)
+    if not near.shape[1]:
+        return [None] * len(near)
+    hits = near.any(axis=1).tolist()
+    return [i if hit else None for i, hit in zip(near.argmax(axis=1).tolist(), hits)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -805,6 +814,7 @@ class _Collector:
         self.residuals = np.empty(0)
         self.collapse_counts: dict[tuple, int] = {}
         self.proven: bool | None = None  # the one certification, once the target is reached
+        self.reversal: tuple[complex, np.ndarray] | None = None  # ``_reversal``, when harvested
 
     def __len__(self) -> int:
         return len(self.points)
@@ -877,9 +887,12 @@ class _Collector:
         2d) is {rot_t(x), conj(rot_t(x))}, with rot_t(x) = x zeta^(-t) the
         roots of P(zeta^t z).  Rotation multiplies each equation row by a
         unit and conjugation conjugates it (the values are real), so the
-        2d - 1 mates are exact.  The hand-over is one ``accept`` table; the
-        mates of the rows it kept, built in one broadcast and scored by one
-        ``residual_batch`` call, are a second, taken after the target too,
+        2d - 1 mates are exact.  With ``reversal`` set, the reversal images
+        c y[columns] of those 2d points join them, 4d - 1 mates in all,
+        exact by the same affine map that carries a reversed spec.  The
+        hand-over is one ``accept`` table; the mates of the rows it kept,
+        built in one broadcast and scored by one ``residual_batch`` call,
+        are a second, taken after the target too,
         so a new solution beyond it raises OvercountDetected.  The first
         time the count reaches the target, ``_krawczyk_certified`` runs once
         on the accepted points: if it proves them, no other solution exists
@@ -890,6 +903,9 @@ class _Collector:
             d, n = self.system.d, self.system.n
             rotated = new[:, None] * np.exp(-2j * np.pi * np.arange(d) / d)[:, None]
             mates = np.stack((rotated, rotated.conj()), axis=2).reshape(len(new), 2 * d, n)
+            if self.reversal is not None:
+                c, columns = self.reversal
+                mates = np.concatenate((mates, c * mates[..., columns]), axis=1)
             mates = mates[:, 1:].reshape(-1, n)
             self.accept(mates, np.abs(residual_batch(self.system, mates)).max(axis=1))
         if self.complete and self.proven is None:
@@ -926,11 +942,15 @@ class _Collector:
         )
 
 
+def _block_columns(profiles: tuple[Partition, ...], order: list[int]) -> np.ndarray:
+    """The slot columns that move branch order[j]'s root block to place j."""
+    bounds = np.cumsum([0] + [lam.length for lam in profiles])
+    return np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in order])
+
+
 def _permuted_points(source: SolutionSet, order: list[int]) -> np.ndarray:
     """The points of source's solutions, with branch order[j]'s root block moved to place j."""
-    bounds = np.cumsum([0] + [lam.length for lam in source.spec.profiles])
-    columns = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in order])
-    return source.solutions[:, columns]
+    return source.solutions[:, _block_columns(source.spec.profiles, order)]
 
 
 # path tracking in the branch values: the first step, its growth factor and
@@ -1040,6 +1060,40 @@ def _branch_order(source: BranchSpec, spec: BranchSpec, last_first: bool) -> lis
     return order
 
 
+def _affine_scale(
+    source: BranchSpec, spec: BranchSpec, order: list[int], tol: float
+) -> complex | None:
+    """c, c^d = a, when spec's branch data is source's in order under w -> a w + b; else None.
+
+    With u source's values in order and t the spec's, the end values fix a,
+    and the spec is the image when a (u - u_0) + t_0 matches t by
+    ``match_index`` at tol.  P -> a P(z / c) + b then maps source's
+    solutions one to one onto spec's: a root r of P - w goes to c r, a root
+    of the same order of a P(z / c) + b - (a w + b), and its block moves to
+    its branch's new place (``_block_columns``).
+    """
+    u, t = np.array(source.values)[order], np.array(spec.values)
+    a = (t[-1] - t[0]) / (u[-1] - u[0])
+    if match_index(t[None, :], (a * (u - u[0]) + t[0])[None, :], tol) == [0]:
+        return complex(a) ** (1.0 / spec.d)
+    return None
+
+
+def _reversal(spec: BranchSpec, tol: float) -> tuple[complex, np.ndarray] | None:
+    """(c, columns) of the reversal sigma when it maps the spec onto itself, else None.
+
+    sigma is the spec's own ``_affine_scale`` image in reversed branch order,
+    a = -1: P -> w_0 + w_last - P(z / c), c^d = -1, and a point x goes to
+    c x[:, columns].  It needs palindromic profiles, so other specs make no
+    numpy call here.
+    """
+    if spec.profiles != spec.profiles[::-1]:
+        return None
+    order = list(range(spec.k))[::-1]
+    c = _affine_scale(spec, spec, order, tol)
+    return None if c is None else (c, _block_columns(spec.profiles, order))
+
+
 def _carried_points(
     known: tuple[SolutionSet, ...], system: SystemSpec, tol: float
 ) -> np.ndarray | None:
@@ -1047,22 +1101,18 @@ def _carried_points(
 
     A one-branch spec's one solution is the point 0 of z^d + w.  Otherwise
     every COMPLETE known set with the spec's d and k is tried in both
-    ``_branch_order`` orders, with u its values in that order and t the
-    spec's.  The end values fix a, and when a (u - u_0) + t_0 matches t by
-    ``match_index`` at tol, the spec is the image of the set under
-    w -> a w + b: a root r of P - w goes to c r, c^d = a, a root of the same
-    order of a P(z / c) + b - (a w + b), and its block moves to its branch's
-    new place.  Since both value lists increase, only the identity (a > 0)
-    and the reversal (a < 0) can match, and the first-unused and last-unused
-    orders are those whenever they could.  Failing every image, the first
-    set with the spec's profile multiset is tracked (``_track``) from u, in
-    its first-unused order, to t, and the arrived points are returned.  None
-    when no known set qualifies.
+    ``_branch_order`` orders, and mapped when the spec is its
+    ``_affine_scale`` image in that order.  Since both value lists
+    increase, only the identity (a > 0) and the reversal (a < 0) can match,
+    and the first-unused and last-unused orders are those whenever they
+    could.  Failing every image, the first set with the spec's profile
+    multiset is tracked (``_track``) from its values, in its first-unused
+    order, to the spec's, and the arrived points are returned.  None when no
+    known set qualifies.
     """
     spec = system.spec
     if spec.k == 1:
         return np.zeros((1, 1), dtype=complex)
-    t = np.array(spec.values)
     first = None
     for source in known:
         if (source.spec.d, source.spec.k) != (spec.d, spec.k) or source.certificate != "COMPLETE":
@@ -1071,16 +1121,16 @@ def _carried_points(
             order = _branch_order(source.spec, spec, last_first)
             if order is None:
                 break
-            u = np.array(source.spec.values)[order]
-            a = (t[-1] - t[0]) / (u[-1] - u[0])
-            if match_index(t[None, :], (a * (u - u[0]) + t[0])[None, :], tol) == [0]:
-                return complex(a) ** (1.0 / spec.d) * _permuted_points(source, order)
+            c = _affine_scale(source.spec, spec, order, tol)
+            if c is not None:
+                return c * _permuted_points(source, order)
             if first is None:
-                first = source, order, u
+                first = source, order
     if first is None:
         return None
-    source, order, u = first
-    tracked, arrived = _track(system, _permuted_points(source, order), u, t)
+    source, order = first
+    u = np.array(source.spec.values)[order]
+    tracked, arrived = _track(system, _permuted_points(source, order), u, spec.values)
     return tracked[arrived]
 
 
@@ -1107,7 +1157,8 @@ def solve_all(
     are exact images: they are scored by one ``residual_batch`` call and
     accepted as they are, with no Newton iteration, and the multistart runs
     only for the solutions they miss (``starts_used`` is 0 when they reach
-    the target).
+    the target).  A multistart first decides once, by ``_reversal``,
+    whether the reversal joins the harvested symmetries.
 
     Raises IncompleteEnumeration (carrying the partial set) when the start
     budget runs out first and OvercountDetected if dedup ever exceeds the
@@ -1127,6 +1178,7 @@ def solve_all(
         collector.accept(carried, np.abs(residual_batch(system, carried)).max(axis=1))
     starts_used = 0
     if not collector.complete:
+        collector.reversal = _reversal(spec, config.tol_dedup)
         rng = np.random.default_rng(config.seed)
         scale = root_bound(spec) / 4.0
         while starts_used < config.start_budget and not collector.complete:

@@ -606,6 +606,30 @@ def test_match_index_matches_loop_scan():
     assert match_index(np.empty((2, 0), dtype=complex), np.empty((3, 0)), 1e-6) == [0, 0, 0]
 
 
+def test_match_index_reads_the_mask_once():
+    # the whole (queries, table) mask is read by one any and one argmax, and
+    # the list is the per-row rule's, empty tables and width-0 rows included
+    def per_row(table, queries, tol):
+        near = polysolve._near(table, queries, tol)
+        return [int(row.argmax()) if row.any() else None for row in near]
+
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    queries = np.concatenate((table[[4, 1, 4]], table[:3] + 1.0))
+    cases = [
+        (table, queries),
+        (np.vstack((table, table)), queries),
+        (table[:0], queries),
+        (table, queries[:0]),
+        (table[:0], queries[:0]),
+        (table[:, :0], queries[:, :0]),
+        (table[:0, :0], queries[:, :0]),
+    ]
+    for tab, qs in cases:
+        assert match_index(tab, qs, 1e-6) == per_row(tab, qs, 1e-6)
+    assert match_index(table, queries, 1e-6) == [4, 1, 4, None, None, None]
+
+
 def test_determinism_same_seed(cfg):
     first = solve_all(QUARTIC_CUSP, cfg)
     second = solve_all(QUARTIC_CUSP, cfg)
@@ -640,13 +664,16 @@ def test_solutions_lie_in_the_root_ball(cfg):
 
 @pytest.mark.parametrize("text", ["3,2,1|3,1,1,1", "2,1,1|2,1,1|2,1,1"])
 def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
-    # the dihedral orbit {rot_t(x), conj(rot_t(x))} of a new solution is taken
-    # exactly: no Newton runs inside offer_all, and a hand-over makes one
-    # accept call on its rows, then, when it kept k of them, one residual
-    # call and one accept call on their (2d - 1) k mates; accepted mates
-    # start no harvest of their own
+    # the dihedral orbit {rot_t(x), conj(rot_t(x))} of a new solution, and
+    # for the reflection-symmetric 2,1,1|2,1,1|2,1,1 its reversal images
+    # too, is taken exactly: no Newton runs inside offer_all, and a
+    # hand-over makes one accept call on its rows, then, when it kept k of
+    # them, one residual call and one accept call on their (2d - 1) k mates,
+    # (4d - 1) k with the reversal; accepted mates start no harvest of their own
     spec = validate_branch_spec(parse_profiles(text))
     d = spec.d
+    reversal = polysolve._reversal(spec, cfg.tol_dedup)
+    assert (reversal is not None) == (text == "2,1,1|2,1,1|2,1,1")
     newton_calls = []
     handovers = []  # per offer_all call: its accept (rows, kept) and residual rows
     original_newton = polysolve._newton_batch
@@ -683,17 +710,23 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     monkeypatch.setattr(polysolve._Collector, "offer_all", offer_all)
     solset = solve_all(spec, cfg)
     coeffs = solset.coefficients
+    bases = [coeffs]  # each solution's coefficients and, with the reversal, its image's
+    if reversal is not None:
+        c, columns = reversal
+        images = c * solset.solutions[:, columns]
+        bases.append(canonical_coefficients(build_system(spec), images))
     orbit = [None] * len(coeffs)
     orbits = 0
     for i in range(len(coeffs)):
         if orbit[i] is not None:
             continue
-        for t in range(d):
-            rotated = rotate_coefficients(coeffs[i], d, t)
-            for mate in (rotated, np.conj(rotated)):
-                (j,) = match_index(coeffs, mate[None], cfg.tol_dedup)
-                assert j is not None  # a complete set is closed under the group
-                orbit[j] = orbits
+        for base in bases:
+            for t in range(d):
+                rotated = rotate_coefficients(base[i], d, t)
+                for mate in (rotated, np.conj(rotated)):
+                    (j,) = match_index(coeffs, mate[None], cfg.tol_dedup)
+                    assert j is not None  # a complete set is closed under the group
+                    orbit[j] = orbits
         orbits += 1
     assert solset.certificate == "COMPLETE"
     assert orbits < len(coeffs)
@@ -701,10 +734,70 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     harvests = 0
     for handover in handovers:
         (_, kept), *mates = handover["accept"]
-        mate_rows = [(2 * d - 1) * kept] if kept else []
+        mate_rows = [(2 * d * len(bases) - 1) * kept] if kept else []
         assert [rows for rows, _ in mates] == handover["residual"] == mate_rows
         harvests += kept
     assert orbits <= harvests < len(coeffs)
+
+
+@pytest.mark.parametrize(
+    "text", ["2,1|2,1", "2,1,1|2,1,1|2,1,1", "2,1,1,1|2,1,1,1|2,1,1,1|2,1,1,1"]
+)
+def test_reversal_maps_the_solution_set_onto_itself(cfg, text):
+    # the reversal P -> w_0 + w_last - P(z / c), c^d = -1, takes a point x to
+    # c x with its branch blocks reversed; every image solves the spec within
+    # residual_bound, and the images are the set's solutions, each once
+    spec = validate_branch_spec(parse_profiles(text))
+    system = build_system(spec)
+    solset = solve_all(spec, cfg)
+    c, columns = polysolve._reversal(spec, cfg.tol_dedup)
+    assert abs(c**spec.d + 1.0) < 1e-12
+    images = c * solset.solutions[:, columns]
+    assert np.abs(residual_batch(system, images)).max() <= residual_bound(spec, cfg)
+    normal = normal_coefficients(spec.values, solset.coefficients)
+    queries = normal_coefficients(spec.values, canonical_coefficients(system, images))
+    assert sorted(match_index(normal, queries, cfg.tol_dedup)) == list(range(len(solset)))
+
+
+@pytest.mark.parametrize("text, values", [("3,1|2,1,1", None), ("2,1,1|2,1,1|2,1,1", (1, 2, 3.5))])
+def test_asymmetric_spec_gets_no_reversal_mates(cfg, monkeypatch, text, values):
+    # 3,1|2,1,1 is no palindrome, so the reversal is refused before any
+    # value is compared; at 1, 2, 3.5 the values are compared once and do
+    # not reflect onto themselves.  Either way every hand-over is harvested
+    # with the dihedral mates alone
+    spec = validate_branch_spec(parse_profiles(text), values)
+    compared, reversals = [], []
+    original_scale = polysolve._affine_scale
+    original_offer_all = polysolve._Collector.offer_all
+
+    def affine_scale(*args):
+        compared.append(args)
+        return original_scale(*args)
+
+    def offer_all(self, points, norms):
+        reversals.append(self.reversal)
+        return original_offer_all(self, points, norms)
+
+    monkeypatch.setattr(polysolve, "_affine_scale", affine_scale)
+    monkeypatch.setattr(polysolve._Collector, "offer_all", offer_all)
+    solset = solve_all(spec, cfg)
+    assert solset.certificate == "COMPLETE" and solset.starts_used > 0
+    assert len(compared) == (values is not None)
+    assert reversals and all(r is None for r in reversals)
+
+
+def test_reversal_images_off_the_solution_set_are_rejected(cfg):
+    # at values 1, 2, 3 + 1e-9 the values reflect onto themselves within
+    # tol_dedup, but every image misses the solution set by about 1e-9, above
+    # the residual bound; each is rejected like any candidate, and the
+    # multistart still finds and certifies all 16
+    spec = validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1"), (1, 2, 3 + 1e-9))
+    c, columns = polysolve._reversal(spec, cfg.tol_dedup)
+    solset = solve_all(spec, cfg)
+    assert solset.certificate == "COMPLETE" and len(solset) == 16
+    images = c * solset.solutions[:, columns]
+    norms = np.abs(residual_batch(build_system(spec), images)).max(axis=1)
+    assert (norms > residual_bound(spec, cfg)).all()
 
 
 def _accepted(system, target, cfg, before, table, norms, row_by_row):
@@ -1396,6 +1489,26 @@ def _solved_points(cfg, text):
     return build_system(spec), np.array(solset.solutions)
 
 
+def test_symmetric_spec_certifies_in_one_chunk(cfg):
+    # the 16 solutions fall into dihedral orbits of sizes 4, 8 and 4, and the
+    # reversal swaps the two 4-orbits, so a first chunk that finds one of
+    # them has found both
+    spec = validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1"))
+    used = [solve_all(spec, cfg.replace(seed=seed)).starts_used for seed in range(40)]
+    assert used == [polysolve._CHUNK_SIZE] * 40
+
+
+@pytest.mark.parametrize("text", CERTIFIED_SPECS)
+def test_reversal_harvest_never_costs_starts(cfg, monkeypatch, text):
+    spec = validate_branch_spec(parse_profiles(text))
+    seeds = range(10)
+    harvested = [solve_all(spec, cfg.replace(seed=seed)).starts_used for seed in seeds]
+    monkeypatch.setattr(polysolve, "_reversal", lambda spec, tol: None)
+    plain = [solve_all(spec, cfg.replace(seed=seed)).starts_used for seed in seeds]
+    assert all(h <= p for h, p in zip(harvested, plain))
+    assert (sum(harvested) < sum(plain)) == (text == "2,1,1|2,1,1|2,1,1")
+
+
 @pytest.mark.parametrize("text", CERTIFIED_SPECS)
 def test_every_solution_certifies(cfg, text):
     system, points = _solved_points(cfg, text)
@@ -1635,24 +1748,27 @@ def test_newton_stop_changes_no_row(cfg, text, seed):
 def test_lead_rows_save_newton_rows(cfg, monkeypatch):
     # a lead of a whole chunk advances every row together, as with no lead;
     # the six specs end in their first chunk, on a lead row, and pass under
-    # half the rows, while 2,1,1|2,1,1|2,1,1 runs its first chunk to its end
-    # and pays at most the lead's iterations more per chunk
+    # half the rows, while 2,1,1|2,1,1|2,1,1 at values 1, 2, 3.5, where the
+    # reversal is no symmetry, runs its first chunk to its end and pays at
+    # most the lead's iterations more per chunk
     rows = []
     original = polysolve.residual_and_jacobian_batch
+    specs = [validate_branch_spec(parse_profiles(text)) for text in SOLVE_SPECS]
+    specs.append(validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1"), (1.0, 2.0, 3.5)))
 
     def counting(system, points):
         rows.append(points.shape[0])
         return original(system, points)
 
-    def solve_rows(text):
+    def solve_rows(spec):
         rows.clear()
-        solset = solve_all(validate_branch_spec(parse_profiles(text)), cfg)
+        solset = solve_all(spec, cfg)
         return sum(rows), solset.starts_used // polysolve._CHUNK_SIZE
 
     monkeypatch.setattr(polysolve, "residual_and_jacobian_batch", counting)
-    lead = [solve_rows(text) for text in CERTIFIED_SPECS]
+    lead = [solve_rows(spec) for spec in specs]
     monkeypatch.setattr(polysolve, "_LEAD_ROWS", polysolve._CHUNK_SIZE)
-    full = [solve_rows(text) for text in CERTIFIED_SPECS]
+    full = [solve_rows(spec) for spec in specs]
     assert [chunks for _, chunks in lead] == [chunks for _, chunks in full] == [1] * 6 + [2]
     assert sum(r for r, _ in lead[:6]) <= 0.5 * sum(r for r, _ in full[:6])
     extra = polysolve._LEAD_ROWS * polysolve._LEAD_ITERATIONS
