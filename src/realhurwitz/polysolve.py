@@ -14,10 +14,12 @@ keeps drawing seeded random starts for damped Newton until the deduplicated
 solution count reaches that target, harvesting the conjugation and
 root-of-unity symmetry orbits of every solution found along the way.  When
 the spec's (profile, value) pairs are their own reversal under
-w -> w_0 + w_last - w, as for every two-branch spec with equal profiles and
-every palindromic profile list at evenly spaced values, the reversal
-P -> w_0 + w_last - P(z / c), c^d = -1, is one more symmetry and is
-harvested too (``_reversal``, decided once a multistart runs).
+w -> w_0 + w_last - w at rounding level, as for every two-branch spec with
+equal profiles and every palindromic profile list at evenly spaced values,
+the reversal P -> w_0 + w_last - P(z / c), c^d = -1, is one more symmetry
+(``_reversal``).  It is harvested too for three or more branches, decided
+once a multistart hands over its first new solution; for two branches it
+keeps every solution within its dihedral orbit and adds nothing.
 ``_Collector.offer_all`` takes each Newton hand-over of converged rows as one
 table and the orbit mates of its new solutions, exact and so unpolished, as
 another.  The first time the count reaches the target, a Krawczyk test
@@ -814,7 +816,17 @@ class _Collector:
         self.residuals = np.empty(0)
         self.collapse_counts: dict[tuple, int] = {}
         self.proven: bool | None = None  # the one certification, once the target is reached
-        self.reversal: tuple[complex, np.ndarray] | None = None  # ``_reversal``, when harvested
+
+    @functools.cached_property
+    def reversal(self) -> tuple[complex, np.ndarray] | None:
+        """``_reversal`` when it is harvested, else None; read by ``offer_all`` only.
+
+        Only the multistart offers rows, so a carried solve never decides it.
+        A two-branch spec's reversal keeps every solution of a degree the
+        solver takes (2,1|2,1, 3,1,1|3,1,1 and 2,2,1|2,2,1) within its
+        dihedral orbit, so it is not harvested there.
+        """
+        return _reversal(self.system.spec) if self.system.spec.k > 2 else None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -887,13 +899,13 @@ class _Collector:
         2d) is {rot_t(x), conj(rot_t(x))}, with rot_t(x) = x zeta^(-t) the
         roots of P(zeta^t z).  Rotation multiplies each equation row by a
         unit and conjugation conjugates it (the values are real), so the
-        2d - 1 mates are exact.  With ``reversal`` set, the reversal images
+        2d - 1 mates are exact.  When ``reversal`` is harvested, the images
         c y[columns] of those 2d points join them, 4d - 1 mates in all,
         exact by the same affine map that carries a reversed spec.  The
         hand-over is one ``accept`` table; the mates of the rows it kept,
         built in one broadcast and scored by one ``residual_batch`` call,
-        are a second, taken after the target too,
-        so a new solution beyond it raises OvercountDetected.  The first
+        are a second, taken after the target too, so a new solution beyond
+        it raises OvercountDetected.  The first
         time the count reaches the target, ``_krawczyk_certified`` runs once
         on the accepted points: if it proves them, no other solution exists
         and the caller may stop; if not, it never runs again.
@@ -1060,26 +1072,27 @@ def _branch_order(source: BranchSpec, spec: BranchSpec, last_first: bool) -> lis
     return order
 
 
-def _affine_scale(
-    source: BranchSpec, spec: BranchSpec, order: list[int], tol: float
-) -> complex | None:
+def _affine_scale(source: BranchSpec, spec: BranchSpec, order: list[int]) -> complex | None:
     """c, c^d = a, when spec's branch data is source's in order under w -> a w + b; else None.
 
     With u source's values in order and t the spec's, the end values fix a,
     and the spec is the image when a (u - u_0) + t_0 matches t by
-    ``match_index`` at tol.  P -> a P(z / c) + b then maps source's
-    solutions one to one onto spec's: a root r of P - w goes to c r, a root
-    of the same order of a P(z / c) + b - (a w + b), and its block moves to
-    its branch's new place (``_block_columns``).
+    ``match_index`` within F's rounding floor, ``_rounding_bound``: the
+    images are then solutions as exactly as Newton leaves them, and a
+    layout only near an image is no image.  P -> a P(z / c) + b maps
+    source's solutions one to one onto spec's: a root r of P - w goes to
+    c r, a root of the same order of a P(z / c) + b - (a w + b), and its
+    block moves to its branch's new place (``_block_columns``).
     """
     u, t = np.array(source.values)[order], np.array(spec.values)
     a = (t[-1] - t[0]) / (u[-1] - u[0])
-    if match_index(t[None, :], (a * (u - u[0]) + t[0])[None, :], tol) == [0]:
+    near = match_index(t[None, :], (a * (u - u[0]) + t[0])[None, :], _rounding_bound(spec))
+    if near == [0]:
         return complex(a) ** (1.0 / spec.d)
     return None
 
 
-def _reversal(spec: BranchSpec, tol: float) -> tuple[complex, np.ndarray] | None:
+def _reversal(spec: BranchSpec) -> tuple[complex, np.ndarray] | None:
     """(c, columns) of the reversal sigma when it maps the spec onto itself, else None.
 
     sigma is the spec's own ``_affine_scale`` image in reversed branch order,
@@ -1090,13 +1103,11 @@ def _reversal(spec: BranchSpec, tol: float) -> tuple[complex, np.ndarray] | None
     if spec.profiles != spec.profiles[::-1]:
         return None
     order = list(range(spec.k))[::-1]
-    c = _affine_scale(spec, spec, order, tol)
+    c = _affine_scale(spec, spec, order)
     return None if c is None else (c, _block_columns(spec.profiles, order))
 
 
-def _carried_points(
-    known: tuple[SolutionSet, ...], system: SystemSpec, tol: float
-) -> np.ndarray | None:
+def _carried_points(known: tuple[SolutionSet, ...], system: SystemSpec) -> np.ndarray | None:
     """Known solutions carried to the spec: mapped when an affine image, else tracked.
 
     A one-branch spec's one solution is the point 0 of z^d + w.  Otherwise
@@ -1121,7 +1132,7 @@ def _carried_points(
             order = _branch_order(source.spec, spec, last_first)
             if order is None:
                 break
-            c = _affine_scale(source.spec, spec, order, tol)
+            c = _affine_scale(source.spec, spec, order)
             if c is not None:
                 return c * _permuted_points(source, order)
             if first is None:
@@ -1157,7 +1168,7 @@ def solve_all(
     are exact images: they are scored by one ``residual_batch`` call and
     accepted as they are, with no Newton iteration, and the multistart runs
     only for the solutions they miss (``starts_used`` is 0 when they reach
-    the target).  A multistart first decides once, by ``_reversal``,
+    the target).  Only a multistart decides, once (``_Collector.reversal``),
     whether the reversal joins the harvested symmetries.
 
     Raises IncompleteEnumeration (carrying the partial set) when the start
@@ -1173,12 +1184,11 @@ def solve_all(
     target = count_factorizations(spec.profiles).N
     system = build_system(spec)
     collector = _Collector(system, target, config)
-    carried = _carried_points(tuple(known), system, config.tol_dedup)
+    carried = _carried_points(tuple(known), system)
     if carried is not None:
         collector.accept(carried, np.abs(residual_batch(system, carried)).max(axis=1))
     starts_used = 0
     if not collector.complete:
-        collector.reversal = _reversal(spec, config.tol_dedup)
         rng = np.random.default_rng(config.seed)
         scale = root_bound(spec) / 4.0
         while starts_used < config.start_budget and not collector.complete:

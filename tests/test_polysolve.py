@@ -604,30 +604,10 @@ def test_match_index_matches_loop_scan():
     assert match_index(np.vstack((table, table)), table[[5, 0]], 1e-6) == [5, 0]
     assert match_index(table[:0], table[:2], 1e-6) == [None, None]
     assert match_index(np.empty((2, 0), dtype=complex), np.empty((3, 0)), 1e-6) == [0, 0, 0]
-
-
-def test_match_index_reads_the_mask_once():
-    # the whole (queries, table) mask is read by one any and one argmax, and
-    # the list is the per-row rule's, empty tables and width-0 rows included
-    def per_row(table, queries, tol):
-        near = polysolve._near(table, queries, tol)
-        return [int(row.argmax()) if row.any() else None for row in near]
-
-    rng = np.random.default_rng(3)
-    table = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-    queries = np.concatenate((table[[4, 1, 4]], table[:3] + 1.0))
-    cases = [
-        (table, queries),
-        (np.vstack((table, table)), queries),
-        (table[:0], queries),
-        (table, queries[:0]),
-        (table[:0], queries[:0]),
-        (table[:, :0], queries[:, :0]),
-        (table[:0, :0], queries[:, :0]),
-    ]
-    for tab, qs in cases:
-        assert match_index(tab, qs, 1e-6) == per_row(tab, qs, 1e-6)
-    assert match_index(table, queries, 1e-6) == [4, 1, 4, None, None, None]
+    # an empty query table gets an empty list, whatever the table
+    assert match_index(table, table[:0], 1e-6) == []
+    assert match_index(table[:0], table[:0], 1e-6) == []
+    assert match_index(np.empty((2, 0), dtype=complex), np.empty((0, 0)), 1e-6) == []
 
 
 def test_determinism_same_seed(cfg):
@@ -672,7 +652,7 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     # (4d - 1) k with the reversal; accepted mates start no harvest of their own
     spec = validate_branch_spec(parse_profiles(text))
     d = spec.d
-    reversal = polysolve._reversal(spec, cfg.tol_dedup)
+    reversal = polysolve._reversal(spec)
     assert (reversal is not None) == (text == "2,1,1|2,1,1|2,1,1")
     newton_calls = []
     handovers = []  # per offer_all call: its accept (rows, kept) and residual rows
@@ -750,7 +730,7 @@ def test_reversal_maps_the_solution_set_onto_itself(cfg, text):
     spec = validate_branch_spec(parse_profiles(text))
     system = build_system(spec)
     solset = solve_all(spec, cfg)
-    c, columns = polysolve._reversal(spec, cfg.tol_dedup)
+    c, columns = polysolve._reversal(spec)
     assert abs(c**spec.d + 1.0) < 1e-12
     images = c * solset.solutions[:, columns]
     assert np.abs(residual_batch(system, images)).max() <= residual_bound(spec, cfg)
@@ -759,45 +739,52 @@ def test_reversal_maps_the_solution_set_onto_itself(cfg, text):
     assert sorted(match_index(normal, queries, cfg.tol_dedup)) == list(range(len(solset)))
 
 
-@pytest.mark.parametrize("text, values", [("3,1|2,1,1", None), ("2,1,1|2,1,1|2,1,1", (1, 2, 3.5))])
+@pytest.mark.parametrize("text", ["2,1|2,1", "3,1,1|3,1,1", "2,2,1|2,2,1"])
+def test_two_branch_reversal_stays_in_dihedral_orbits(cfg, text):
+    # these are the equal-profile two-branch specs of a degree the solver
+    # takes; the reversal image of each solution is a rotation or conjugate
+    # of it, so its mates would all be duplicates, and none are harvested
+    spec = validate_branch_spec(parse_profiles(text))
+    system = build_system(spec)
+    solset = solve_all(spec, cfg)
+    c, columns = polysolve._reversal(spec)
+    images = canonical_coefficients(system, c * solset.solutions[:, columns])
+    for coeffs, image in zip(solset.coefficients, images):
+        orbit = [rotate_coefficients(coeffs, spec.d, t) for t in range(spec.d)]
+        orbit += [np.conj(rotated) for rotated in orbit]
+        assert match_index(np.array(orbit), image[None], cfg.tol_dedup) != [None]
+    assert polysolve._Collector(system, len(solset), cfg).reversal is None
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        ("3,1|2,1,1", None),
+        ("2,1,1|2,1,1|2,1,1", (1, 2, 3.5)),
+        ("2,1,1|2,1,1|2,1,1", (1, 2, 3 + 1e-9)),
+        ("2,1,1|2,1,1|2,1,1", (1, 2, 3 + 1e-12)),
+    ],
+)
 def test_asymmetric_spec_gets_no_reversal_mates(cfg, monkeypatch, text, values):
     # 3,1|2,1,1 is no palindrome, so the reversal is refused before any
-    # value is compared; at 1, 2, 3.5 the values are compared once and do
-    # not reflect onto themselves.  Either way every hand-over is harvested
-    # with the dihedral mates alone
+    # value is compared.  The layouts of 2,1,1|2,1,1|2,1,1 compare their
+    # values once and do not reflect onto themselves within F's rounding
+    # floor; at 3 + 1e-12 the images would still pass the residual bound,
+    # unpolished and 1e-12 off.  Every hand-over is harvested with the
+    # dihedral mates alone, and the multistart certifies the whole set
     spec = validate_branch_spec(parse_profiles(text), values)
-    compared, reversals = [], []
-    original_scale = polysolve._affine_scale
-    original_offer_all = polysolve._Collector.offer_all
+    compared = []
+    original = polysolve._affine_scale
 
     def affine_scale(*args):
         compared.append(args)
-        return original_scale(*args)
-
-    def offer_all(self, points, norms):
-        reversals.append(self.reversal)
-        return original_offer_all(self, points, norms)
+        return original(*args)
 
     monkeypatch.setattr(polysolve, "_affine_scale", affine_scale)
-    monkeypatch.setattr(polysolve._Collector, "offer_all", offer_all)
-    solset = solve_all(spec, cfg)
-    assert solset.certificate == "COMPLETE" and solset.starts_used > 0
+    assert polysolve._Collector(build_system(spec), 0, cfg).reversal is None
     assert len(compared) == (values is not None)
-    assert reversals and all(r is None for r in reversals)
-
-
-def test_reversal_images_off_the_solution_set_are_rejected(cfg):
-    # at values 1, 2, 3 + 1e-9 the values reflect onto themselves within
-    # tol_dedup, but every image misses the solution set by about 1e-9, above
-    # the residual bound; each is rejected like any candidate, and the
-    # multistart still finds and certifies all 16
-    spec = validate_branch_spec(parse_profiles("2,1,1|2,1,1|2,1,1"), (1, 2, 3 + 1e-9))
-    c, columns = polysolve._reversal(spec, cfg.tol_dedup)
     solset = solve_all(spec, cfg)
-    assert solset.certificate == "COMPLETE" and len(solset) == 16
-    images = c * solset.solutions[:, columns]
-    norms = np.abs(residual_batch(build_system(spec), images)).max(axis=1)
-    assert (norms > residual_bound(spec, cfg)).all()
+    assert solset.certificate == "COMPLETE" and len(solset) == solset.target
 
 
 def _accepted(system, target, cfg, before, table, norms, row_by_row):
@@ -1368,7 +1355,7 @@ def test_affine_image_is_mapped_not_solved(cfg, monkeypatch, case):
     known = solve_all(source, cfg)
     tracks = _track_calls(monkeypatch)
     # the closed-form images solve the spec as they are
-    images = polysolve._carried_points((known,), build_system(spec), cfg.tol_dedup)
+    images = polysolve._carried_points((known,), build_system(spec))
     assert images.shape == (len(known), build_system(spec).n)
     assert np.max(np.abs(residual_batch(build_system(spec), images))) < 1e-9
     mapped = solve_all(spec, cfg, known=(known,))
@@ -1387,6 +1374,8 @@ def _tracked_cases():
         # a layout segment: the branch order is kept, so the path is real
         "layout d=4": (simple, validate_branch_spec(simple.profiles, (1.0, 2.0, 4.0))),
         "layout d=5": (mixed, validate_branch_spec(mixed.profiles, (-5.0, 0.1, 0.2))),
+        # near the source's own layout, but no affine image at rounding level
+        "near layout d=4": (simple, validate_branch_spec(simple.profiles, (1.0, 2.0, 3 + 1e-9))),
         # one order swap: the first two values cross through the upper half plane
         "swap d=5": (mixed, mixed.permuted([1, 0, 2])),
     }
@@ -1397,7 +1386,7 @@ def test_non_affine_image_is_tracked_not_solved(cfg, monkeypatch, case):
     source, spec = _tracked_cases()[case]
     known = solve_all(source, cfg)
     tracks = _track_calls(monkeypatch)
-    polysolve._carried_points((known,), build_system(spec), cfg.tol_dedup)
+    polysolve._carried_points((known,), build_system(spec))
     assert len(tracks) == 1
     tracked = solve_all(spec, cfg, known=(known,))
     assert tracked.certificate == "COMPLETE" and tracked.starts_used == 0
@@ -1503,7 +1492,7 @@ def test_reversal_harvest_never_costs_starts(cfg, monkeypatch, text):
     spec = validate_branch_spec(parse_profiles(text))
     seeds = range(10)
     harvested = [solve_all(spec, cfg.replace(seed=seed)).starts_used for seed in seeds]
-    monkeypatch.setattr(polysolve, "_reversal", lambda spec, tol: None)
+    monkeypatch.setattr(polysolve, "_reversal", lambda spec: None)
     plain = [solve_all(spec, cfg.replace(seed=seed)).starts_used for seed in seeds]
     assert all(h <= p for h, p in zip(harvested, plain))
     assert (sum(harvested) < sum(plain)) == (text == "2,1,1|2,1,1|2,1,1")
@@ -1784,7 +1773,7 @@ def test_newton_converges_at_its_rounding_floor(cfg, text, scale):
     known = solve_all(spec, cfg)
     big = validate_branch_spec(spec.profiles, [scale * w for w in spec.values])
     system = build_system(big)
-    starts = polysolve._carried_points((known,), system, cfg.tol_dedup)
+    starts = polysolve._carried_points((known,), system)
     points, ok, norms = _newton_batch(system, starts, cfg, never_stop)
     assert ok.all() and np.max(norms) <= cfg.tol_residual
     assert solve_all(big, cfg, known=(known,)).starts_used == 0
