@@ -100,10 +100,11 @@ roots that collapse under the projection, or on a residual above
 
 A spec whose profile multiset was solved before is carried over, not
 solved, by one loop, ``_carried_points``.  If its branch data is an affine
-image of the solved one's, it is mapped: if the (profile, value) pairs of B
-are those of A under w -> a w + b (a != 0), then P -> a P(z / c) + b with
-c^d = a maps A's normalized solutions one to one onto B's, each preimage
-root r going to c r in the block of its branch.  Since values increase in
+image of the solved one's, within F's rounding floor, it is mapped: if
+the (profile, value) pairs of B are those of A under w -> a w + b
+(a != 0), then P -> a P(z / c) + b with c^d = a maps A's normalized
+solutions one to one onto B's, each preimage root r going to c r in the
+block of its branch.  Since values increase in
 both specs, a > 0 keeps the branch order and a < 0 reverses it; the
 reversed spec, every k <= 2 reordering and layout, and equally spaced
 k = 3 layouts are such images.  Any other layout or order is tracked
