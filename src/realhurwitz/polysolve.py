@@ -104,21 +104,21 @@ image of the solved one's, within F's rounding floor, it is mapped: if
 the (profile, value) pairs of B are those of A under w -> a w + b
 (a != 0), then P -> a P(z / c) + b with c^d = a maps A's normalized
 solutions one to one onto B's, each preimage root r going to c r in the
-block of its branch.  Since values increase in
-both specs, a > 0 keeps the branch order and a < 0 reverses it; the
-reversed spec, every k <= 2 reordering and layout, and equally spaced
-k = 3 layouts are such images.  Any other layout or order is tracked
-(``_track``): the branch values move from the solved spec's to the new
-one's along a path on which they stay distinct, so by Riemann existence
-each of the N solutions moves along a path of its own, and a
-predictor-corrector follows all of them in one batch.  The map is the
-loop's exact case, kept because it costs a fraction of a tracked carry.  A
-one-branch spec's one solution, the point 0 of P = z^d + w, comes from the
-same loop.  ``solve_all(spec, known=...)`` accepts the carried points as
-exact images, unpolished, like the orbit mates; a point off the solution
-set fails the residual filter, and the multistart fills whatever they
-miss, so the certificate still counts N accepted solutions.  The CLI's
-``--cache`` file is a ``solve`` result read back as such a known set.
+block of its branch.  Since values increase in both specs, a > 0 keeps
+the branch order and a < 0 reverses it; the reversed spec, every k <= 2
+reordering and layout, and equally spaced k = 3 layouts are such images.
+Any other layout or order is tracked (``_track``): the branch values move
+from the solved spec's to the new one's along a path on which they stay
+distinct, so by Riemann existence each of the N solutions moves along a
+path of its own, and a predictor-corrector follows all of them in one
+batch.  The map is the loop's exact case, kept because it costs a fraction
+of a tracked carry.  A one-branch spec's one solution, the point 0 of
+P = z^d + w, comes from the same loop.  ``solve_all(spec, known=...)``
+accepts the carried points as exact images, unpolished, like the orbit
+mates; a point off the solution set fails the residual filter, and the
+multistart fills whatever they miss, so the certificate still counts N
+accepted solutions.  The CLI's ``--cache`` file is a ``solve`` result read
+back as such a known set.
 """
 
 from __future__ import annotations
@@ -906,10 +906,10 @@ class _Collector:
         hand-over is one ``accept`` table; the mates of the rows it kept,
         built in one broadcast and scored by one ``residual_batch`` call,
         are a second, taken after the target too, so a new solution beyond
-        it raises OvercountDetected.  The first
-        time the count reaches the target, ``_krawczyk_certified`` runs once
-        on the accepted points: if it proves them, no other solution exists
-        and the caller may stop; if not, it never runs again.
+        it raises OvercountDetected.  The first time the count reaches the
+        target, ``_krawczyk_certified`` runs once on the accepted points: if
+        it proves them, no other solution exists and the caller may stop; if
+        not, it never runs again.
         """
         new = points[self.accept(points, norms)]
         if len(new):
