@@ -16,10 +16,11 @@ root-of-unity symmetry orbits of every solution found along the way.  When
 the spec's (profile, value) pairs are their own reversal under
 w -> w_0 + w_last - w at rounding level, as for every two-branch spec with
 equal profiles and every palindromic profile list at evenly spaced values,
-the reversal P -> w_0 + w_last - P(z / c), c^d = -1, is one more symmetry
-(``_reversal``).  It is harvested too for three or more branches, decided
-once a multistart hands over its first new solution; for two branches it
-keeps every solution within its dihedral orbit and adds nothing.
+the reversal P -> w_0 + w_last - P(z / c), c^d = -1, which
+``_affine_map(spec, spec, reverse=True)`` finds, is one more symmetry.  It
+is harvested too for three or more branches, decided once a multistart
+hands over its first new solution; for two branches it keeps every
+solution within its dihedral orbit and adds nothing.
 ``_Collector.offer_all`` takes each Newton hand-over of converged rows as one
 table and the orbit mates of its new solutions, exact and so unpolished, as
 another.  The first time the count reaches the target, a Krawczyk test
@@ -100,13 +101,14 @@ roots that collapse under the projection, or on a residual above
 
 A spec whose profile multiset was solved before is carried over, not
 solved, by one loop, ``_carried_points``.  If its branch data is an affine
-image of the solved one's, within F's rounding floor, it is mapped: if
-the (profile, value) pairs of B are those of A under w -> a w + b
-(a != 0), then P -> a P(z / c) + b with c^d = a maps A's normalized
-solutions one to one onto B's, each preimage root r going to c r in the
-block of its branch.  Since values increase in both specs, a > 0 keeps
-the branch order and a < 0 reverses it; the reversed spec, every k <= 2
-reordering and layout, and equally spaced k = 3 layouts are such images.
+image of the solved one's, within F's rounding floor, it is mapped
+(``_affine_map``): if the (profile, value) pairs of B are those of A under
+w -> a w + b (a != 0), then P -> a P(z / c) + b with c^d = a maps A's
+normalized solutions one to one onto B's, each preimage root r going to
+c r in the block of its branch.  Since values increase in both specs,
+a > 0 keeps the branch order and a < 0 reverses it, so only those two
+orders are tried; the reversed spec, every k <= 2 reordering and layout,
+and equally spaced k = 3 layouts are such images.
 Any other layout or order is tracked (``_track``): the branch values move
 from the solved spec's to the new one's along a path on which they stay
 distinct, so by Riemann existence each of the N solutions moves along a
@@ -820,14 +822,16 @@ class _Collector:
 
     @functools.cached_property
     def reversal(self) -> tuple[complex, np.ndarray] | None:
-        """``_reversal`` when it is harvested, else None; read by ``offer_all`` only.
+        """The spec's ``_affine_map`` onto itself in reversed order when harvested, else None.
 
-        Only the multistart offers rows, so a carried solve never decides it.
+        Only the multistart offers rows, so a carried solve never decides
+        it; profiles that are no palindrome refuse it with no numpy call.
         A two-branch spec's reversal keeps every solution of a degree the
         solver takes (2,1|2,1, 3,1,1|3,1,1 and 2,2,1|2,2,1) within its
         dihedral orbit, so it is not harvested there.
         """
-        return _reversal(self.system.spec) if self.system.spec.k > 2 else None
+        spec = self.system.spec
+        return _affine_map(spec, spec, reverse=True) if spec.k > 2 else None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -866,7 +870,7 @@ class _Collector:
                 near = _near(table, table[start + r : start + r + _CHUNK_SIZE], config.tol_dedup)
                 dup = near[:, taken].any(axis=1)
             if collapse:
-                key = tuple(np.round(coeffs[r], 6).tolist())
+                key = tuple(np.round(table[start + r], 6).tolist())
                 self.collapse_counts[key] = self.collapse_counts.get(key, 0) + 1
                 if self.collapse_counts[key] >= _DEGENERACY_LIMIT:
                     error = DegenerateConfiguration(
@@ -955,15 +959,10 @@ class _Collector:
         )
 
 
-def _block_columns(profiles: tuple[Partition, ...], order: list[int]) -> np.ndarray:
+def _block_columns(profiles: tuple[Partition, ...], order: Iterable[int]) -> np.ndarray:
     """The slot columns that move branch order[j]'s root block to place j."""
     bounds = np.cumsum([0] + [lam.length for lam in profiles])
     return np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in order])
-
-
-def _permuted_points(source: SolutionSet, order: list[int]) -> np.ndarray:
-    """The points of source's solutions, with branch order[j]'s root block moved to place j."""
-    return source.solutions[:, _block_columns(source.spec.profiles, order)]
 
 
 # path tracking in the branch values: the first step, its growth factor and
@@ -977,8 +976,8 @@ _TRACK_CORRECTIONS = 3
 _TRACK_TOL = 1e-9
 
 
-def _track(system: SystemSpec, points: np.ndarray, u, t) -> tuple[np.ndarray, np.ndarray]:
-    """Carry solutions at branch values u to values t; returns (points, arrived mask).
+def _track(system: SystemSpec, points: np.ndarray, u) -> tuple[np.ndarray, np.ndarray]:
+    """Carry solutions at branch values u to the system's, t; returns (points, arrived mask).
 
     The values follow w(s) = (1 - s) u + s t + i s (1 - s) h for s from 0
     to 1.  When u and t list the branches in the same order, h = 0: every
@@ -998,8 +997,7 @@ def _track(system: SystemSpec, points: np.ndarray, u, t) -> tuple[np.ndarray, np
     all paths advance in one batch.
     """
     x = np.array(points, dtype=complex)
-    u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
-    v = np.asarray(system.spec.values, dtype=float)
+    u, t = np.asarray(u, dtype=float), np.asarray(system.spec.values, dtype=float)
     rows = system.d * np.arange(1, system.k)
     h = np.zeros(system.k)
     if not np.array_equal(np.argsort(u), np.argsort(t)):
@@ -1013,7 +1011,7 @@ def _track(system: SystemSpec, points: np.ndarray, u, t) -> tuple[np.ndarray, np
     def equations(y: np.ndarray, s: np.ndarray):
         w = (1.0 - s)[:, None] * u + s[:, None] * t + 1j * (s * (1.0 - s))[:, None] * h
         f, jac = residual_and_jacobian_batch(system, y)
-        f[:, rows] += differences(w - v)
+        f[:, rows] += differences(w - t)
         return f, jac
 
     def tangents(jac: np.ndarray, s: np.ndarray):
@@ -1055,14 +1053,13 @@ def _track(system: SystemSpec, points: np.ndarray, u, t) -> tuple[np.ndarray, np
     return x, live
 
 
-def _branch_order(source: BranchSpec, spec: BranchSpec, last_first: bool) -> list[int] | None:
+def _branch_order(source: BranchSpec, spec: BranchSpec) -> list[int] | None:
     """Source branch order[j] for each spec branch j, or None when the profile multisets differ.
 
     The two specs have the same number of branches.  Each spec branch takes
-    the first unused source branch with its profile, or the last unused one
-    when last_first is set.
+    the first unused source branch with its profile.
     """
-    unused = sorted(range(source.k), reverse=last_first)
+    unused = list(range(source.k))
     order = []
     for lam in spec.profiles:
         i = next((i for i in unused if source.profiles[i] == lam), None)
@@ -1073,54 +1070,43 @@ def _branch_order(source: BranchSpec, spec: BranchSpec, last_first: bool) -> lis
     return order
 
 
-def _affine_scale(source: BranchSpec, spec: BranchSpec, order: list[int]) -> complex | None:
-    """c, c^d = a, when spec's branch data is source's in order under w -> a w + b; else None.
+def _affine_map(
+    source: BranchSpec, spec: BranchSpec, reverse: bool
+) -> tuple[complex, np.ndarray] | None:
+    """(c, columns) when w -> a w + b takes source's (profile, value) pairs to spec's; else None.
 
-    With u source's values in order and t the spec's, the end values fix a,
-    and the spec is the image when a (u - u_0) + t_0 matches t by
-    ``match_index`` within F's rounding floor, ``_rounding_bound``: the
-    images are then solutions as exactly as Newton leaves them, and a
-    layout only near an image is no image.  P -> a P(z / c) + b maps
-    source's solutions one to one onto spec's: a root r of P - w goes to
-    c r, a root of the same order of a P(z / c) + b - (a w + b), and its
-    block moves to its branch's new place (``_block_columns``).
+    Both value lists increase, so such a map keeps the branch order (a > 0)
+    or, when reverse is set, reverses it (a < 0).  The profiles are compared
+    in that order first, with no numpy call.  Then, with u source's values
+    in that order and t the spec's, the end values fix a, and the spec is
+    the image when a (u - u_0) + t_0 matches t by ``match_index`` within
+    F's rounding floor, ``_rounding_bound``: the images are then solutions
+    as exactly as Newton leaves them, and a layout only near an image is no
+    image.  P -> a P(z / c) + b, c^d = a, maps source's solutions one to
+    one onto spec's: a root r of P - w goes to c r, a root of the same order
+    of a P(z / c) + b - (a w + b), and its block moves to its branch's new
+    place, so a point x goes to c x[:, columns] (``_block_columns``).
     """
-    u, t = np.array(source.values)[order], np.array(spec.values)
-    a = (t[-1] - t[0]) / (u[-1] - u[0])
-    near = match_index(t[None, :], (a * (u - u[0]) + t[0])[None, :], _rounding_bound(spec))
-    if near == [0]:
-        return complex(a) ** (1.0 / spec.d)
-    return None
-
-
-def _reversal(spec: BranchSpec) -> tuple[complex, np.ndarray] | None:
-    """(c, columns) of the reversal sigma when it maps the spec onto itself, else None.
-
-    sigma is the spec's own ``_affine_scale`` image in reversed branch order,
-    a = -1: P -> w_0 + w_last - P(z / c), c^d = -1, and a point x goes to
-    c x[:, columns].  It needs palindromic profiles, so other specs make no
-    numpy call here.
-    """
-    if spec.profiles != spec.profiles[::-1]:
+    step = -1 if reverse else 1
+    if source.profiles[::step] != spec.profiles:
         return None
-    order = list(range(spec.k))[::-1]
-    c = _affine_scale(spec, spec, order)
-    return None if c is None else (c, _block_columns(spec.profiles, order))
+    u, t = np.array(source.values[::step]), np.array(spec.values)
+    a = (t[-1] - t[0]) / (u[-1] - u[0])
+    if match_index(t[None, :], (a * (u - u[0]) + t[0])[None, :], _rounding_bound(spec)) != [0]:
+        return None
+    return complex(a) ** (1.0 / spec.d), _block_columns(source.profiles, range(spec.k)[::step])
 
 
 def _carried_points(known: tuple[SolutionSet, ...], system: SystemSpec) -> np.ndarray | None:
     """Known solutions carried to the spec: mapped when an affine image, else tracked.
 
     A one-branch spec's one solution is the point 0 of z^d + w.  Otherwise
-    every COMPLETE known set with the spec's d and k is tried in both
-    ``_branch_order`` orders, and mapped when the spec is its
-    ``_affine_scale`` image in that order.  Since both value lists
-    increase, only the identity (a > 0) and the reversal (a < 0) can match,
-    and the first-unused and last-unused orders are those whenever they
-    could.  Failing every image, the first set with the spec's profile
-    multiset is tracked (``_track``) from its values, in its first-unused
-    order, to the spec's, and the arrived points are returned.  None when no
-    known set qualifies.
+    every COMPLETE known set with the spec's d and k is mapped when
+    ``_affine_map`` finds the spec its image in the same branch order or,
+    failing that, in the reversed one.  Failing every image, the first set
+    with the spec's profile multiset is tracked (``_track``) from its
+    values, in its ``_branch_order``, to the spec's, and the arrived points
+    are returned.  None when no known set qualifies.
     """
     spec = system.spec
     if spec.k == 1:
@@ -1129,20 +1115,18 @@ def _carried_points(known: tuple[SolutionSet, ...], system: SystemSpec) -> np.nd
     for source in known:
         if (source.spec.d, source.spec.k) != (spec.d, spec.k) or source.certificate != "COMPLETE":
             continue
-        for last_first in (False, True):
-            order = _branch_order(source.spec, spec, last_first)
-            if order is None:
-                break
-            c = _affine_scale(source.spec, spec, order)
-            if c is not None:
-                return c * _permuted_points(source, order)
-            if first is None:
-                first = source, order
+        for reverse in (False, True):
+            image = _affine_map(source.spec, spec, reverse)
+            if image is not None:
+                c, columns = image
+                return c * source.solutions[:, columns]
+        if first is None and (order := _branch_order(source.spec, spec)) is not None:
+            first = source, order
     if first is None:
         return None
     source, order = first
-    u = np.array(source.spec.values)[order]
-    tracked, arrived = _track(system, _permuted_points(source, order), u, spec.values)
+    points = source.solutions[:, _block_columns(source.spec.profiles, order)]
+    tracked, arrived = _track(system, points, np.array(source.spec.values)[order])
     return tracked[arrived]
 
 
@@ -1163,14 +1147,15 @@ def solve_all(
     points are proven distinct true solutions (``_Collector.offer_all``).
     ``_carried_points`` carries the solution sets in ``known`` over: the
     first COMPLETE one whose spec maps onto this spec by an affine change of
-    value is mapped; failing that, the first COMPLETE one with the same d, k
-    and profile multiset is tracked to this spec's values and order; a
-    one-branch spec takes its one solution, the point 0.  The carried points
-    are exact images: they are scored by one ``residual_batch`` call and
-    accepted as they are, with no Newton iteration, and the multistart runs
-    only for the solutions they miss (``starts_used`` is 0 when they reach
-    the target).  Only a multistart decides, once (``_Collector.reversal``),
-    whether the reversal joins the harvested symmetries.
+    value (``_affine_map``) is mapped; failing that, the first COMPLETE one
+    with the same d, k and profile multiset is tracked to this spec's values
+    and order; a one-branch spec takes its one solution, the point 0.  The
+    carried points are exact images: they are scored by one
+    ``residual_batch`` call and accepted as they are, with no Newton
+    iteration, and the multistart runs only for the solutions they miss
+    (``starts_used`` is 0 when they reach the target).  Only a multistart
+    decides, once (``_Collector.reversal``, ``_affine_map`` in reversed
+    order), whether the reversal joins the harvested symmetries.
 
     Raises IncompleteEnumeration (carrying the partial set) when the start
     budget runs out first and OvercountDetected if dedup ever exceeds the

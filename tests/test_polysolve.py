@@ -652,7 +652,7 @@ def test_each_orbit_is_harvested_once(cfg, monkeypatch, text):
     # (4d - 1) k with the reversal; accepted mates start no harvest of their own
     spec = validate_branch_spec(parse_profiles(text))
     d = spec.d
-    reversal = polysolve._reversal(spec)
+    reversal = polysolve._affine_map(spec, spec, reverse=True)
     assert (reversal is not None) == (text == "2,1,1|2,1,1|2,1,1")
     newton_calls = []
     handovers = []  # per offer_all call: its accept (rows, kept) and residual rows
@@ -730,7 +730,7 @@ def test_reversal_maps_the_solution_set_onto_itself(cfg, text):
     spec = validate_branch_spec(parse_profiles(text))
     system = build_system(spec)
     solset = solve_all(spec, cfg)
-    c, columns = polysolve._reversal(spec)
+    c, columns = polysolve._affine_map(spec, spec, reverse=True)
     assert abs(c**spec.d + 1.0) < 1e-12
     images = c * solset.solutions[:, columns]
     assert np.abs(residual_batch(system, images)).max() <= residual_bound(spec, cfg)
@@ -747,13 +747,26 @@ def test_two_branch_reversal_stays_in_dihedral_orbits(cfg, text):
     spec = validate_branch_spec(parse_profiles(text))
     system = build_system(spec)
     solset = solve_all(spec, cfg)
-    c, columns = polysolve._reversal(spec)
+    c, columns = polysolve._affine_map(spec, spec, reverse=True)
     images = canonical_coefficients(system, c * solset.solutions[:, columns])
     for coeffs, image in zip(solset.coefficients, images):
         orbit = [rotate_coefficients(coeffs, spec.d, t) for t in range(spec.d)]
         orbit += [np.conj(rotated) for rotated in orbit]
         assert match_index(np.array(orbit), image[None], cfg.tol_dedup) != [None]
     assert polysolve._Collector(system, len(solset), cfg).reversal is None
+
+
+def _calls(monkeypatch, name) -> list:
+    """The arguments of every call of polysolve's function name from now on."""
+    calls = []
+    original = getattr(polysolve, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polysolve, name, spy)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -773,14 +786,7 @@ def test_asymmetric_spec_gets_no_reversal_mates(cfg, monkeypatch, text, values):
     # unpolished and 1e-12 off.  Every hand-over is harvested with the
     # dihedral mates alone, and the multistart certifies the whole set
     spec = validate_branch_spec(parse_profiles(text), values)
-    compared = []
-    original = polysolve._affine_scale
-
-    def affine_scale(*args):
-        compared.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(polysolve, "_affine_scale", affine_scale)
+    compared = _calls(monkeypatch, "match_index")  # one per value comparison
     assert polysolve._Collector(build_system(spec), 0, cfg).reversal is None
     assert len(compared) == (values is not None)
     solset = solve_all(spec, cfg)
@@ -839,12 +845,23 @@ def test_table_accept_matches_row_by_row(cfg):
     points = np.vstack((sols[:3], table[kept]))
     assert arrays[:2] == [points.tobytes(), canonical_coefficients(system, points).tobytes()]
     # the 25th collapse of one polynomial, and the first new solution past
-    # the target, raise at the same row, with the rows before it kept
+    # the target, raise at the same row, with the rows before it kept.  So
+    # does the 25th repeat of a collapsed 3,1,1|3,1,1 point at values 0 and
+    # 1e9, each with 1e-13 relative noise: collapses are counted by their
+    # normal coefficients, which the noise leaves on one 6-decimal key
     degenerate = [collapsed[11]] * 24 + [sols[3], collapsed[11], sols[4]]
     overcount = [sols[3], swapped[3], sols[4], sols[5]]
-    for table, target, error, row in (
-        (degenerate, target, DegenerateConfiguration, 25),
-        (overcount, 4, OvercountDetected, 2),
+    small = validate_branch_spec(parse_profiles("3,1,1|3,1,1"))
+    far = build_system(validate_branch_spec(small.profiles, (0.0, 1e9)))
+    point = polysolve._carried_points((solve_all(small, cfg),), far)[0]
+    point[2] = point[1]
+    rng = np.random.default_rng(0)
+    noise = rng.standard_normal((30, far.n)) + 1j * rng.standard_normal((30, far.n))
+    noisy = point * (1.0 + 1e-13 * noise)
+    for system, before, table, target, error, row in (
+        (system, before, degenerate, target, DegenerateConfiguration, 25),
+        (system, before, overcount, 4, OvercountDetected, 2),
+        (far, (noisy[:0], np.zeros(0)), noisy, 5, DegenerateConfiguration, 24),
     ):
         table, norms = np.array(table), np.zeros(len(table))
         one_call = _accepted(system, target, cfg, before, table, norms, False)
@@ -1319,6 +1336,7 @@ def _affine_cases():
     d5 = validate_branch_spec(parse_profiles("4,1|2,1,1,1"))
     d6 = validate_branch_spec(parse_profiles("3,2,1|3,1,1,1"))
     simple = parse_profiles("2,1,1|2,1,1|2,1,1")
+    mixed = validate_branch_spec(parse_profiles("2,2,1|2,1,1,1|2,1,1,1"))
     return {
         "reversed d=4": (d4, d4.reversed_spec()),
         "reversed d=6": (d6, d6.reversed_spec()),
@@ -1329,31 +1347,21 @@ def _affine_cases():
             validate_branch_spec(simple),
             validate_branch_spec(simple, (-2.5, -0.75, 1.0)),
         ),
-        # equal profiles: only the last-unused branch order, the reversal, maps
+        # equal profiles: both branch orders fit them, but only the reversed one maps the values
         "reversed k=3": (
             validate_branch_spec(simple, (1.0, 2.0, 4.0)),
             validate_branch_spec(simple, (1.0, 2.0, 4.0)).reversed_spec(),
         ),
+        # unequal profiles: only the reversed branch order fits them
+        "reversed mixed k=3": (mixed, mixed.reversed_spec()),
     }
-
-
-def _track_calls(monkeypatch) -> list:
-    calls = []
-    original = polysolve._track
-
-    def spy(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(polysolve, "_track", spy)
-    return calls
 
 
 @pytest.mark.parametrize("case", sorted(_affine_cases()))
 def test_affine_image_is_mapped_not_solved(cfg, monkeypatch, case):
     source, spec = _affine_cases()[case]
     known = solve_all(source, cfg)
-    tracks = _track_calls(monkeypatch)
+    tracks = _calls(monkeypatch, "_track")
     # the closed-form images solve the spec as they are
     images = polysolve._carried_points((known,), build_system(spec))
     assert images.shape == (len(known), build_system(spec).n)
@@ -1381,13 +1389,20 @@ def _tracked_cases():
     }
 
 
+_TRACKED_COMPARISONS = {"layout d=4": 2, "layout d=5": 1, "near layout d=4": 2, "swap d=5": 0}
+
+
 @pytest.mark.parametrize("case", sorted(_tracked_cases()))
 def test_non_affine_image_is_tracked_not_solved(cfg, monkeypatch, case):
     source, spec = _tracked_cases()[case]
     known = solve_all(source, cfg)
-    tracks = _track_calls(monkeypatch)
+    tracks = _calls(monkeypatch, "_track")
+    compared = _calls(monkeypatch, "match_index")
     polysolve._carried_points((known,), build_system(spec))
     assert len(tracks) == 1
+    # the values are compared only in a branch order, the same or the
+    # reversed, that fits the profiles; "swap d=5" fits neither
+    assert len(compared) == _TRACKED_COMPARISONS[case]
     tracked = solve_all(spec, cfg, known=(known,))
     assert tracked.certificate == "COMPLETE" and tracked.starts_used == 0
     assert len(tracked) == tracked.target == count_factorizations(spec.profiles).N
@@ -1403,10 +1418,8 @@ def test_track_carries_every_path_to_a_solution(cfg):
     system = build_system(spec)
     # the spec's branch 0 is the source's branch 1 and vice versa
     order = [1, 0, 2]
-    points = polysolve._permuted_points(known, order)
-    tracked, arrived = polysolve._track(
-        system, points, np.array(source.values)[order], spec.values
-    )
+    points = known.solutions[:, polysolve._block_columns(source.profiles, order)]
+    tracked, arrived = polysolve._track(system, points, np.array(source.values)[order])
     assert arrived.all()
     assert np.max(np.abs(residual_batch(system, tracked))) < 1e-8
 
@@ -1492,7 +1505,7 @@ def test_reversal_harvest_never_costs_starts(cfg, monkeypatch, text):
     spec = validate_branch_spec(parse_profiles(text))
     seeds = range(10)
     harvested = [solve_all(spec, cfg.replace(seed=seed)).starts_used for seed in seeds]
-    monkeypatch.setattr(polysolve, "_reversal", lambda spec: None)
+    monkeypatch.setattr(polysolve._Collector, "reversal", None)
     plain = [solve_all(spec, cfg.replace(seed=seed)).starts_used for seed in seeds]
     assert all(h <= p for h, p in zip(harvested, plain))
     assert (sum(harvested) < sum(plain)) == (text == "2,1,1|2,1,1|2,1,1")
